@@ -17,7 +17,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import premium as prem
-from .errors import GlevyError
+from .errors import GlevyError, ParamOutOfRange
 from .options import (
     OptionSpec,
     bs_call_price,
@@ -46,10 +46,17 @@ def _fmt(x: float) -> str:
 
 
 def _parse_grid(text: str) -> np.ndarray:
+    """Points a, a + step, ... up to b inclusive from "a:b:step"."""
     try:
         a, b, step = (float(p) for p in text.split(":"))
     except ValueError:
-        raise SystemExit(2)
+        raise ParamOutOfRange("grid", text, 'must be "a:b:step"') from None
+    if not all(math.isfinite(v) for v in (a, b, step)):
+        raise ParamOutOfRange("grid", text, "bounds and step must be finite")
+    if not step > 0.0:
+        raise ParamOutOfRange("grid", text, "step must be > 0")
+    if not a <= b:
+        raise ParamOutOfRange("grid", text, "must satisfy a <= b")
     return np.arange(a, b + 0.5 * step, step)
 
 

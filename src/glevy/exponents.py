@@ -3,11 +3,15 @@
 Each family knows its cumulant function psi (with E[exp(a*X_t)] = exp(t*psi(a))),
 its first two analytic derivatives, and the open interval of admissible
 arguments. All model objects are immutable and safe to share between threads.
+A model's admissible interval is fixed at construction (built once, on first
+use, then reused by every evaluation); NaN and +-inf are never admissible.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainViolation, ParamOutOfRange, Unsupported
 
@@ -47,28 +51,29 @@ class Interval:
         if not (self.lower < 0.0 < self.upper):
             raise ParamOutOfRange("interval", (self.lower, self.upper),
                                   "must satisfy lower < 0 < upper")
+        # Inclusive limits of the admissible set: a relative margin inside a
+        # finite endpoint, every finite float beyond an infinite one.
+        lo, hi = self.lower, self.upper
+        object.__setattr__(self, "_lo", -sys.float_info.max if math.isinf(lo)
+                           else lo + DOMAIN_MARGIN * max(1.0, abs(lo)))
+        object.__setattr__(self, "_hi", sys.float_info.max if math.isinf(hi)
+                           else hi - DOMAIN_MARGIN * max(1.0, abs(hi)))
 
     def contains(self, alpha: float) -> bool:
         return self.lower < alpha < self.upper
 
     def admissible(self, alpha: float) -> bool:
         """Strict interior test with a safety margin at finite endpoints."""
-        lo, hi = self.lower, self.upper
-        if math.isfinite(lo) and alpha < lo + DOMAIN_MARGIN * max(1.0, abs(lo)):
-            return False
-        if math.isinf(lo) and not alpha > lo:
-            return False
-        if math.isfinite(hi) and alpha > hi - DOMAIN_MARGIN * max(1.0, abs(hi)):
-            return False
-        if math.isinf(hi) and not alpha < hi:
-            return False
-        return True
+        return self._lo <= alpha <= self._hi
 
     def mirrored(self) -> "Interval":
         return Interval(-self.upper, -self.lower)
 
     def __str__(self):
         return f"({self.lower}, {self.upper})"
+
+
+_REAL_LINE = Interval(-math.inf, math.inf)
 
 
 def _positive(name: str, value) -> float:
@@ -92,8 +97,9 @@ class LevyModel:
 
     def _check(self, alpha: float) -> float:
         alpha = float(alpha)
-        if not self.domain.admissible(alpha):
-            raise DomainViolation(alpha, self.domain)
+        dom = self.domain
+        if not dom.admissible(alpha):
+            raise DomainViolation(alpha, dom)
         return alpha
 
     def psi(self, alpha):
@@ -113,9 +119,7 @@ class LevyModel:
 class Brownian(LevyModel):
     """Standard Brownian motion: psi(a) = a^2/2."""
 
-    @property
-    def domain(self) -> Interval:
-        return Interval(-math.inf, math.inf)
+    domain = _REAL_LINE
 
     def psi(self, alpha):
         alpha = self._check(alpha)
@@ -138,9 +142,7 @@ class Poisson(LevyModel):
     def __post_init__(self):
         object.__setattr__(self, "m", _positive("m", self.m))
 
-    @property
-    def domain(self) -> Interval:
-        return Interval(-math.inf, math.inf)
+    domain = _REAL_LINE
 
     def psi(self, alpha):
         alpha = self._check(alpha)
@@ -169,9 +171,7 @@ class CompoundPoissonNormal(LevyModel):
         object.__setattr__(self, "m", _positive("m", self.m))
         object.__setattr__(self, "s", _positive("s", self.s))
 
-    @property
-    def domain(self) -> Interval:
-        return Interval(-math.inf, math.inf)
+    domain = _REAL_LINE
 
     def psi(self, alpha):
         alpha = self._check(alpha)
@@ -197,7 +197,7 @@ class Gamma(LevyModel):
     def __post_init__(self):
         object.__setattr__(self, "m", _positive("m", self.m))
 
-    @property
+    @cached_property
     def domain(self) -> Interval:
         return Interval(-math.inf, 1.0)
 
@@ -225,7 +225,7 @@ class ScaledGamma(LevyModel):
         object.__setattr__(self, "m", _positive("m", self.m))
         object.__setattr__(self, "kappa", _positive("kappa", self.kappa))
 
-    @property
+    @cached_property
     def domain(self) -> Interval:
         return Interval(-math.inf, 1.0 / self.kappa)
 
@@ -251,7 +251,7 @@ class VarianceGamma(LevyModel):
     def __post_init__(self):
         object.__setattr__(self, "m", _positive("m", self.m))
 
-    @property
+    @cached_property
     def domain(self) -> Interval:
         b = math.sqrt(2.0 * self.m)
         return Interval(-b, b)
@@ -295,7 +295,7 @@ class AsymmetricVG(LevyModel):
     def kappa2(self) -> float:
         return (-self.mu + math.sqrt(self.mu**2 + 2.0 * self.m * self.s**2)) / (2.0 * self.m)
 
-    @property
+    @cached_property
     def domain(self) -> Interval:
         return Interval(-1.0 / self.kappa2, 1.0 / self.kappa1)
 
@@ -331,7 +331,7 @@ class NegativeBinomial(LevyModel):
             raise ParamOutOfRange("q", q, "must lie in (0, 1)")
         object.__setattr__(self, "q", q)
 
-    @property
+    @cached_property
     def domain(self) -> Interval:
         return Interval(-math.inf, math.log(1.0 / self.q))
 
@@ -360,7 +360,7 @@ class Mirrored(LevyModel):
     def family(self) -> str:
         return f"Mirrored[{self.base.family}]"
 
-    @property
+    @cached_property
     def domain(self) -> Interval:
         return self.base.domain.mirrored()
 

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainViolation, GridMismatch, ParamOutOfRange
 from .exponents import Brownian, CompoundPoissonNormal, LevyModel
 from .premium import risk_premium
-from .sampling import Path
+from .sampling import Path, _fast_path
 
 __all__ = [
     "Component",
@@ -49,7 +50,7 @@ class Component:
             if not dom.admissible(a):
                 raise DomainViolation(a, dom)
 
-    @property
+    @cached_property
     def premium(self) -> float:
         return risk_premium(self.model, self.lam, self.sig)
 
@@ -246,15 +247,6 @@ def _schedule_log_values(vglm: VectorGlm, schedule: Schedule, times: np.ndarray,
     return log_vals
 
 
-def _path_like(times: np.ndarray, values: np.ndarray) -> Path:
-    # Price/kernel paths reuse the Path container but start at s0 or 1 rather
-    # than 0, so construction bypasses the driver-path invariant.
-    p = object.__new__(Path)
-    object.__setattr__(p, "times", times)
-    object.__setattr__(p, "values", values)
-    return p
-
-
 def _driver_matrix(vglm: VectorGlm, driver_paths) -> tuple[np.ndarray, list[np.ndarray]]:
     ncomp = len(vglm.components)
     if len(driver_paths) != ncomp:
@@ -271,14 +263,14 @@ def schedule_asset_path(vglm: VectorGlm, schedule: Schedule, driver_paths) -> Pa
     """Price path S_t under the coefficient schedule, on the drivers' grid."""
     times, comp_values = _driver_matrix(vglm, driver_paths)
     log_vals = _schedule_log_values(vglm, schedule, times, comp_values, "sigma")
-    return _path_like(times, np.exp(log_vals[0]))
+    return _fast_path(times, np.exp(log_vals[0]))
 
 
 def schedule_kernel_path(vglm: VectorGlm, schedule: Schedule, driver_paths) -> Path:
     """Pricing kernel path pi_t under the coefficient schedule."""
     times, comp_values = _driver_matrix(vglm, driver_paths)
     log_vals = _schedule_log_values(vglm, schedule, times, comp_values, "lambda")
-    return _path_like(times, np.exp(log_vals[0]))
+    return _fast_path(times, np.exp(log_vals[0]))
 
 
 def integrated_premium(vglm: VectorGlm, schedule: Schedule, s: float, t: float) -> float:

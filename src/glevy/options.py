@@ -80,12 +80,14 @@ def brownian_exact_call(glm: GlmSpec, opt: OptionSpec) -> float:
         raise WrongFamily(f"expected Brownian, got {glm.model.family}")
     t = opt.expiry
     sd = math.sqrt(t)
+    density_c = 1.0 / (sd * math.sqrt(2.0 * math.pi))
 
     def integrand(x: float) -> float:
         s = asset_value(glm, x, t)
         if s <= opt.strike:
             return 0.0
-        return kernel_value(glm, x, t) * (s - opt.strike) * norm.pdf(x, scale=sd)
+        density = density_c * math.exp(-0.5 * x * x / t)
+        return kernel_value(glm, x, t) * (s - opt.strike) * density
 
     # Payoff is nonzero for x above the log-moneyness threshold.
     if opt.strike > 0.0:

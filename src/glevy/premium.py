@@ -206,11 +206,12 @@ def premium_gradient(model: LevyModel, lam: float, sig: float) -> tuple[float, f
 
 def premium_hessian_signs(model: LevyModel, lam: float, sig: float) -> tuple[int, int]:
     """Signs of d2R/dsig2 and d2R/dlam2 from the analytic second derivative."""
-    d2_sig = model.psi_second(sig) - model.psi_second(sig - lam)
-    d2_lam = model.psi_second(-lam) - model.psi_second(sig - lam)
+    at_sig, at_diff = model.psi_second(sig), model.psi_second(sig - lam)
+    d2_sig = at_sig - at_diff
+    d2_lam = model.psi_second(-lam) - at_diff
+    tol = 1e-12 * max(1.0, abs(at_sig))
 
     def sgn(x: float) -> int:
-        tol = 1e-12 * max(1.0, abs(model.psi_second(sig)))
         return 0 if abs(x) < tol else (1 if x > 0 else -1)
 
     return sgn(d2_sig), sgn(d2_lam)

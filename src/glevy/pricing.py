@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,10 @@ class GlmSpec:
     d0: float | None = None
 
     def __post_init__(self):
+        for name in ("r", "lam", "sig", "s0", "f", "gamma_growth", "d0"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ParamOutOfRange(name, value, "must be finite")
         # lam = 0 is admitted so the option identifiability experiments can
         # probe the zero-risk-aversion boundary; positivity of the premium
         # requires lam > 0.
@@ -73,7 +78,7 @@ class GlmSpec:
             if not dom.admissible(a):
                 raise DomainViolation(a, dom)
 
-    @property
+    @cached_property
     def premium(self) -> float:
         return risk_premium(self.model, self.lam, self.sig)
 

@@ -191,7 +191,9 @@ def nb_dual_sample(m: float, q: float, dt: float, rng: Rng,
 
 
 def _fast_path(times: np.ndarray, values: np.ndarray) -> Path:
-    # Bypasses Path validation; callers guarantee the invariants.
+    # Bypasses Path validation. Driver paths from the samplers satisfy it by
+    # construction; price and kernel paths reuse the container but start at
+    # s0 or 1 rather than 0.
     p = object.__new__(Path)
     object.__setattr__(p, "times", times)
     object.__setattr__(p, "values", values)

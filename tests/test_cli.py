@@ -159,3 +159,30 @@ def test_malformed_json_exits_2(tmp_path):
     p = tmp_path / "mangled.json"
     p.write_text("{not json")
     assert main(["verify", "--spec", str(p)]) == 2
+
+
+@pytest.mark.parametrize("grid", [
+    "0.1:0.5",        # unparsable: two fields
+    "a:b:c",          # unparsable: not numbers
+    "0.1:0.5:0",      # zero step
+    "0.1:0.5:-0.1",   # negative step
+    "0.5:0.1:0.1",    # reversed range
+    "0.1:inf:0.1",    # non-finite bound
+    "nan:0.5:0.1",    # non-finite bound
+])
+def test_bad_grid_exits_2(gamma_spec, tmp_path, grid):
+    out = tmp_path / "x.csv"
+    assert main(["premium", "--spec", str(gamma_spec), "--out", str(out),
+                 "--grid", grid]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["r", "s0", "f", "gamma", "d0", "lambda", "sigma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_spec_field_exits_2(tmp_path, key, value):
+    spec = {"family": "Brownian", "params": {}, "r": 0.02, "lambda": 0.3,
+            "sigma": 0.25, "s0": 1.0, "f": 0.01, "gamma": 0.01, "d0": 1.0}
+    spec[key] = value
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(spec))
+    assert main(["verify", "--spec", str(p)]) == 2

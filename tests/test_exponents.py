@@ -1,11 +1,16 @@
 """Unit tests for the cumulant-generating-rate families."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import glevy as g
+from glevy.exponents import DOMAIN_MARGIN
 from conftest import (
     DEFAULT_MODELS,
     FAMILY_NAMES,
@@ -91,6 +96,88 @@ def test_domain_violation(family_case):
             model.psi(up + 0.1)
         with pytest.raises(g.DomainViolation):
             model.psi(up)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_non_finite_arguments_rejected(family_case, alpha):
+    model, _, _ = family_case
+    for m in (model, g.mirror(model)):
+        for f in (m.psi, m.psi_prime, m.psi_second):
+            with pytest.raises(g.DomainViolation):
+                f(alpha)
+
+
+def _four_branch_admissible(interval, alpha):
+    """Reference: the endpoint-by-endpoint admissibility test."""
+    lo, hi = interval.lower, interval.upper
+    if math.isfinite(lo) and alpha < lo + DOMAIN_MARGIN * max(1.0, abs(lo)):
+        return False
+    if math.isinf(lo) and not alpha > lo:
+        return False
+    if math.isfinite(hi) and alpha > hi - DOMAIN_MARGIN * max(1.0, abs(hi)):
+        return False
+    if math.isinf(hi) and not alpha < hi:
+        return False
+    return True
+
+
+_MODELS = [m for base, _, _ in DEFAULT_MODELS.values() for m in (base, g.mirror(base))]
+_FINITE_ENDPOINTS = [(m.domain, e) for m in _MODELS
+                     for e in (m.domain.lower, m.domain.upper) if math.isfinite(e)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_admissible_matches_four_branch_reference(data):
+    interval, e = data.draw(st.sampled_from(_FINITE_ENDPOINTS))
+    margin = DOMAIN_MARGIN * max(1.0, abs(e))
+    limit = e + margin if e < 0.0 else e - margin
+    alpha = data.draw(st.one_of(
+        st.integers(-64, 64).map(lambda k: limit + k * math.ulp(limit)),
+        st.floats(e - 2.0 * margin, e + 2.0 * margin),
+        st.floats(allow_nan=False)))
+    assert interval.admissible(alpha) == _four_branch_admissible(interval, alpha)
+
+
+def test_evaluation_builds_no_interval(family_case, monkeypatch):
+    model, lam, sig = family_case
+    models = (model, g.mirror(model))
+    for m in models:
+        m.domain
+    built = []
+    post_init = g.Interval.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(g.Interval, "__post_init__", counting)
+    for m in models:
+        for a in (0.0, 0.5 * sig, -0.5 * lam):
+            m.psi(a), m.psi_prime(a), m.psi_second(a)
+    g.risk_premium(model, lam, sig)
+    assert built == []
+
+
+def test_domain_cache_keeps_value_semantics(family_case):
+    model, _, _ = family_case
+    for m in (model, g.mirror(model)):
+        fresh = dataclasses.replace(m)
+        text, digest = repr(fresh), hash(fresh)
+        m.domain
+        assert m == fresh and hash(m) == digest and repr(m) == text
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m and hash(back) == digest and back.domain == m.domain
+
+
+def test_replace_rebuilds_domain():
+    vg = g.VarianceGamma(m=2.0)
+    assert vg.domain.upper == pytest.approx(2.0)
+    assert dataclasses.replace(vg, m=8.0).domain.upper == pytest.approx(4.0)
+    nb = g.mirror(g.NegativeBinomial(m=1.0, q=0.5))
+    assert nb.domain.lower == pytest.approx(-math.log(2.0))
+    other = dataclasses.replace(nb, base=g.NegativeBinomial(m=1.0, q=0.25))
+    assert other.domain.lower == pytest.approx(-math.log(4.0))
 
 
 def test_make_model_and_unsupported():

@@ -103,6 +103,13 @@ def test_premium_monotone_in_component_exposures():
     assert total(0.4, 0.6) > base
 
 
+def test_cached_component_premium_is_exact():
+    vglm, _ = two_gamma_fx()
+    for c in vglm.components:
+        assert c.premium == g.risk_premium(c.model, c.lam, c.sig)
+        assert c.premium == c.premium
+
+
 def test_component_domain_validation():
     with pytest.raises(g.DomainViolation):
         g.Component(g.Gamma(m=1.0), 0.5, 1.2)

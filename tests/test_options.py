@@ -30,11 +30,12 @@ def test_bs_monotone_in_strike():
 
 def test_brownian_exact_matches_bs():
     spec = brownian_spec()
-    for k in (0.5, 0.9, 1.0, 1.1, 1.8):
-        opt = g.OptionSpec(strike=k, expiry=1.5)
-        exact = g.brownian_exact_call(spec, opt)
-        bs = g.bs_call_price(spec.s0, spec.r, spec.sig, k, 1.5)
-        assert exact == pytest.approx(bs, abs=1e-10)
+    for t in (0.25, 1.5, 4.0):
+        for k in (0.0, 0.5, 0.9, 1.0, 1.1, 1.8, 3.0):
+            opt = g.OptionSpec(strike=k, expiry=t)
+            exact = g.brownian_exact_call(spec, opt)
+            bs = g.bs_call_price(spec.s0, spec.r, spec.sig, k, t)
+            assert exact == pytest.approx(bs, abs=1e-10), (k, t)
 
 
 def test_brownian_price_lambda_independent():

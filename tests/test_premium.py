@@ -122,6 +122,19 @@ def test_hessian_signs():
     assert ss < 0
 
 
+def test_hessian_signs_evaluates_psi_second_three_times(monkeypatch):
+    calls = []
+    psi_second = g.Gamma.psi_second
+
+    def counting(self, alpha):
+        calls.append(alpha)
+        return psi_second(self, alpha)
+
+    monkeypatch.setattr(g.Gamma, "psi_second", counting)
+    assert g.premium_hessian_signs(g.Gamma(m=1.0), 1.0, 0.5) == (1, -1)
+    assert sorted(calls) == [-1.0, -0.5, 0.5]
+
+
 def test_curvature_recovery(family_case):
     model, lam, sig = family_case
     est = g.curvature_from_premium(model, sig)

@@ -181,3 +181,21 @@ def test_spec_validation():
         g.GlmSpec(model=g.Brownian(), r=0.0, lam=0.1, sig=0.5, s0=-1.0)
     with pytest.raises(g.DomainViolation):
         g.GlmSpec(model=g.Gamma(m=1.0), r=0.0, lam=0.1, sig=1.2)
+
+
+@pytest.mark.parametrize("field", ["r", "lam", "sig", "s0", "f", "gamma_growth", "d0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_non_finite(field, value):
+    kw = dict(model=g.Brownian(), r=0.02, lam=0.2, sig=0.5, s0=1.0,
+              f=0.01, gamma_growth=0.01, d0=1.0)
+    kw[field] = value
+    with pytest.raises(g.ParamOutOfRange):
+        g.GlmSpec(**kw)
+
+
+def test_cached_premium_is_exact(family_case):
+    model, lam, sig = family_case
+    spec = g.GlmSpec(model=model, r=0.02, lam=lam, sig=sig)
+    assert spec.premium == g.risk_premium(model, lam, sig)
+    assert spec.premium == spec.premium
+    assert spec == g.GlmSpec(model=model, r=0.02, lam=lam, sig=sig)

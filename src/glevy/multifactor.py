@@ -203,10 +203,11 @@ def _require_refining_grid(times: np.ndarray, schedule: Schedule) -> np.ndarray:
     """Interval index for each grid step [times[j], times[j+1])."""
     bp = schedule.breakpoints
     inside = bp[bp < times[-1] + 1e-12]
-    matched = np.isclose(times[None, :], inside[:, None], atol=1e-12).any(axis=1)
+    b = inside[:, None]  # np.isclose(times, b, atol=1e-12) per breakpoint, inline
+    matched = (np.abs(times - b) <= 1e-12 + 1e-5 * np.abs(b)).any(axis=1)
     if not matched.all():
         raise GridMismatch(f"breakpoints {inside[~matched]} not on the grid")
-    return np.array([schedule.interval_of(tj) for tj in times[:-1]])
+    return np.clip(np.searchsorted(bp, times[:-1], side="right") - 1, 0, schedule.n_intervals - 1)
 
 
 def _schedule_log_values(vglm: VectorGlm, schedule: Schedule, times: np.ndarray,
@@ -307,12 +308,12 @@ def submartingale_check(vglm: VectorGlm, schedule: Schedule, s: float, t: float,
     dts = np.diff(grid)
     for i, c in enumerate(vglm.components):
         sub = rng.spawn(rng.stream + i)
-        # Increments sampled per step of the irregular grid, exact in law.
-        inc = np.empty((n, len(dts)))
+        # Increments sampled per step (one row each) of the irregular grid, exact in law.
+        inc = np.empty((len(dts), n))
         for j, dtj in enumerate(dts):
-            inc[:, j] = sample_increments(c.model, float(dtj), n, sub)
+            inc[j] = sample_increments(c.model, float(dtj), n, sub)
         vals = np.zeros((n, len(grid)))
-        np.cumsum(inc, axis=1, out=vals[:, 1:])
+        np.cumsum(inc.T, axis=1, out=vals[:, 1:])
         comp_values.append(vals)
 
     log_s_vals = _schedule_log_values(vglm, schedule, grid, comp_values, "sigma")

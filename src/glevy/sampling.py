@@ -8,7 +8,9 @@ the same sequence, and distinct streams are statistically independent.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -62,22 +64,24 @@ class Rng:
         return f"Rng(seed={self.seed}, stream={self.stream})"
 
 
-@dataclass(frozen=True)
-class Path:
-    """A simulated trajectory: time grid starting at 0 and values with X_0 = 0."""
+class Path(namedtuple("Path", "times values")):
+    """A simulated trajectory: an immutable (times, values) pair, the time grid
+    starting at 0 and the values with X_0 = 0."""
 
-    times: np.ndarray
-    values: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+    def __new__(cls, times, values):
+        t = np.asarray(times, dtype=float)
+        v = np.asarray(values, dtype=float)
         if t.shape != v.shape:
             raise ParamOutOfRange("path", (t.shape, v.shape), "times/values length mismatch")
         if t[0] != 0.0 or v[0] != 0.0:
             raise ParamOutOfRange("path", (t[0], v[0]), "must start at (0, 0)")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
+        return tuple.__new__(cls, (t, v))
+
+    def __reduce__(self):
+        # Rebuilt without revalidation: price and kernel paths start at s0 or 1.
+        return _fast_path, tuple(self)
 
 
 @dataclass(frozen=True)
@@ -178,11 +182,10 @@ def nb_dual_sample(m: float, q: float, dt: float, rng: Rng,
     if method == "LogarithmicCompoundPoisson":
         mu = -m * math.log1p(-q)
         counts = g.poisson(mu * dt, size)
-        out = np.zeros(size)
-        nonzero = np.flatnonzero(counts)
-        for i in nonzero:
-            out[i] = g.logseries(q, counts[i]).sum()
-        return out
+        # logseries draws one variate at a time, so one draw of every jump
+        # consumes the stream as a draw per increment would; sum per increment.
+        jumps = np.concatenate(([0], np.cumsum(g.logseries(q, counts.sum()))))
+        return np.diff(jumps[np.cumsum(counts)], prepend=0).astype(float)
     if method == "GammaSubordinatedPoisson":
         intensity = m * q / (1.0 - q)
         clock = g.gamma(m * dt, 1.0, size) / m
@@ -194,10 +197,7 @@ def _fast_path(times: np.ndarray, values: np.ndarray) -> Path:
     # Bypasses Path validation. Driver paths from the samplers satisfy it by
     # construction; price and kernel paths reuse the container but start at
     # s0 or 1 rather than 0.
-    p = object.__new__(Path)
-    object.__setattr__(p, "times", times)
-    object.__setattr__(p, "values", values)
-    return p
+    return tuple.__new__(Path, (times, values))
 
 
 def mc_expectation(payoff: Callable[[Path], float], model: LevyModel,
@@ -212,16 +212,14 @@ def mc_expectation(payoff: Callable[[Path], float], model: LevyModel,
         raise ParamOutOfRange("n", n, "must be >= 2")
     samples = np.empty(n)
     bounds = np.linspace(0, n, streams + 1).astype(int)
-    pos = 0
     for k in range(streams):
         chunk = bounds[k + 1] - bounds[k]
         if chunk == 0:
             continue
         sub = rng.spawn(rng.stream + k) if streams > 1 else rng
         times, values = simulate_paths(model, horizon, steps, chunk, sub)
-        for row in values:
-            samples[pos] = payoff(_fast_path(times, row))
-            pos += 1
+        rows = map(tuple.__new__, repeat(Path), zip(repeat(times), values))  # as _fast_path, in C
+        samples[bounds[k]:bounds[k + 1]] = np.fromiter(map(payoff, rows), float, chunk)
     est = float(samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(n))
     return McResult(estimate=est, stderr=stderr, n=n)

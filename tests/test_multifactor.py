@@ -181,6 +181,36 @@ def test_grid_mismatch_raises():
         g.schedule_asset_path(vglm, sch, [driver])
 
 
+@pytest.mark.parametrize("times", [
+    np.linspace(0.0, 2.0, 9),               # points exactly on every breakpoint
+    np.linspace(0.0, 3.5, 15),              # beyond the last breakpoint
+    np.array([0.0, 0.3, 1.0, 1.7, 2.0, 2.2, 5.0]),
+    np.array([0.0, 1.0 + 8e-6, 2.0 - 1e-13]),  # within isclose's tolerance
+    np.array([0.0, 0.5, 1.0]),              # ends on an inner breakpoint
+])
+def test_refining_grid_indices_match_interval_of(times):
+    from glevy.multifactor import _require_refining_grid
+
+    sch = make_schedule()
+    idx = _require_refining_grid(times, sch)
+    assert idx.dtype.kind == "i"
+    assert idx.tolist() == [sch.interval_of(t) for t in times[:-1]]
+
+
+@pytest.mark.parametrize("offset", [9.9e-6, 1.01e-5, -1.01e-5, 1e-12, 3e-12])
+def test_refining_grid_tolerance_matches_isclose(offset):
+    from glevy.multifactor import _require_refining_grid
+
+    sch = make_schedule()
+    times = np.array([0.0, 0.5, 1.0 + offset, 1.5, 2.0])
+    on_grid = bool(np.isclose(times, 1.0, atol=1e-12).any())
+    if on_grid:
+        _require_refining_grid(times, sch)
+    else:
+        with pytest.raises(g.GridMismatch):
+            _require_refining_grid(times, sch)
+
+
 def test_schedule_dict_round_trip():
     sch = make_schedule()
     back = g.Schedule.from_dict(sch.to_dict())

@@ -1,6 +1,8 @@
 """Tests for exact increment sampling, dual constructions, and Monte Carlo."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -160,3 +162,101 @@ def test_mc_multistream_deterministic():
     r1 = g.mc_expectation(lambda p: p.values[-1] ** 2, g.Brownian(), rng=g.Rng(5), streams=4, **kw)
     r2 = g.mc_expectation(lambda p: p.values[-1] ** 2, g.Brownian(), rng=g.Rng(5), streams=4, **kw)
     assert r1.estimate == r2.estimate and r1.stderr == r2.stderr
+
+
+# --- Path ----------------------------------------------------------------
+
+@pytest.mark.parametrize("times,values", [
+    ([0.0, 1.0], [0.0, 1.0, 2.0]),  # length mismatch
+    ([0.0, 1.0], [1.0, 2.0]),       # nonzero start value
+    ([0.5, 1.0], [0.0, 2.0]),       # nonzero start time
+])
+def test_path_validation(times, values):
+    with pytest.raises(g.ParamOutOfRange):
+        g.Path(times=times, values=values)
+
+
+def test_path_keyword_construction_and_immutability():
+    path = g.Path(times=[0.0, 0.5, 1.0], values=[0, 1, 3])
+    assert path.times.dtype == path.values.dtype == np.float64
+    assert np.array_equal(path.values, [0.0, 1.0, 3.0])
+    assert g.Path([0.0, 1.0], [0.0, 2.0]).values[-1] == 2.0
+    with pytest.raises(AttributeError):
+        path.values = np.zeros(3)
+    with pytest.raises(AttributeError):
+        path.extra = 1
+
+
+def _three_kinds_of_path():
+    vglm = g.VectorGlm(components=(g.Component(g.Gamma(m=1.0), 0.4, 0.3),), r=0.02, s0=2.0)
+    sch = g.Schedule(breakpoints=[0.0, 1.0], r=[0.02], lam=[[0.4]], sig=[[0.3]])
+    driver = g.simulate_path(g.Gamma(m=1.0), 2.0, 8, g.Rng(3))
+    return (driver, g.schedule_asset_path(vglm, sch, [driver]),
+            g.schedule_kernel_path(vglm, sch, [driver]))
+
+
+@pytest.mark.parametrize("clone", [
+    lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy])
+def test_path_pickle_and_copy_round_trip(clone):
+    driver, price, kernel = _three_kinds_of_path()
+    assert price.values[0] == 2.0 and kernel.values[0] == 1.0
+    for path in (driver, price, kernel):
+        back = clone(path)
+        assert type(back) is g.Path
+        assert np.array_equal(back.times, path.times)
+        assert np.array_equal(back.values, path.values)
+
+
+# --- bit-identity against the per-element reference loops ----------------
+
+def _mc_reference(payoff, model, horizon, steps, n, rng, streams):
+    """mc_expectation as one payoff(Path) call per simulated row."""
+    samples = []
+    bounds = np.linspace(0, n, streams + 1).astype(int)
+    for k in range(streams):
+        sub = rng.spawn(rng.stream + k) if streams > 1 else rng
+        times, values = g.simulate_paths(model, horizon, steps, bounds[k + 1] - bounds[k], sub)
+        samples += [payoff(g.Path(times, row)) for row in values]
+    samples = np.array(samples)
+    return samples.mean(), samples.std(ddof=1) / math.sqrt(n)
+
+
+@pytest.mark.parametrize("streams", [1, 4])
+@pytest.mark.parametrize("steps", [1, 50])
+def test_mc_expectation_bit_identical_to_loop(streams, steps):
+    model = g.VarianceGamma(m=2.0)
+    c = model.psi(0.5)
+
+    def payoff(path):
+        return np.mean(np.exp(0.5 * path.values - path.times * c))
+
+    res = g.mc_expectation(payoff, model, 1.0, steps, 1003, g.Rng(5, 2), streams=streams)
+    est, se = _mc_reference(payoff, model, 1.0, steps, 1003, g.Rng(5, 2), streams)
+    assert res.n == 1003
+    assert res.estimate == est and res.stderr == se
+
+
+def _nb_log_reference(m, q, dt, rng, size):
+    """Logarithmic compound Poisson NB draws, one logseries call per count."""
+    g_ = rng.generator
+    counts = g_.poisson(-m * math.log1p(-q) * dt, size)
+    out = np.zeros(size)
+    for i in np.flatnonzero(counts):
+        out[i] = g_.logseries(q, counts[i]).sum()
+    return out
+
+
+@pytest.mark.parametrize("m,q,dt,size", [
+    (1.0, 0.5, 1.0, 5000),
+    (2.0, 0.9, 0.3, 2000),   # long jumps
+    (1.0, 0.5, 1.0, 1),
+    (0.5, 0.5, 1e-12, 500),  # every count is 0
+    (3.0, 0.2, 2.0, 0),
+])
+def test_nb_log_sampler_bit_identical_to_loop(m, q, dt, size):
+    rng_a, rng_b = g.Rng(17, 1), g.Rng(17, 1)
+    a = g.nb_dual_sample(m, q, dt, rng_a, method="LogarithmicCompoundPoisson", size=size)
+    b = _nb_log_reference(m, q, dt, rng_b, size)
+    assert a.dtype == b.dtype and np.array_equal(a, b)
+    # Both leave the stream at the same position.
+    assert np.array_equal(rng_a.generator.random(4), rng_b.generator.random(4))

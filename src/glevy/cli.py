@@ -38,6 +38,7 @@ from .pricing import (
 from .sampling import Rng, mc_expectation, simulate_path
 
 DEFAULT_SEED = 20120229  # fixed so published runs reproduce
+MAX_GRID_POINTS = 1000  # per axis; the premium surface has up to 10**6 rows
 
 
 def _fmt(x: float) -> str:
@@ -57,6 +58,9 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ParamOutOfRange("grid", text, "step must be > 0")
     if not a <= b:
         raise ParamOutOfRange("grid", text, "must satisfy a <= b")
+    # floor((b - a)/step) + 1 points; the quotient may overflow to inf.
+    if (b - a) / step >= MAX_GRID_POINTS:
+        raise ParamOutOfRange("grid", text, f"more than {MAX_GRID_POINTS} points")
     return np.arange(a, b + 0.5 * step, step)
 
 

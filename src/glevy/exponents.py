@@ -78,8 +78,15 @@ _REAL_LINE = Interval(-math.inf, math.inf)
 
 def _positive(name: str, value) -> float:
     value = float(value)
-    if not value > 0.0:
-        raise ParamOutOfRange(name, value, "must be > 0")
+    if not 0.0 < value < math.inf:
+        raise ParamOutOfRange(name, value, "must be finite and > 0")
+    return value
+
+
+def _finite(name: str, value) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ParamOutOfRange(name, value, "must be finite")
     return value
 
 
@@ -284,7 +291,7 @@ class AsymmetricVG(LevyModel):
 
     def __post_init__(self):
         object.__setattr__(self, "m", _positive("m", self.m))
-        object.__setattr__(self, "mu", float(self.mu))
+        object.__setattr__(self, "mu", _finite("mu", self.mu))
         object.__setattr__(self, "s", _positive("s", self.s))
 
     @property

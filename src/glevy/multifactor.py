@@ -67,8 +67,10 @@ class VectorGlm:
         comps = tuple(self.components)
         if not comps:
             raise ParamOutOfRange("components", comps, "must be nonempty")
-        if not self.s0 > 0.0:
-            raise ParamOutOfRange("s0", self.s0, "must be > 0")
+        if not math.isfinite(self.r):
+            raise ParamOutOfRange("r", self.r, "must be finite")
+        if not 0.0 < self.s0 < math.inf:
+            raise ParamOutOfRange("s0", self.s0, "must be finite and > 0")
         object.__setattr__(self, "components", comps)
 
 
@@ -133,6 +135,8 @@ class Schedule:
         r = np.asarray(self.r, dtype=float)
         lam = np.atleast_2d(np.asarray(self.lam, dtype=float))
         sig = np.atleast_2d(np.asarray(self.sig, dtype=float))
+        if not all(np.isfinite(a).all() for a in (bp, r, lam, sig)):
+            raise ParamOutOfRange("schedule", (bp, r, lam, sig), "must be finite")
         if bp[0] != 0.0 or np.any(np.diff(bp) <= 0.0):
             raise ParamOutOfRange("breakpoints", bp, "must increase from 0")
         k = len(bp) - 1

@@ -4,6 +4,9 @@ Each family is sampled from its exact law at the requested step size, so the
 functionals tested downstream carry no discretization bias. Randomness comes
 from counter-based Philox streams: the same (seed, stream) pair always yields
 the same sequence, and distinct streams are statistically independent.
+
+A `Path` is an immutable (times, values) pair. `mc_expectation` calls its
+payoff once per simulated path, as payoff(Path) -> float.
 """
 from __future__ import annotations
 
@@ -73,8 +76,8 @@ class Path(namedtuple("Path", "times values")):
     def __new__(cls, times, values):
         t = np.asarray(times, dtype=float)
         v = np.asarray(values, dtype=float)
-        if t.shape != v.shape:
-            raise ParamOutOfRange("path", (t.shape, v.shape), "times/values length mismatch")
+        if t.ndim != 1 or t.shape != v.shape or not t.size:
+            raise ParamOutOfRange("path", (t.shape, v.shape), "need equal nonempty 1-d shapes")
         if t[0] != 0.0 or v[0] != 0.0:
             raise ParamOutOfRange("path", (t[0], v[0]), "must start at (0, 0)")
         return tuple.__new__(cls, (t, v))

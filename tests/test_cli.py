@@ -169,6 +169,9 @@ def test_malformed_json_exits_2(tmp_path):
     "0.5:0.1:0.1",    # reversed range
     "0.1:inf:0.1",    # non-finite bound
     "nan:0.5:0.1",    # non-finite bound
+    "0:2:1e-3",       # 2001 points per axis, a 4 * 10**6-row surface
+    "0:1:1e-12",      # 10**12 points, refused before allocating
+    "0:1e300:1e-300", # point count overflows to inf
 ])
 def test_bad_grid_exits_2(gamma_spec, tmp_path, grid):
     out = tmp_path / "x.csv"

@@ -88,6 +88,19 @@ def test_param_validation():
         g.AsymmetricVG(m=1.0, mu=0.2, s=-0.1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: g.Gamma(m=math.inf),
+    lambda: g.Poisson(m=math.inf),
+    lambda: g.ScaledGamma(m=1.0, kappa=math.inf),
+    lambda: g.AsymmetricVG(m=1.0, mu=math.nan, s=0.5),
+    lambda: g.AsymmetricVG(m=1.0, mu=-math.inf, s=0.5),
+], ids=["Gamma-m-inf", "Poisson-m-inf", "ScaledGamma-kappa-inf", "AsymmetricVG-mu-nan",
+        "AsymmetricVG-mu-inf"])
+def test_non_finite_family_parameter_rejected(build):
+    with pytest.raises(g.ParamOutOfRange):
+        build()
+
+
 def test_domain_violation(family_case):
     model, _, _ = family_case
     up = model.domain.upper

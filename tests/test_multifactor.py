@@ -227,6 +227,26 @@ def test_schedule_length_validation():
         g.Schedule(breakpoints=[1.0, 2.0], r=[0.02], lam=[[0.4]], sig=[[0.3]])
 
 
+@pytest.mark.parametrize("field,value", [
+    ("r", [math.nan]), ("r", [math.inf]), ("breakpoints", [0.0, math.inf]),
+    ("lam", [[math.nan]]), ("sig", [[-math.inf]]),
+])
+def test_schedule_non_finite_rejected(field, value):
+    kw = dict(breakpoints=[0.0, 1.0], r=[0.02], lam=[[0.4]], sig=[[0.3]])
+    kw[field] = value
+    with pytest.raises(g.ParamOutOfRange):
+        g.Schedule(**kw)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("r", math.inf), ("r", math.nan), ("s0", math.inf)])
+def test_vector_glm_non_finite_rejected(field, value):
+    kw = dict(components=(g.Component(g.Gamma(m=1.0), 0.4, 0.3),), r=0.02, s0=1.0)
+    kw[field] = value
+    with pytest.raises(g.ParamOutOfRange):
+        g.VectorGlm(**kw)
+
+
 def test_schedule_domain_validation():
     sch = g.Schedule(breakpoints=[0.0, 1.0], r=[0.02], lam=[[0.5]], sig=[[1.2]])
     model = g.Gamma(m=1.0)

@@ -170,6 +170,9 @@ def test_mc_multistream_deterministic():
     ([0.0, 1.0], [0.0, 1.0, 2.0]),  # length mismatch
     ([0.0, 1.0], [1.0, 2.0]),       # nonzero start value
     ([0.5, 1.0], [0.0, 2.0]),       # nonzero start time
+    ([], []),
+    (np.zeros((2, 2)), np.zeros((2, 2))),
+    (0.0, 0.0),
 ])
 def test_path_validation(times, values):
     with pytest.raises(g.ParamOutOfRange):

@@ -311,7 +311,7 @@ def submartingale_check(vglm: VectorGlm, schedule: Schedule, s: float, t: float,
     comp_values = []
     dts = np.diff(grid)
     for i, c in enumerate(vglm.components):
-        sub = rng.spawn(rng.stream + i)
+        sub = rng.spawn(i)
         # Increments sampled per step (one row each) of the irregular grid, exact in law.
         inc = np.empty((len(dts), n))
         for j, dtj in enumerate(dts):

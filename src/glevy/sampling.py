@@ -4,6 +4,8 @@ Each family is sampled from its exact law at the requested step size, so the
 functionals tested downstream carry no discretization bias. Randomness comes
 from counter-based Philox streams: the same (seed, stream) pair always yields
 the same sequence, and distinct streams are statistically independent.
+`Rng.spawn(k)` derives substream k from the whole (seed, stream, k) path, so
+the substreams of one stream never overlap those of another.
 
 A `Path` is an immutable (times, values) pair. `mc_expectation` calls its
 payoff once per simulated path, as payoff(Path) -> float.
@@ -49,22 +51,32 @@ _MASK64 = (1 << 64) - 1
 
 
 class Rng:
-    """Counter-based random stream identified by (seed, stream).
+    """Counter-based random stream identified by (seed, stream) and, for a
+    substream, by the spawn_key of child indices below that stream.
 
     Not shareable between concurrent tasks; give each task its own stream.
     """
 
-    def __init__(self, seed: int, stream: int = 0):
+    def __init__(self, seed: int, stream: int = 0, spawn_key: tuple = ()):
         self.seed = int(seed)
         self.stream = int(stream)
-        key = (self.seed & _MASK64) | ((self.stream & _MASK64) << 64)
-        self.generator = np.random.Generator(np.random.Philox(key=key))
+        self.spawn_key = tuple(int(k) for k in spawn_key)
+        if self.spawn_key:
+            # A substream's key hashes its whole (seed, stream, k, ...) path,
+            # so substreams of distinct streams never share draws.
+            bits = np.random.Philox(np.random.SeedSequence(
+                self.seed & _MASK64, spawn_key=(self.stream & _MASK64, *self.spawn_key)))
+        else:
+            bits = np.random.Philox(key=(self.seed & _MASK64) | ((self.stream & _MASK64) << 64))
+        self.generator = np.random.Generator(bits)
 
-    def spawn(self, stream: int) -> "Rng":
-        return Rng(self.seed, stream)
+    def spawn(self, k: int) -> "Rng":
+        """Substream k >= 0 of this stream, fresh at every call."""
+        return Rng(self.seed, self.stream, self.spawn_key + (k,))
 
     def __repr__(self):
-        return f"Rng(seed={self.seed}, stream={self.stream})"
+        key = f", spawn_key={self.spawn_key}" if self.spawn_key else ""
+        return f"Rng(seed={self.seed}, stream={self.stream}{key})"
 
 
 class Path(namedtuple("Path", "times values")):
@@ -208,8 +220,8 @@ def mc_expectation(payoff: Callable[[Path], float], model: LevyModel,
                    streams: int = 1) -> McResult:
     """Monte Carlo estimate of E[payoff(Path)] with its standard error.
 
-    Deterministic for a fixed (seed, stream assignment, n, streams): the n
-    samples are partitioned across `streams` substreams in fixed order.
+    Deterministic for a fixed (seed, stream, n, streams): with streams > 1 the
+    n samples are partitioned in fixed order across substreams rng.spawn(k).
     """
     if n < 2:
         raise ParamOutOfRange("n", n, "must be >= 2")
@@ -219,7 +231,7 @@ def mc_expectation(payoff: Callable[[Path], float], model: LevyModel,
         chunk = bounds[k + 1] - bounds[k]
         if chunk == 0:
             continue
-        sub = rng.spawn(rng.stream + k) if streams > 1 else rng
+        sub = rng.spawn(k) if streams > 1 else rng
         times, values = simulate_paths(model, horizon, steps, chunk, sub)
         rows = map(tuple.__new__, repeat(Path), zip(repeat(times), values))  # as _fast_path, in C
         samples[bounds[k]:bounds[k + 1]] = np.fromiter(map(payoff, rows), float, chunk)

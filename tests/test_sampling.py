@@ -28,6 +28,18 @@ def test_stream_independence(family_case):
     assert not np.array_equal(a, b)
 
 
+def test_substreams_of_distinct_streams_share_no_draws():
+    draws = [r.generator.random(1000) for r in (
+        *(g.Rng(5, stream).spawn(k) for stream in (0, 1) for k in range(4)),
+        *(g.Rng(5, stream) for stream in range(5)))]
+    pooled = np.concatenate(draws)
+    assert len(np.unique(pooled)) == len(pooled)
+    # A substream is determined by its (seed, stream, k) path alone.
+    assert np.array_equal(g.Rng(5, 1).spawn(2).generator.random(10),
+                          g.Rng(5, 1, spawn_key=(2,)).generator.random(10))
+    assert repr(g.Rng(5, 1).spawn(2).spawn(0)) == "Rng(seed=5, stream=1, spawn_key=(2, 0))"
+
+
 def test_path_structure(family_case):
     model, _, _ = family_case
     path = g.simulate_path(model, horizon=2.0, steps=64, rng=g.Rng(7))
@@ -217,7 +229,7 @@ def _mc_reference(payoff, model, horizon, steps, n, rng, streams):
     samples = []
     bounds = np.linspace(0, n, streams + 1).astype(int)
     for k in range(streams):
-        sub = rng.spawn(rng.stream + k) if streams > 1 else rng
+        sub = rng.spawn(k) if streams > 1 else rng
         times, values = g.simulate_paths(model, horizon, steps, bounds[k + 1] - bounds[k], sub)
         samples += [payoff(g.Path(times, row)) for row in values]
     samples = np.array(samples)

@@ -23,6 +23,7 @@ from .exponents import (
     CompoundPoissonNormal,
     Gamma,
     Interval,
+    LevyMeasureSpec,
     LevyModel,
     NegativeBinomial,
     Poisson,
@@ -30,16 +31,11 @@ from .exponents import (
     VarianceGamma,
     make_model,
     mirror,
-    psi,
-    psi_prime,
-    psi_second,
 )
 from .premium import (
-    LevyMeasureSpec,
     curvature_from_premium,
     inverse_fx_premium,
     is_bilinear,
-    levy_measure_of,
     premium_gradient,
     premium_hessian_signs,
     premium_identity_check,

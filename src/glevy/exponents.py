@@ -1,17 +1,23 @@
-"""Levy exponents for the model families used throughout the library.
+"""Levy model families: everything the library knows about one process X.
 
 Each family knows its cumulant function psi (with E[exp(a*X_t)] = exp(t*psi(a))),
-its first two analytic derivatives, and the open interval of admissible
-arguments. All model objects are immutable and safe to share between threads.
-A model's admissible interval is fixed at construction (built once, on first
-use, then reused by every evaluation); NaN and +-inf are never admissible.
+its first two analytic derivatives, the open interval of admissible
+arguments, the exact law of its increments (`increments`) and its jump
+measure (`levy_measure`). All model objects are immutable and safe to share
+between threads. A model's admissible interval is fixed at construction
+(built once, on first use, then reused by every evaluation); NaN and +-inf
+are never admissible.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
+
+import numpy as np
 
 from .errors import DomainViolation, ParamOutOfRange, Unsupported
 
@@ -28,10 +34,8 @@ __all__ = [
     "NegativeBinomial",
     "Mirrored",
     "FAMILIES",
+    "LevyMeasureSpec",
     "make_model",
-    "psi",
-    "psi_prime",
-    "psi_second",
     "mirror",
 ]
 
@@ -58,9 +62,6 @@ class Interval:
                            else lo + DOMAIN_MARGIN * max(1.0, abs(lo)))
         object.__setattr__(self, "_hi", sys.float_info.max if math.isinf(hi)
                            else hi - DOMAIN_MARGIN * max(1.0, abs(hi)))
-
-    def contains(self, alpha: float) -> bool:
-        return self.lower < alpha < self.upper
 
     def admissible(self, alpha: float) -> bool:
         """Strict interior test with a safety margin at finite endpoints."""
@@ -91,6 +92,52 @@ def _finite(name: str, value) -> float:
 
 
 @dataclass(frozen=True)
+class LevyMeasureSpec:
+    """Jump measure of a model, as point masses or a density on a half/full line.
+
+    gaussian_q is the diffusion coefficient of the continuous part; drift_p is
+    recorded for completeness but plays no role in the premium.
+    """
+
+    kind: str  # "PointMasses" | "Density"
+    atoms: tuple = ()  # ((jump size, rate), ...) for PointMasses
+    density: Callable[[float], float] | None = None
+    log_density: Callable[[float], float] | None = None
+    support: tuple[float, float] = (-math.inf, math.inf)
+    gaussian_q: float = 0.0
+    drift_p: float = 0.0
+
+
+class _NBAtoms:
+    """Lazy atom sequence for the negative binomial jump measure.
+
+    Atoms sit at n = 1, 2, ... with rate m q^n / n and never end; a consumer
+    stops on its own test (premium_via_levy_measure stops once a term falls
+    below 1e-14 of the running sum).
+    """
+
+    def __init__(self, m: float, q: float):
+        self.m, self.q = m, q
+
+    def __iter__(self):
+        n, qn = 1, self.q
+        while True:
+            yield (float(n), self.m * qn / n)
+            n += 1
+            qn *= self.q
+
+
+class _NegatedAtoms:
+    """The atoms of a reflected measure, negated lazily (NB atoms never end)."""
+
+    def __init__(self, atoms):
+        self.atoms = atoms
+
+    def __iter__(self):
+        return ((-x, rate) for x, rate in self.atoms)
+
+
+@dataclass(frozen=True)
 class LevyModel:
     """Base class; concrete families implement the closed-form exponent."""
 
@@ -118,6 +165,14 @@ class LevyModel:
     def psi_second(self, alpha):
         raise NotImplementedError
 
+    def increments(self, dt: float, size: int, g: np.random.Generator) -> np.ndarray:
+        """size iid draws of X_dt from the exact increment law, drawn from g."""
+        raise Unsupported(self.family, "sampling")
+
+    def levy_measure(self) -> LevyMeasureSpec:
+        """The jump measure nu and Gaussian coefficient of X."""
+        raise Unsupported(self.family, "Levy measure")
+
     def params(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
@@ -138,6 +193,12 @@ class Brownian(LevyModel):
     def psi_second(self, alpha):
         self._check(alpha)
         return 1.0
+
+    def increments(self, dt, size, g):
+        return g.normal(0.0, math.sqrt(dt), size)
+
+    def levy_measure(self):
+        return LevyMeasureSpec(kind="PointMasses", gaussian_q=1.0)
 
 
 @dataclass(frozen=True)
@@ -162,6 +223,12 @@ class Poisson(LevyModel):
     def psi_second(self, alpha):
         alpha = self._check(alpha)
         return self.m * math.exp(alpha)
+
+    def increments(self, dt, size, g):
+        return g.poisson(self.m * dt, size).astype(float)
+
+    def levy_measure(self):
+        return LevyMeasureSpec(kind="PointMasses", atoms=((1.0, self.m),))
 
 
 @dataclass(frozen=True)
@@ -194,6 +261,20 @@ class CompoundPoissonNormal(LevyModel):
         s2 = self.s**2
         return self.m * s2 * (1.0 + s2 * alpha * alpha) * math.exp(0.5 * s2 * alpha * alpha)
 
+    def increments(self, dt, size, g):
+        # Sum of N(0, s^2) jumps, count Poisson(m dt): conditionally normal
+        # with variance s^2 * count.
+        counts = g.poisson(self.m * dt, size)
+        return g.normal(0.0, 1.0, size) * self.s * np.sqrt(counts)
+
+    def levy_measure(self):
+        m, s = self.m, self.s
+        c = 1.0 / (s * math.sqrt(2.0 * math.pi))
+        return LevyMeasureSpec(kind="Density",
+                               density=lambda x: m * c * math.exp(-0.5 * (x / s) ** 2),
+                               log_density=lambda x: math.log(m * c) - 0.5 * (x / s) ** 2,
+                               support=(-math.inf, math.inf))
+
 
 @dataclass(frozen=True)
 class Gamma(LevyModel):
@@ -219,6 +300,18 @@ class Gamma(LevyModel):
     def psi_second(self, alpha):
         alpha = self._check(alpha)
         return self.m / (1.0 - alpha) ** 2
+
+    def increments(self, dt, size, g):
+        # numpy's gamma sampler (Marsaglia-Tsang rejection with the shape<1
+        # boost) is exact for every shape, including shape = m*dt < 1.
+        return g.gamma(self.m * dt, 1.0, size)
+
+    def levy_measure(self):
+        m = self.m
+        return LevyMeasureSpec(kind="Density",
+                               density=lambda x: m * math.exp(-x) / x,
+                               log_density=lambda x: math.log(m) - x - math.log(x),
+                               support=(0.0, math.inf))
 
 
 @dataclass(frozen=True)
@@ -248,6 +341,16 @@ class ScaledGamma(LevyModel):
         alpha = self._check(alpha)
         return self.m * self.kappa**2 / (1.0 - alpha * self.kappa) ** 2
 
+    def increments(self, dt, size, g):
+        return self.kappa * g.gamma(self.m * dt, 1.0, size)
+
+    def levy_measure(self):
+        m, kappa = self.m, self.kappa
+        return LevyMeasureSpec(kind="Density",
+                               density=lambda x: m * math.exp(-x / kappa) / x,
+                               log_density=lambda x: math.log(m) - x / kappa - math.log(x),
+                               support=(0.0, math.inf))
+
 
 @dataclass(frozen=True)
 class VarianceGamma(LevyModel):
@@ -275,6 +378,18 @@ class VarianceGamma(LevyModel):
         alpha = self._check(alpha)
         u = 1.0 - alpha * alpha / (2.0 * self.m)
         return (1.0 + alpha * alpha / (2.0 * self.m)) / (u * u)
+
+    def increments(self, dt, size, g):
+        shape = self.m * dt
+        return (g.gamma(shape, 1.0, size) - g.gamma(shape, 1.0, size)) / math.sqrt(2.0 * self.m)
+
+    def levy_measure(self):
+        m = self.m
+        b = math.sqrt(2.0 * m)
+        return LevyMeasureSpec(kind="Density",
+                               density=lambda x: m * math.exp(-b * abs(x)) / abs(x),
+                               log_density=lambda x: math.log(m) - b * abs(x) - math.log(abs(x)),
+                               support=(-math.inf, math.inf))
 
 
 @dataclass(frozen=True)
@@ -323,6 +438,10 @@ class AsymmetricVG(LevyModel):
         v = self.mu + self.s**2 * alpha
         return (self.s**2 * u + v * v / self.m) / (u * u)
 
+    def increments(self, dt, size, g):
+        shape = self.m * dt
+        return self.kappa1 * g.gamma(shape, 1.0, size) - self.kappa2 * g.gamma(shape, 1.0, size)
+
 
 @dataclass(frozen=True)
 class NegativeBinomial(LevyModel):
@@ -356,6 +475,12 @@ class NegativeBinomial(LevyModel):
         qe = self.q * math.exp(alpha)
         return self.m * qe / (1.0 - qe) ** 2
 
+    def increments(self, dt, size, g):
+        return g.negative_binomial(self.m * dt, 1.0 - self.q, size).astype(float)
+
+    def levy_measure(self):
+        return LevyMeasureSpec(kind="PointMasses", atoms=_NBAtoms(self.m, self.q))
+
 
 @dataclass(frozen=True)
 class Mirrored(LevyModel):
@@ -379,6 +504,19 @@ class Mirrored(LevyModel):
 
     def psi_second(self, alpha):
         return self.base.psi_second(-float(alpha))
+
+    def increments(self, dt, size, g):
+        return -self.base.increments(dt, size, g)
+
+    def levy_measure(self):
+        spec = self.base.levy_measure()
+        f, log_f = spec.density, spec.log_density
+        lo, hi = spec.support
+        return dataclasses.replace(
+            spec, atoms=_NegatedAtoms(spec.atoms),
+            density=None if f is None else lambda x: f(-x),
+            log_density=None if log_f is None else lambda x: log_f(-x),
+            support=(-hi, -lo), drift_p=-spec.drift_p)
 
     def params(self) -> dict:
         return self.base.params()
@@ -410,18 +548,6 @@ def make_model(family: str, params: dict | None = None, **kw) -> LevyModel:
     merged = dict(params or {})
     merged.update(kw)
     return cls(**merged)
-
-
-def psi(model: LevyModel, alpha: float) -> float:
-    return model.psi(alpha)
-
-
-def psi_prime(model: LevyModel, alpha: float) -> float:
-    return model.psi_prime(alpha)
-
-
-def psi_second(model: LevyModel, alpha: float) -> float:
-    return model.psi_second(alpha)
 
 
 def mirror(model: LevyModel) -> LevyModel:

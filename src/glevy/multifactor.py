@@ -155,10 +155,6 @@ class Schedule:
     def n_intervals(self) -> int:
         return len(self.r)
 
-    @property
-    def n_components(self) -> int:
-        return self.lam.shape[1]
-
     def interval_of(self, t: float) -> int:
         k = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
         return min(max(k, 0), self.n_intervals - 1)

@@ -9,29 +9,17 @@ R = q*lam*sig + integral (e^{sig x} - 1)(1 - e^{-lam x}) nu(dx).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from scipy import integrate
 
 from .errors import QuadratureFailure, Unsupported
-from .exponents import (
-    Brownian,
-    CompoundPoissonNormal,
-    Gamma,
-    LevyModel,
-    NegativeBinomial,
-    Poisson,
-    ScaledGamma,
-    VarianceGamma,
-)
+from .exponents import LevyModel
 
 __all__ = [
     "risk_premium",
     "inverse_fx_premium",
     "premium_identity_check",
-    "LevyMeasureSpec",
-    "levy_measure_of",
     "premium_via_levy_measure",
     "premium_gradient",
     "premium_hessian_signs",
@@ -70,78 +58,6 @@ def premium_identity_check(model: LevyModel, lam: float, sig: float) -> float:
             - model.psi(sig) - model.psi(-sig))
 
 
-@dataclass(frozen=True)
-class LevyMeasureSpec:
-    """Jump measure of a model, as point masses or a density on a half/full line.
-
-    gaussian_q is the diffusion coefficient of the continuous part; drift_p is
-    recorded for completeness but plays no role in the premium.
-    """
-
-    kind: str  # "PointMasses" | "Density"
-    atoms: tuple = ()  # ((jump size, rate), ...) for PointMasses
-    density: Callable[[float], float] | None = None
-    log_density: Callable[[float], float] | None = None
-    support: tuple[float, float] = (-math.inf, math.inf)
-    gaussian_q: float = 0.0
-    drift_p: float = 0.0
-
-
-class _NBAtoms:
-    """Lazy atom sequence for the negative binomial jump measure.
-
-    Atoms sit at n = 1, 2, ... with rate m q^n / n; geometric decay lets the
-    premium series be truncated with a certifiable tail bound.
-    """
-
-    def __init__(self, m: float, q: float):
-        self.m, self.q = m, q
-
-    def __iter__(self):
-        n, qn = 1, self.q
-        while True:
-            yield (float(n), self.m * qn / n)
-            n += 1
-            qn *= self.q
-
-
-def levy_measure_of(model: LevyModel) -> LevyMeasureSpec:
-    """Jump-measure specification for the supported scalar families."""
-    if isinstance(model, Brownian):
-        return LevyMeasureSpec(kind="PointMasses", gaussian_q=1.0)
-    if isinstance(model, Poisson):
-        return LevyMeasureSpec(kind="PointMasses", atoms=((1.0, model.m),))
-    if isinstance(model, NegativeBinomial):
-        return LevyMeasureSpec(kind="PointMasses", atoms=_NBAtoms(model.m, model.q))
-    if isinstance(model, Gamma):
-        m = model.m
-        return LevyMeasureSpec(kind="Density",
-                               density=lambda x: m * math.exp(-x) / x,
-                               log_density=lambda x: math.log(m) - x - math.log(x),
-                               support=(0.0, math.inf))
-    if isinstance(model, ScaledGamma):
-        m, kappa = model.m, model.kappa
-        return LevyMeasureSpec(kind="Density",
-                               density=lambda x: m * math.exp(-x / kappa) / x,
-                               log_density=lambda x: math.log(m) - x / kappa - math.log(x),
-                               support=(0.0, math.inf))
-    if isinstance(model, VarianceGamma):
-        m = model.m
-        b = math.sqrt(2.0 * m)
-        return LevyMeasureSpec(kind="Density",
-                               density=lambda x: m * math.exp(-b * abs(x)) / abs(x),
-                               log_density=lambda x: math.log(m) - b * abs(x) - math.log(abs(x)),
-                               support=(-math.inf, math.inf))
-    if isinstance(model, CompoundPoissonNormal):
-        m, s = model.m, model.s
-        c = 1.0 / (s * math.sqrt(2.0 * math.pi))
-        return LevyMeasureSpec(kind="Density",
-                               density=lambda x: m * c * math.exp(-0.5 * (x / s) ** 2),
-                               log_density=lambda x: math.log(m * c) - 0.5 * (x / s) ** 2,
-                               support=(-math.inf, math.inf))
-    raise Unsupported(model.family, "Levy measure")
-
-
 def premium_via_levy_measure(model: LevyModel, lam: float, sig: float,
                              rtol: float = 1e-10, atol: float = 1e-14) -> float:
     """Numerical R(lam, sig) via the jump-measure representation.
@@ -149,7 +65,7 @@ def premium_via_levy_measure(model: LevyModel, lam: float, sig: float,
     Independent of the closed-form route: atoms are summed (with truncation at
     relative tail weight 1e-14), densities integrated by adaptive quadrature.
     """
-    spec = levy_measure_of(model)
+    spec = model.levy_measure()
     total = spec.gaussian_q * lam * sig
 
     def integrand_weight(x: float) -> float:

@@ -1,7 +1,8 @@
 """Seedable sampling of Levy increments, paths and Monte Carlo estimates.
 
-Each family is sampled from its exact law at the requested step size, so the
-functionals tested downstream carry no discretization bias. Randomness comes
+Each family is sampled from its exact law at the requested step size (its
+`LevyModel.increments`), so the functionals tested downstream carry no
+discretization bias. Randomness comes
 from counter-based Philox streams: the same (seed, stream) pair always yields
 the same sequence, and distinct streams are statistically independent.
 `Rng.spawn(k)` derives substream k from the whole (seed, stream, k) path, so
@@ -21,18 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParamOutOfRange, Unsupported
-from .exponents import (
-    AsymmetricVG,
-    Brownian,
-    CompoundPoissonNormal,
-    Gamma,
-    LevyModel,
-    Mirrored,
-    NegativeBinomial,
-    Poisson,
-    ScaledGamma,
-    VarianceGamma,
-)
+from .exponents import LevyModel, VarianceGamma
 
 __all__ = [
     "Rng",
@@ -112,33 +102,7 @@ def sample_increments(model: LevyModel, dt: float, size: int, rng: Rng) -> np.nd
     """size iid draws of X_dt for the model's exact increment law."""
     if not dt > 0.0:
         raise ParamOutOfRange("dt", dt, "must be > 0")
-    g = rng.generator
-    if isinstance(model, Mirrored):
-        return -sample_increments(model.base, dt, size, rng)
-    if isinstance(model, Brownian):
-        return g.normal(0.0, math.sqrt(dt), size)
-    if isinstance(model, Poisson):
-        return g.poisson(model.m * dt, size).astype(float)
-    if isinstance(model, CompoundPoissonNormal):
-        # Sum of N(0, s^2) jumps, count Poisson(m dt): conditionally normal
-        # with variance s^2 * count.
-        counts = g.poisson(model.m * dt, size)
-        return g.normal(0.0, 1.0, size) * model.s * np.sqrt(counts)
-    if isinstance(model, Gamma):
-        # numpy's gamma sampler (Marsaglia-Tsang rejection with the shape<1
-        # boost) is exact for every shape, including shape = m*dt < 1.
-        return g.gamma(model.m * dt, 1.0, size)
-    if isinstance(model, ScaledGamma):
-        return model.kappa * g.gamma(model.m * dt, 1.0, size)
-    if isinstance(model, VarianceGamma):
-        shape = model.m * dt
-        return (g.gamma(shape, 1.0, size) - g.gamma(shape, 1.0, size)) / math.sqrt(2.0 * model.m)
-    if isinstance(model, AsymmetricVG):
-        shape = model.m * dt
-        return model.kappa1 * g.gamma(shape, 1.0, size) - model.kappa2 * g.gamma(shape, 1.0, size)
-    if isinstance(model, NegativeBinomial):
-        return g.negative_binomial(model.m * dt, 1.0 - model.q, size).astype(float)
-    raise Unsupported(model.family, "sampling")
+    return model.increments(dt, size, rng.generator)
 
 
 def sample_increment(model: LevyModel, dt: float, rng: Rng) -> float:
@@ -175,11 +139,10 @@ def vg_dual_sample(m: float, dt: float, rng: Rng, method: str = "GammaDifference
     an independent gamma clock with mean dt and variance dt/m.
     """
     g = rng.generator
-    shape = m * dt
     if method == "GammaDifference":
-        return (g.gamma(shape, 1.0, size) - g.gamma(shape, 1.0, size)) / math.sqrt(2.0 * m)
+        return VarianceGamma(m).increments(dt, size, g)
     if method == "SubordinatedBM":
-        clock = g.gamma(shape, 1.0, size) / m
+        clock = g.gamma(m * dt, 1.0, size) / m
         return g.normal(0.0, 1.0, size) * np.sqrt(clock)
     raise Unsupported(method, "VG sampling method")
 

@@ -177,14 +177,14 @@ def test_jump_decomposition_oracle(name, np_rng):
 
 def test_jump_decomposition_unsupported():
     with pytest.raises(g.Unsupported):
-        g.levy_measure_of(g.AsymmetricVG(m=1.5, mu=0.2, s=0.8))
+        g.AsymmetricVG(m=1.5, mu=0.2, s=0.8).levy_measure()
 
 
 def test_measure_atoms():
-    spec = g.levy_measure_of(g.Poisson(m=2.0))
+    spec = g.Poisson(m=2.0).levy_measure()
     atoms = list(spec.atoms)
     assert atoms == [(1.0, 2.0)]
-    nb = g.levy_measure_of(g.NegativeBinomial(m=1.0, q=0.5))
+    nb = g.NegativeBinomial(m=1.0, q=0.5).levy_measure()
     it = iter(nb.atoms)
     x1, w1 = next(it)
     x2, w2 = next(it)

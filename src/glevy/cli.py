@@ -85,12 +85,8 @@ def cmd_premium(args) -> int:
 def cmd_simulate(args) -> int:
     spec = load_spec(args.spec)
     print(f"seed={args.seed}")
-    out = FsPath(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for i in range(args.paths):
-        p = simulate_path(spec.model, args.horizon, args.steps, Rng(args.seed, i))
-        _write_csv(out / f"path_{i:04d}.csv", ["t", "x"],
-                   list(zip(p.times.tolist(), p.values.tolist())))
+    paths = [simulate_path(spec.model, args.horizon, args.steps, Rng(args.seed, i))
+             for i in range(args.paths)]
     # Martingale summary: MC mean of the compensated exponential at sig.
     sig, model = spec.sig, spec.model
     comp = model.psi(sig)
@@ -101,6 +97,12 @@ def cmd_simulate(args) -> int:
     res = mc_expectation(payoff, model, args.horizon, 1, args.n, Rng(args.seed, 10_000))
     summary = {"estimate": res.estimate, "stderr": res.stderr, "n": res.n,
                "seed": args.seed}
+    # Written only once every draw succeeded, so a rejected input leaves no files.
+    out = FsPath(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for i, p in enumerate(paths):
+        _write_csv(out / f"path_{i:04d}.csv", ["t", "x"],
+                   list(zip(p.times.tolist(), p.values.tolist())))
     (out / "mc_summary.json").write_text(json.dumps(summary, indent=2))
     print(json.dumps(summary))
     return 0 if abs(res.estimate - 1.0) < 4.0 * res.stderr else 1

@@ -10,10 +10,9 @@ are never admissible.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
@@ -139,7 +138,8 @@ class _NegatedAtoms:
 
 @dataclass(frozen=True)
 class LevyModel:
-    """Base class; concrete families implement the closed-form exponent."""
+    """Base class; concrete families implement the closed-form exponent, the
+    exact increment law and, where known, the jump measure."""
 
     @property
     def family(self) -> str:
@@ -512,7 +512,7 @@ class Mirrored(LevyModel):
         spec = self.base.levy_measure()
         f, log_f = spec.density, spec.log_density
         lo, hi = spec.support
-        return dataclasses.replace(
+        return replace(
             spec, atoms=_NegatedAtoms(spec.atoms),
             density=None if f is None else lambda x: f(-x),
             log_density=None if log_f is None else lambda x: log_f(-x),

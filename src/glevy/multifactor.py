@@ -294,8 +294,10 @@ def submartingale_check(vglm: VectorGlm, schedule: Schedule, s: float, t: float,
     """
     from .sampling import sample_increments
 
-    if not 0.0 <= s < t:
-        raise ParamOutOfRange("(s, t)", (s, t), "need 0 <= s < t")
+    if not 0.0 <= s < t < math.inf:
+        raise ParamOutOfRange("(s, t)", (s, t), "need 0 <= s < t < inf")
+    if n < 2:
+        raise ParamOutOfRange("n", n, "must be >= 2")
     steps = max(int(round(t * steps_per_year)), 4)
     grid = np.unique(np.concatenate([
         np.linspace(0.0, t, steps + 1),

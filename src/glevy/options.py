@@ -36,10 +36,10 @@ class OptionSpec:
     expiry: float
 
     def __post_init__(self):
-        if not self.strike >= 0.0:
-            raise ParamOutOfRange("strike", self.strike, "must be >= 0")
-        if not self.expiry > 0.0:
-            raise ParamOutOfRange("expiry", self.expiry, "must be > 0")
+        if not 0.0 <= self.strike < math.inf:
+            raise ParamOutOfRange("strike", self.strike, "must be finite and >= 0")
+        if not 0.0 < self.expiry < math.inf:
+            raise ParamOutOfRange("expiry", self.expiry, "must be finite and > 0")
 
 
 def mc_call_price(glm: GlmSpec, opt: OptionSpec, n: int, rng: Rng) -> McResult:

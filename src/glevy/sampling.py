@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParamOutOfRange, Unsupported
-from .exponents import LevyModel, VarianceGamma
+from .exponents import LevyModel, NegativeBinomial, VarianceGamma
 
 __all__ = [
     "Rng",
@@ -98,10 +98,14 @@ class McResult:
     n: int
 
 
+def _check_dt(dt: float) -> None:
+    if not 0.0 < dt < math.inf:
+        raise ParamOutOfRange("dt", dt, "must be finite and > 0")
+
+
 def sample_increments(model: LevyModel, dt: float, size: int, rng: Rng) -> np.ndarray:
     """size iid draws of X_dt for the model's exact increment law."""
-    if not dt > 0.0:
-        raise ParamOutOfRange("dt", dt, "must be > 0")
+    _check_dt(dt)
     return model.increments(dt, size, rng.generator)
 
 
@@ -114,8 +118,8 @@ def simulate_paths(model: LevyModel, horizon: float, steps: int, n: int,
                    rng: Rng) -> tuple[np.ndarray, np.ndarray]:
     """(times, values) with values of shape (n, steps+1), cumulative sums of
     exact increments of size horizon/steps."""
-    if not horizon > 0.0:
-        raise ParamOutOfRange("horizon", horizon, "must be > 0")
+    if not 0.0 < horizon < math.inf:
+        raise ParamOutOfRange("horizon", horizon, "must be finite and > 0")
     if steps < 1:
         raise ParamOutOfRange("steps", steps, "must be >= 1")
     dt = horizon / steps
@@ -138,9 +142,11 @@ def vg_dual_sample(m: float, dt: float, rng: Rng, method: str = "GammaDifference
     GammaDifference: (gamma1 - gamma2)/sqrt(2m); SubordinatedBM: W evaluated at
     an independent gamma clock with mean dt and variance dt/m.
     """
+    model = VarianceGamma(m)
+    _check_dt(dt)
     g = rng.generator
     if method == "GammaDifference":
-        return VarianceGamma(m).increments(dt, size, g)
+        return model.increments(dt, size, g)
     if method == "SubordinatedBM":
         clock = g.gamma(m * dt, 1.0, size) / m
         return g.normal(0.0, 1.0, size) * np.sqrt(clock)
@@ -156,6 +162,8 @@ def nb_dual_sample(m: float, q: float, dt: float, rng: Rng,
     jumps. GammaSubordinatedPoisson: Poisson with intensity m q/(1-q) run on a
     gamma clock with mean dt.
     """
+    NegativeBinomial(m, q)  # rejects m and q outside the family's parameter space
+    _check_dt(dt)
     g = rng.generator
     if method == "LogarithmicCompoundPoisson":
         mu = -m * math.log1p(-q)
@@ -188,6 +196,8 @@ def mc_expectation(payoff: Callable[[Path], float], model: LevyModel,
     """
     if n < 2:
         raise ParamOutOfRange("n", n, "must be >= 2")
+    if streams < 1:
+        raise ParamOutOfRange("streams", streams, "must be >= 1")
     samples = np.empty(n)
     bounds = np.linspace(0, n, streams + 1).astype(int)
     for k in range(streams):

@@ -189,3 +189,23 @@ def test_non_finite_spec_field_exits_2(tmp_path, key, value):
     p = tmp_path / "spec.json"
     p.write_text(json.dumps(spec))
     assert main(["verify", "--spec", str(p)]) == 2
+
+
+@pytest.mark.parametrize("method", ["exact", "mc"])
+@pytest.mark.parametrize("flag,value", [("--expiry", "inf"), ("--expiry", "nan"),
+                                        ("--strike", "inf")])
+def test_price_option_non_finite_time_or_strike_exits_2(gamma_spec, tmp_path, method,
+                                                         flag, value):
+    out = tmp_path / "x.csv"
+    argv = ["price-option", "--spec", str(gamma_spec), "--out", str(out),
+            "--strike", "1.0", "--method", method, flag, value]
+    assert main(argv) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("horizon", ["inf", "nan", "0"])
+def test_simulate_bad_horizon_exits_2(gamma_spec, tmp_path, horizon):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--spec", str(gamma_spec), "--out", str(out),
+                 "--n", "100", "--horizon", horizon]) == 2
+    assert not out.exists()

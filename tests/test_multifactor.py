@@ -300,3 +300,14 @@ def test_submartingale_check():
         (out["stderr_s"] / out["mean_s"]) ** 2 + (out["stderr_t"] / out["mean_t"]) ** 2
     )
     assert abs(out["observed_ratio"] - pred) < 5.0 * pred * rel_se
+
+
+@pytest.mark.parametrize("s,t,n", [
+    (0.5, 2.0, 1),          # one sample has no standard error
+    (0.5, math.inf, 100),   # infinite horizon
+    (math.nan, 2.0, 100),
+])
+def test_submartingale_check_rejects_bad_input(s, t, n):
+    vglm = g.VectorGlm(components=(g.Component(g.Gamma(m=1.0), 0.4, 0.3),), r=0.02)
+    with pytest.raises(g.ParamOutOfRange):
+        g.submartingale_check(vglm, make_schedule(), s, t, n=n, rng=g.Rng(1))

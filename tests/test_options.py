@@ -155,3 +155,10 @@ def test_option_spec_validation():
     with pytest.raises(g.ParamOutOfRange):
         g.mc_call_price(brownian_spec(), g.OptionSpec(strike=1.0, expiry=1.0),
                         n=10, rng=g.Rng(1))
+
+
+@pytest.mark.parametrize("strike,expiry", [
+    (math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)])
+def test_option_spec_rejects_non_finite(strike, expiry):
+    with pytest.raises(g.ParamOutOfRange):
+        g.OptionSpec(strike=strike, expiry=expiry)

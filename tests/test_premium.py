@@ -166,9 +166,12 @@ def test_small_parameter_bilinear_limit(family_case):
     assert abs(r - lead) <= 10.0 * lam * sig * max(lam, sig)
 
 
-@pytest.mark.parametrize("name", LK_FAMILIES)
-def test_jump_decomposition_oracle(name, np_rng):
+@pytest.mark.parametrize("name,mirrored", [(name, False) for name in LK_FAMILIES] + [
+    (name, True) for name in ("Poisson", "Gamma", "ScaledGamma", "NegativeBinomial")])
+def test_jump_decomposition_oracle(name, mirrored, np_rng):
     model, _, _ = DEFAULT_MODELS[name]
+    if mirrored:
+        model = g.mirror(model)
     for lam, sig in random_risk_params(model, 10, np_rng, frac=0.4):
         direct = g.risk_premium(model, lam, sig)
         oracle = g.premium_via_levy_measure(model, lam, sig)

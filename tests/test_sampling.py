@@ -176,6 +176,40 @@ def test_mc_multistream_deterministic():
     assert r1.estimate == r2.estimate and r1.stderr == r2.stderr
 
 
+@pytest.mark.parametrize("streams", [0, -1])
+def test_mc_rejects_fewer_than_one_stream(streams):
+    with pytest.raises(g.ParamOutOfRange):
+        g.mc_expectation(lambda p: 1.0, g.Brownian(), 1.0, 1, 10, g.Rng(1), streams=streams)
+
+
+@pytest.mark.parametrize("dt", [math.inf, math.nan])
+def test_sample_increments_rejects_bad_step(dt):
+    with pytest.raises(g.ParamOutOfRange):
+        g.sample_increments(g.Gamma(m=1.0), dt, 10, g.Rng(1))
+
+
+@pytest.mark.parametrize("horizon", [math.inf, math.nan])
+def test_simulate_paths_rejects_bad_horizon(horizon):
+    with pytest.raises(g.ParamOutOfRange):
+        g.simulate_paths(g.Brownian(), horizon, 4, 10, g.Rng(1))
+
+
+@pytest.mark.parametrize("method", ["GammaDifference", "SubordinatedBM"])
+@pytest.mark.parametrize("m,dt", [(-1.0, 1.0), (0.0, 1.0), (math.nan, 1.0),
+                                  (2.0, -1.0), (2.0, math.inf)])
+def test_vg_dual_sample_rejects_bad_input(m, dt, method):
+    with pytest.raises(g.ParamOutOfRange):
+        g.vg_dual_sample(m, dt, g.Rng(1), method=method, size=10)
+
+
+@pytest.mark.parametrize("method", ["LogarithmicCompoundPoisson", "GammaSubordinatedPoisson"])
+@pytest.mark.parametrize("m,q,dt", [(1.0, 1.5, 1.0), (1.0, 1.0, 1.0), (1.0, 0.0, 1.0),
+                                    (-1.0, 0.5, 1.0), (1.0, 0.5, -1.0), (1.0, 0.5, math.inf)])
+def test_nb_dual_sample_rejects_bad_input(m, q, dt, method):
+    with pytest.raises(g.ParamOutOfRange):
+        g.nb_dual_sample(m, q, dt, g.Rng(1), method=method, size=10)
+
+
 # --- Path ----------------------------------------------------------------
 
 @pytest.mark.parametrize("times,values", [

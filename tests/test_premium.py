@@ -166,16 +166,17 @@ def test_small_parameter_bilinear_limit(family_case):
     assert abs(r - lead) <= 10.0 * lam * sig * max(lam, sig)
 
 
-@pytest.mark.parametrize("name,mirrored", [(name, False) for name in LK_FAMILIES] + [
-    (name, True) for name in ("Poisson", "Gamma", "ScaledGamma", "NegativeBinomial")])
-def test_jump_decomposition_oracle(name, mirrored, np_rng):
-    model, _, _ = DEFAULT_MODELS[name]
-    if mirrored:
-        model = g.mirror(model)
+LK_MODELS = [DEFAULT_MODELS[name][0] for name in LK_FAMILIES] + [
+    g.mirror(DEFAULT_MODELS[name][0])
+    for name in ("Poisson", "Gamma", "ScaledGamma", "NegativeBinomial")]
+
+
+@pytest.mark.parametrize("model", LK_MODELS, ids=lambda model: model.family)
+def test_jump_decomposition_oracle(model, np_rng):
     for lam, sig in random_risk_params(model, 10, np_rng, frac=0.4):
         direct = g.risk_premium(model, lam, sig)
         oracle = g.premium_via_levy_measure(model, lam, sig)
-        assert_close(oracle, direct, 1e-8, f"{name} LK oracle")
+        assert_close(oracle, direct, 1e-8, f"{model.family} LK oracle")
 
 
 def test_jump_decomposition_unsupported():

@@ -28,6 +28,7 @@ from .exponents import (
     NegativeBinomial,
     Poisson,
     ScaledGamma,
+    TerminalLaw,
     VarianceGamma,
     make_model,
     mirror,
@@ -73,6 +74,7 @@ from .options import (
     bs_call_price,
     brownian_exact_call,
     dependence_experiment,
+    exact_call,
     gamma_exact_call,
     mc_call_price,
     poisson_exact_call,

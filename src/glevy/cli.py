@@ -18,15 +18,7 @@ import numpy as np
 
 from . import premium as prem
 from .errors import GlevyError, ParamOutOfRange
-from .options import (
-    OptionSpec,
-    bs_call_price,
-    brownian_exact_call,
-    gamma_exact_call,
-    mc_call_price,
-    poisson_exact_call,
-)
-from .exponents import Brownian, Gamma, Poisson
+from .options import OptionSpec, exact_call, mc_call_price
 from .pricing import (
     GlmSpec,
     expected_asset_price,
@@ -119,17 +111,8 @@ def cmd_price_option(args) -> int:
         rows.append((spec.model.family, params, args.strike, args.expiry,
                      res.estimate, res.stderr, "mc"))
     else:
-        if isinstance(spec.model, Poisson):
-            price = poisson_exact_call(spec, opt)
-        elif isinstance(spec.model, Gamma):
-            price = gamma_exact_call(spec, opt)
-        elif isinstance(spec.model, Brownian):
-            price = brownian_exact_call(spec, opt)
-        else:
-            print(f"no exact pricer for family {spec.model.family}", file=sys.stderr)
-            return 2
         rows.append((spec.model.family, params, args.strike, args.expiry,
-                     price, 0.0, "exact"))
+                     exact_call(spec, opt), 0.0, "exact"))
     _write_csv(args.out, ["family", "params", "K", "T", "price", "stderr", "method"], rows)
     print(f"price={_fmt(rows[0][4])}")
     return 0

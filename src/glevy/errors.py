@@ -33,7 +33,7 @@ class Unsupported(GlevyError):
 
 
 class WrongFamily(GlevyError):
-    """An exact pricer was called with a model of the wrong family."""
+    """An operation was asked for a family it does not cover."""
 
 
 class QuadratureFailure(GlevyError):

@@ -2,8 +2,9 @@
 
 Each family knows its cumulant function psi (with E[exp(a*X_t)] = exp(t*psi(a))),
 its first two analytic derivatives, the open interval of admissible
-arguments, the exact law of its increments (`increments`) and its jump
-measure (`levy_measure`). All model objects are immutable and safe to share
+arguments, the exact law of its increments (`increments`), its jump
+measure (`levy_measure`) and, where it has a closed form, the law of X_t
+(`terminal_law`). All model objects are immutable and safe to share
 between threads. A model's admissible interval is fixed at construction
 (built once, on first use, then reused by every evaluation); NaN and +-inf
 are never admissible.
@@ -34,6 +35,7 @@ __all__ = [
     "Mirrored",
     "FAMILIES",
     "LevyMeasureSpec",
+    "TerminalLaw",
     "make_model",
     "mirror",
 ]
@@ -107,6 +109,16 @@ class LevyMeasureSpec:
     drift_p: float = 0.0
 
 
+@dataclass(frozen=True)
+class TerminalLaw:
+    """Law of X_t: the log pdf, or the log pmf on the integers when lattice
+    is set, with its support (lo, hi)."""
+
+    log_density: Callable[[float], float]
+    support: tuple[float, float] = (-math.inf, math.inf)
+    lattice: bool = False
+
+
 class _NBAtoms:
     """Lazy atom sequence for the negative binomial jump measure.
 
@@ -173,6 +185,10 @@ class LevyModel:
         """The jump measure nu and Gaussian coefficient of X."""
         raise Unsupported(self.family, "Levy measure")
 
+    def terminal_law(self, t: float) -> TerminalLaw:
+        """The law of X_t, for t > 0."""
+        raise Unsupported(self.family, "terminal law")
+
     def params(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
@@ -199,6 +215,11 @@ class Brownian(LevyModel):
 
     def levy_measure(self):
         return LevyMeasureSpec(kind="PointMasses", gaussian_q=1.0)
+
+    def terminal_law(self, t):
+        t = _positive("t", t)
+        c = -0.5 * math.log(2.0 * math.pi * t)
+        return TerminalLaw(lambda x: c - 0.5 * x * x / t)
 
 
 @dataclass(frozen=True)
@@ -229,6 +250,12 @@ class Poisson(LevyModel):
 
     def levy_measure(self):
         return LevyMeasureSpec(kind="PointMasses", atoms=((1.0, self.m),))
+
+    def terminal_law(self, t):
+        mt = self.m * _positive("t", t)
+        log_mt = math.log(mt)
+        return TerminalLaw(lambda n: n * log_mt - mt - math.lgamma(n + 1.0),
+                           support=(0.0, math.inf), lattice=True)
 
 
 @dataclass(frozen=True)
@@ -312,6 +339,12 @@ class Gamma(LevyModel):
                                density=lambda x: m * math.exp(-x) / x,
                                log_density=lambda x: math.log(m) - x - math.log(x),
                                support=(0.0, math.inf))
+
+    def terminal_law(self, t):
+        shape = self.m * _positive("t", t)
+        c = -math.lgamma(shape)
+        return TerminalLaw(lambda x: c + (shape - 1.0) * math.log(x) - x,
+                           support=(0.0, math.inf))
 
 
 @dataclass(frozen=True)

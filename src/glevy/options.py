@@ -1,6 +1,9 @@
-"""Call option valuation: Monte Carlo via the pricing kernel, exact oracles
-for the Brownian, Poisson and gamma families, and the parameter-dependence
-experiments (which parameter combinations option prices actually identify).
+"""Call option valuation: Monte Carlo via the pricing kernel, one exact
+pricer over the family's terminal law (`exact_call`; for now the Brownian,
+Poisson and gamma families, whose old pricer names `brownian_exact_call`,
+`poisson_exact_call` and `gamma_exact_call` remain as aliases of it), and the
+parameter-dependence experiments (which parameter combinations option prices
+actually identify).
 """
 from __future__ import annotations
 
@@ -9,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammaln
 from scipy.stats import norm
 
 from .errors import ParamOutOfRange, QuadratureFailure, WrongFamily
@@ -21,11 +23,14 @@ __all__ = [
     "OptionSpec",
     "mc_call_price",
     "bs_call_price",
+    "exact_call",
     "brownian_exact_call",
     "poisson_exact_call",
     "gamma_exact_call",
     "dependence_experiment",
 ]
+
+_MAX_TERMS = 1_000_000  # hard cap on the terms of a lattice-law series
 
 
 @dataclass(frozen=True)
@@ -70,106 +75,66 @@ def bs_call_price(s0: float, r: float, sig: float, strike: float, expiry: float)
     return s0 * norm.cdf(d1) - strike * math.exp(-r * expiry) * norm.cdf(d2)
 
 
-def brownian_exact_call(glm: GlmSpec, opt: OptionSpec) -> float:
-    """E[pi_T (S_T - K)^+] for a Brownian driver by direct quadrature.
+def exact_call(glm: GlmSpec, opt: OptionSpec) -> float:
+    """E[pi_T (S_T - K)^+] against the family's terminal law of X_T.
 
-    Keeps the risk-aversion parameter in the integrand, so lambda-independence
-    of the price is an outcome rather than an assumption.
+    A lattice law is summed from the first in-the-money atom; a density is
+    integrated by adaptive quadrature from the log-moneyness threshold. The
+    risk-aversion parameter stays in the integrand, so which parameters the
+    price depends on is an outcome rather than an assumption. Families with
+    no terminal law raise Unsupported.
     """
-    if not isinstance(glm.model, Brownian):
-        raise WrongFamily(f"expected Brownian, got {glm.model.family}")
-    t = opt.expiry
-    sd = math.sqrt(t)
-    density_c = 1.0 / (sd * math.sqrt(2.0 * math.pi))
-
-    def integrand(x: float) -> float:
-        s = asset_value(glm, x, t)
-        if s <= opt.strike:
-            return 0.0
-        density = density_c * math.exp(-0.5 * x * x / t)
-        return kernel_value(glm, x, t) * (s - opt.strike) * density
-
-    # Payoff is nonzero for x above the log-moneyness threshold.
-    if opt.strike > 0.0:
-        log_ratio = math.log(opt.strike / asset_value(glm, 0.0, t))
-        x_star = max(log_ratio / glm.sig, -12.0 * sd)
-    else:
-        x_star = -12.0 * sd
-    hi = 12.0 * sd + glm.sig * t + glm.lam * t
-    value, err = integrate.quad(integrand, x_star, max(hi, x_star + 1.0),
-                                epsabs=1e-14, epsrel=1e-12, limit=500)
-    if err > 1e-9 * max(abs(value), 1e-3):
-        raise QuadratureFailure(f"brownian call quadrature error {err:.2e}")
-    return value
-
-
-def poisson_exact_call(glm: GlmSpec, opt: OptionSpec) -> float:
-    """Exact series price for the Poisson-driven model.
-
-    Sums P(N_T = n) * pi_T(n) * (S_T(n) - K)^+ until the tail contributes
-    less than 1e-12 of the running sum (the summand ratio test bounds the
-    remaining tail by a geometric series).
-    """
-    if not isinstance(glm.model, Poisson):
-        raise WrongFamily(f"expected Poisson, got {glm.model.family}")
-    t = opt.expiry
-    mt = glm.model.m * t
-    total = 0.0
-    n = 0
-    # Effective weight decays once n exceeds m*T*e^{sig}; cap generously.
-    n_cap = int(mt * math.exp(glm.sig) + 60.0 * math.sqrt(mt * math.exp(glm.sig)) + 60)
-    while n <= n_cap:
-        log_pmf = -mt + n * math.log(mt) - gammaln(n + 1) if mt > 0 else (0.0 if n == 0 else -math.inf)
-        weight = math.exp(log_pmf)
-        payoff = max(asset_value(glm, float(n), t) - opt.strike, 0.0)
-        term = weight * kernel_value(glm, float(n), t) * payoff
-        total += term
-        if n > mt * math.exp(glm.sig) and term < 1e-12 * max(total, 1e-300):
-            break
-        n += 1
-    return total
-
-
-def gamma_exact_call(glm: GlmSpec, opt: OptionSpec) -> float:
-    """Exact price for the gamma-driven model by adaptive quadrature.
-
-    Integrates pi_T(x) (S_T(x) - K)^+ against the gamma density with shape
-    m*T to 1e-8 relative tolerance.
-    """
-    if not isinstance(glm.model, Gamma):
-        raise WrongFamily(f"expected Gamma, got {glm.model.family}")
-    t = opt.expiry
-    shape = glm.model.m * t
-    log_norm = -gammaln(shape)
-    log_k = math.log(opt.strike) if opt.strike > 0.0 else -math.inf
+    t, strike = opt.expiry, opt.strike
+    law = glm.model.terminal_law(t)
+    log_k = math.log(strike) if strike > 0.0 else -math.inf
     log_pi_c = -glm.r * t - t * glm.model.psi(-glm.lam)
     log_s_c = (math.log(glm.s0) + (glm.r + glm.premium) * t
                - t * glm.model.psi(glm.sig))
 
     def integrand(x: float) -> float:
-        # All three factors assembled in log space; the quadrature probes x
-        # deep in the tail where S alone would overflow.
+        # All factors assembled in log space: the quadrature probes x deep in
+        # the tail where S alone would overflow.
         log_s = log_s_c + glm.sig * x
         if log_s <= log_k:
             return 0.0
-        log_pi_dens = (log_pi_c - glm.lam * x
-                       + log_norm + (shape - 1.0) * math.log(x) - x)
+        log_w = log_pi_c - glm.lam * x + law.log_density(x)
         if log_s < 600.0:
-            return math.exp(log_pi_dens) * (math.exp(log_s) - opt.strike)
-        return (math.exp(log_pi_dens + log_s)
-                - opt.strike * math.exp(log_pi_dens))
+            return math.exp(log_w) * (math.exp(log_s) - strike)
+        return math.exp(log_w + log_s) - strike * math.exp(log_w)
 
     # S_T(x) exceeds K only beyond the log-moneyness threshold.
-    if opt.strike > 0.0:
-        log_ratio = math.log(opt.strike / asset_value(glm, 0.0, t))
-        x_star = max(log_ratio / glm.sig, 0.0)
-    else:
-        x_star = 0.0
-    value, err = integrate.quad(integrand, x_star, math.inf,
-                                epsabs=1e-14, epsrel=1e-10, limit=500)
-    if err > 1e-8 * max(abs(value), 1e-6):
-        raise QuadratureFailure(f"gamma call quadrature error {err:.2e}")
+    lo, hi = law.support
+    lo = max(lo, (log_k - log_s_c) / glm.sig)
+    if law.lattice:
+        start = math.ceil(lo)
+        tilt = glm.sig - glm.lam
+        total, prev = 0.0, -math.inf
+        for n in range(start, start + _MAX_TERMS):
+            term = integrand(float(n))
+            total += term
+            # Past the peak of the tilted law (law times pi_T S_T, log-concave
+            # for the lattice families) the terms fall at a shrinking ratio,
+            # so the tail is of the order of the last term.
+            tilted = law.log_density(float(n)) + tilt * n
+            if tilted < prev and term <= 1e-12 * total:
+                return total
+            prev = tilted
+        raise QuadratureFailure(f"call series not converged in {_MAX_TERMS} terms")
+    # A separate unit interval at the threshold keeps an edge singularity
+    # (gamma shape below 1) out of the infinite-range transform.
+    edges = (lo, lo + 1.0, hi) if math.isfinite(lo) else (lo, hi)
+    value = err = 0.0
+    for a, b in zip(edges, edges[1:]):
+        v, e = integrate.quad(integrand, a, b, epsabs=1e-15, epsrel=1e-10, limit=500)
+        value += v
+        err += e
+    if err > min(1e-9 * max(abs(value), 1e-3), 1e-8 * max(abs(value), 1e-6)):
+        raise QuadratureFailure(f"call quadrature error {err:.2e}")
     return value
+
+
+# The family-specific pricers these names once held are one pricer now.
+brownian_exact_call = poisson_exact_call = gamma_exact_call = exact_call
 
 
 def dependence_experiment(family: str, param_pairs, opt: OptionSpec,
@@ -186,19 +151,19 @@ def dependence_experiment(family: str, param_pairs, opt: OptionSpec,
         tol = 1e-10 if tol is None else tol
         for lam in param_pairs:
             glm = GlmSpec(model=Brownian(), r=0.02, lam=lam, sig=0.25, s0=1.0)
-            rows.append({"params": {"lambda": lam}, "price": brownian_exact_call(glm, opt)})
+            rows.append({"params": {"lambda": lam}, "price": exact_call(glm, opt)})
     elif family == "Poisson":
         tol = 1e-10 if tol is None else tol
         for m, lam in param_pairs:
             glm = GlmSpec(model=Poisson(m=m), r=0.02, lam=lam, sig=0.3, s0=1.0)
             rows.append({"params": {"m": m, "lambda": lam},
-                         "price": poisson_exact_call(glm, opt)})
+                         "price": exact_call(glm, opt)})
     elif family == "Gamma":
         tol = 1e-8 if tol is None else tol
         for m, lam, sig in param_pairs:
             glm = GlmSpec(model=Gamma(m=m), r=0.02, lam=lam, sig=sig, s0=1.0)
             rows.append({"params": {"m": m, "lambda": lam, "sigma": sig},
-                         "price": gamma_exact_call(glm, opt)})
+                         "price": exact_call(glm, opt)})
     else:
         raise WrongFamily(f"no dependence experiment for family {family}")
     prices = [row["price"] for row in rows]

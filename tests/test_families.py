@@ -1,11 +1,15 @@
 """The family contract: adding a family means one class in `exponents` plus
 one entry in `conftest.DEFAULT_MODELS`."""
 
+import ast
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import glevy as g
-from glevy.exponents import FAMILIES, Mirrored
+from glevy.exponents import FAMILIES, LevyModel, Mirrored
 from conftest import DEFAULT_MODELS
 
 ASYMMETRIC = ["Poisson", "Gamma", "ScaledGamma", "AsymmetricVG", "NegativeBinomial"]
@@ -39,3 +43,61 @@ def test_vg_gamma_difference_is_the_family_sampler(m, dt):
 def test_mirrored_asymmetric_vg_has_no_levy_measure():
     with pytest.raises(g.Unsupported):
         g.mirror(g.AsymmetricVG(m=1.5, mu=0.2, s=0.8)).levy_measure()
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_family_terminal_law_prices_or_is_unsupported(name):
+    model, lam, sig = DEFAULT_MODELS[name]
+    spec = g.GlmSpec(model=model, r=0.02, lam=lam, sig=sig)
+    opt = g.OptionSpec(strike=1.05, expiry=1.0)
+    if "terminal_law" not in vars(FAMILIES[name]):
+        with pytest.raises(g.Unsupported):
+            g.exact_call(spec, opt)
+        return
+    res = g.mc_call_price(spec, opt, n=200_000, rng=g.Rng(41))
+    assert abs(res.estimate - g.exact_call(spec, opt)) < 4.0 * res.stderr
+
+
+def test_mirrored_poisson_has_no_terminal_law():
+    with pytest.raises(g.Unsupported):
+        g.mirror(g.Poisson(m=1.0)).terminal_law(1.0)
+
+
+@pytest.mark.parametrize("name", ["brownian_exact_call", "poisson_exact_call",
+                                  "gamma_exact_call"])
+def test_old_pricer_names_are_the_one_pricer(name):
+    assert getattr(g, name) is g.exact_call
+
+
+class _ModelDispatches(ast.NodeVisitor):
+    """(file, innermost function) of each isinstance call against a model class."""
+
+    def __init__(self, module, filename):
+        self.module, self.filename = module, filename
+        self.scope, self.sites = ["<module>"], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node):
+        if getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+            classes = []
+            for ref in ast.walk(node.args[1]):
+                if isinstance(ref, ast.Name):
+                    obj = getattr(self.module, ref.id, None)
+                    classes += obj if isinstance(obj, tuple) else [obj]
+            if any(isinstance(c, type) and issubclass(c, LevyModel) for c in classes):
+                self.sites.append((self.filename, self.scope[-1]))
+        self.generic_visit(node)
+
+
+def test_only_mirror_dispatches_on_the_model_class():
+    sites = []
+    for path in sorted(Path(g.__file__).parent.glob("*.py")):
+        name = "glevy" if path.stem == "__init__" else f"glevy.{path.stem}"
+        visitor = _ModelDispatches(importlib.import_module(name), path.name)
+        visitor.visit(ast.parse(path.read_text()))
+        sites += visitor.sites
+    assert sites == [("exponents.py", "mirror")] * 2

@@ -95,17 +95,44 @@ def test_deep_out_of_the_money_is_tiny():
     assert g.gamma_exact_call(spec_g, opt) < 1e-6
 
 
+def _poisson_brute_force(spec, opt):
+    """sum over n <= 200 of P(N_T = n) pi_T(n) (S_T(n) - K)^+, term by term."""
+    t = opt.expiry
+    mt = spec.model.m * t
+    total = 0.0
+    for n in range(201):
+        pmf = math.exp(-mt + n * math.log(mt) - math.lgamma(n + 1))
+        payoff = max(g.asset_value(spec, n, t) - opt.strike, 0.0)
+        total += pmf * g.kernel_value(spec, n, t) * payoff
+    return total
+
+
+@pytest.mark.parametrize("expiry", [0.25, 1.0, 1.5, 3.0])
+@pytest.mark.parametrize("strike", [0.0, 0.9, 1.3, 1.8, 3.0, 50.0])
+def test_poisson_exact_matches_brute_force_sum(strike, expiry):
+    # Out-of-the-money strikes included: the series starts at the first
+    # in-the-money atom however far beyond the mean count it lies.
+    spec = g.GlmSpec(model=g.Poisson(m=1.0), r=0.02, lam=0.3, sig=0.5)
+    opt = g.OptionSpec(strike=strike, expiry=expiry)
+    want = _poisson_brute_force(spec, opt)
+    assert want > 0.0
+    assert g.exact_call(spec, opt) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_mc_against_exact_oracles():
     n = 200_000
+    at_the_money = g.OptionSpec(strike=1.0, expiry=1.0)
+    poisson = g.GlmSpec(model=g.Poisson(m=1.0), r=0.02, lam=0.3, sig=0.5)
     cases = [
-        (brownian_spec(), g.brownian_exact_call),
-        (g.GlmSpec(model=g.Poisson(m=1.0), r=0.02, lam=0.3, sig=0.5), g.poisson_exact_call),
-        (g.GlmSpec(model=g.Gamma(m=1.0), r=0.02, lam=0.5, sig=0.4), g.gamma_exact_call),
+        (brownian_spec(), at_the_money),
+        (poisson, at_the_money),
+        (g.GlmSpec(model=g.Gamma(m=1.0), r=0.02, lam=0.5, sig=0.4), at_the_money),
+        # Out of the money: the first in-the-money atom lies beyond the mean count.
+        (poisson, g.OptionSpec(strike=1.8, expiry=1.0)),
     ]
-    opt = g.OptionSpec(strike=1.0, expiry=1.0)
-    for spec, oracle in cases:
+    for spec, opt in cases:
         res = g.mc_call_price(spec, opt, n=n, rng=g.Rng(31))
-        assert abs(res.estimate - oracle(spec, opt)) < 4.0 * res.stderr
+        assert abs(res.estimate - g.exact_call(spec, opt)) < 4.0 * res.stderr
 
 
 def test_mc_zero_strike_prices_spot():

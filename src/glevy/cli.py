@@ -75,6 +75,8 @@ def cmd_premium(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.paths < 0:
+        raise ParamOutOfRange("paths", args.paths, "must be >= 0")
     spec = load_spec(args.spec)
     print(f"seed={args.seed}")
     paths = [simulate_path(spec.model, args.horizon, args.steps, Rng(args.seed, i))

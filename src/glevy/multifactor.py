@@ -10,6 +10,7 @@ martingale and makes the stochastic integral an exact finite sum.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,7 +19,6 @@ import numpy as np
 from .errors import DomainViolation, GridMismatch, ParamOutOfRange
 from .exponents import Brownian, CompoundPoissonNormal, LevyModel
 from .premium import risk_premium
-from .sampling import Path, _fast_path
 
 __all__ = [
     "Component",
@@ -34,6 +34,10 @@ __all__ = [
     "integrated_premium",
     "submartingale_check",
 ]
+
+# A price or kernel path on the drivers' grid; it starts at s0 or 1, so it is
+# not a driver Path.
+PricePath = namedtuple("PricePath", "times values")
 
 
 @dataclass(frozen=True)
@@ -260,18 +264,18 @@ def _driver_matrix(vglm: VectorGlm, driver_paths) -> tuple[np.ndarray, list[np.n
     return times, [np.asarray(p.values, dtype=float)[None, :] for p in driver_paths]
 
 
-def schedule_asset_path(vglm: VectorGlm, schedule: Schedule, driver_paths) -> Path:
+def schedule_asset_path(vglm: VectorGlm, schedule: Schedule, driver_paths) -> PricePath:
     """Price path S_t under the coefficient schedule, on the drivers' grid."""
     times, comp_values = _driver_matrix(vglm, driver_paths)
     log_vals = _schedule_log_values(vglm, schedule, times, comp_values, "sigma")
-    return _fast_path(times, np.exp(log_vals[0]))
+    return PricePath(times, np.exp(log_vals[0]))
 
 
-def schedule_kernel_path(vglm: VectorGlm, schedule: Schedule, driver_paths) -> Path:
+def schedule_kernel_path(vglm: VectorGlm, schedule: Schedule, driver_paths) -> PricePath:
     """Pricing kernel path pi_t under the coefficient schedule."""
     times, comp_values = _driver_matrix(vglm, driver_paths)
     log_vals = _schedule_log_values(vglm, schedule, times, comp_values, "lambda")
-    return _fast_path(times, np.exp(log_vals[0]))
+    return PricePath(times, np.exp(log_vals[0]))
 
 
 def integrated_premium(vglm: VectorGlm, schedule: Schedule, s: float, t: float) -> float:

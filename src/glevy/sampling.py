@@ -14,6 +14,7 @@ payoff once per simulated path, as payoff(Path) -> float.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import repeat
@@ -84,10 +85,6 @@ class Path(namedtuple("Path", "times values")):
             raise ParamOutOfRange("path", (t[0], v[0]), "must start at (0, 0)")
         return tuple.__new__(cls, (t, v))
 
-    def __reduce__(self):
-        # Rebuilt without revalidation: price and kernel paths start at s0 or 1.
-        return _fast_path, tuple(self)
-
 
 @dataclass(frozen=True)
 class McResult:
@@ -103,9 +100,19 @@ def _check_dt(dt: float) -> None:
         raise ParamOutOfRange("dt", dt, "must be finite and > 0")
 
 
+def _check_count(name: str, value, least: int = 0) -> None:
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ParamOutOfRange(name, value, "must be an integer") from None
+    if count < least:
+        raise ParamOutOfRange(name, value, f"must be >= {least}")
+
+
 def sample_increments(model: LevyModel, dt: float, size: int, rng: Rng) -> np.ndarray:
     """size iid draws of X_dt for the model's exact increment law."""
     _check_dt(dt)
+    _check_count("size", size)
     return model.increments(dt, size, rng.generator)
 
 
@@ -120,8 +127,8 @@ def simulate_paths(model: LevyModel, horizon: float, steps: int, n: int,
     exact increments of size horizon/steps."""
     if not 0.0 < horizon < math.inf:
         raise ParamOutOfRange("horizon", horizon, "must be finite and > 0")
-    if steps < 1:
-        raise ParamOutOfRange("steps", steps, "must be >= 1")
+    _check_count("steps", steps, 1)
+    _check_count("n", n)
     dt = horizon / steps
     inc = sample_increments(model, dt, n * steps, rng).reshape(n, steps)
     values = np.zeros((n, steps + 1))
@@ -144,6 +151,7 @@ def vg_dual_sample(m: float, dt: float, rng: Rng, method: str = "GammaDifference
     """
     model = VarianceGamma(m)
     _check_dt(dt)
+    _check_count("size", size)
     g = rng.generator
     if method == "GammaDifference":
         return model.increments(dt, size, g)
@@ -164,6 +172,7 @@ def nb_dual_sample(m: float, q: float, dt: float, rng: Rng,
     """
     NegativeBinomial(m, q)  # rejects m and q outside the family's parameter space
     _check_dt(dt)
+    _check_count("size", size)
     g = rng.generator
     if method == "LogarithmicCompoundPoisson":
         mu = -m * math.log1p(-q)
@@ -179,13 +188,6 @@ def nb_dual_sample(m: float, q: float, dt: float, rng: Rng,
     raise Unsupported(method, "NB sampling method")
 
 
-def _fast_path(times: np.ndarray, values: np.ndarray) -> Path:
-    # Bypasses Path validation. Driver paths from the samplers satisfy it by
-    # construction; price and kernel paths reuse the container but start at
-    # s0 or 1 rather than 0.
-    return tuple.__new__(Path, (times, values))
-
-
 def mc_expectation(payoff: Callable[[Path], float], model: LevyModel,
                    horizon: float, steps: int, n: int, rng: Rng,
                    streams: int = 1) -> McResult:
@@ -194,10 +196,8 @@ def mc_expectation(payoff: Callable[[Path], float], model: LevyModel,
     Deterministic for a fixed (seed, stream, n, streams): with streams > 1 the
     n samples are partitioned in fixed order across substreams rng.spawn(k).
     """
-    if n < 2:
-        raise ParamOutOfRange("n", n, "must be >= 2")
-    if streams < 1:
-        raise ParamOutOfRange("streams", streams, "must be >= 1")
+    _check_count("n", n, 2)
+    _check_count("streams", streams, 1)
     samples = np.empty(n)
     bounds = np.linspace(0, n, streams + 1).astype(int)
     for k in range(streams):
@@ -206,7 +206,9 @@ def mc_expectation(payoff: Callable[[Path], float], model: LevyModel,
             continue
         sub = rng.spawn(k) if streams > 1 else rng
         times, values = simulate_paths(model, horizon, steps, chunk, sub)
-        rows = map(tuple.__new__, repeat(Path), zip(repeat(times), values))  # as _fast_path, in C
+        # Each row a Path built in C without revalidation: the sampler's rows
+        # start at (0, 0) by construction.
+        rows = map(tuple.__new__, repeat(Path), zip(repeat(times), values))
         samples[bounds[k]:bounds[k + 1]] = np.fromiter(map(payoff, rows), float, chunk)
     est = float(samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(n))

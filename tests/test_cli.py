@@ -209,3 +209,10 @@ def test_simulate_bad_horizon_exits_2(gamma_spec, tmp_path, horizon):
     assert main(["simulate", "--spec", str(gamma_spec), "--out", str(out),
                  "--n", "100", "--horizon", horizon]) == 2
     assert not out.exists()
+
+
+def test_simulate_negative_paths_exits_2(gamma_spec, tmp_path):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--spec", str(gamma_spec), "--out", str(out),
+                 "--n", "100", "--paths", "-1"]) == 2
+    assert not out.exists()

@@ -210,6 +210,32 @@ def test_nb_dual_sample_rejects_bad_input(m, q, dt, method):
         g.nb_dual_sample(m, q, dt, g.Rng(1), method=method, size=10)
 
 
+_SIZED_CALLS = {
+    "sample_increments": lambda k: g.sample_increments(g.Gamma(m=1.0), 1.0, k, g.Rng(1)),
+    "simulate_paths-n": lambda k: g.simulate_paths(g.Brownian(), 1.0, 4, k, g.Rng(1)),
+    "simulate_paths-steps": lambda k: g.simulate_paths(g.Brownian(), 1.0, k, 10, g.Rng(1)),
+    "vg_dual_sample": lambda k: g.vg_dual_sample(2.0, 1.0, g.Rng(1), size=k),
+    "nb_dual_sample": lambda k: g.nb_dual_sample(1.0, 0.5, 1.0, g.Rng(1), size=k),
+    "mc_expectation": lambda k: g.mc_expectation(lambda p: 1.0, g.Brownian(), 1.0, 1, k,
+                                                 g.Rng(1)),
+}
+
+
+@pytest.mark.parametrize("size", [-1, 2.5])
+@pytest.mark.parametrize("call", _SIZED_CALLS.values(), ids=list(_SIZED_CALLS))
+def test_sizes_must_be_counts(call, size):
+    with pytest.raises(g.ParamOutOfRange):
+        call(size)
+
+
+def test_zero_and_numpy_integer_sizes_are_legal():
+    assert g.sample_increments(g.Gamma(m=1.0), 1.0, 0, g.Rng(1)).shape == (0,)
+    assert g.simulate_paths(g.Brownian(), 1.0, 4, 0, g.Rng(1))[1].shape == (0, 5)
+    assert g.vg_dual_sample(2.0, 1.0, g.Rng(1), size=0).shape == (0,)
+    assert g.nb_dual_sample(1.0, 0.5, 1.0, g.Rng(1), size=0).shape == (0,)
+    assert g.sample_increments(g.Gamma(m=1.0), 1.0, np.int64(3), g.Rng(1)).shape == (3,)
+
+
 # --- Path ----------------------------------------------------------------
 
 @pytest.mark.parametrize("times,values", [
@@ -251,7 +277,7 @@ def test_path_pickle_and_copy_round_trip(clone):
     assert price.values[0] == 2.0 and kernel.values[0] == 1.0
     for path in (driver, price, kernel):
         back = clone(path)
-        assert type(back) is g.Path
+        assert type(back) is type(path)
         assert np.array_equal(back.times, path.times)
         assert np.array_equal(back.values, path.values)
 

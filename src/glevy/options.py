@@ -133,7 +133,7 @@ def exact_call(glm: GlmSpec, opt: OptionSpec) -> float:
     return value
 
 
-# The family-specific pricers these names once held are one pricer now.
+# Names kept for callers of the per-family pricers; each is exact_call.
 brownian_exact_call = poisson_exact_call = gamma_exact_call = exact_call
 
 

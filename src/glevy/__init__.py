@@ -81,6 +81,7 @@ from .options import (
 )
 from .multifactor import (
     Component,
+    PricePath,
     Schedule,
     VectorGlm,
     integrated_premium,

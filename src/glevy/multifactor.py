@@ -24,6 +24,7 @@ __all__ = [
     "Component",
     "VectorGlm",
     "Schedule",
+    "PricePath",
     "jump_diffusion",
     "vector_premium",
     "vector_kernel_value",

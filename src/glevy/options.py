@@ -105,9 +105,9 @@ def exact_call(glm: GlmSpec, opt: OptionSpec) -> float:
     # S_T(x) exceeds K only beyond the log-moneyness threshold.
     lo, hi = law.support
     lo = max(lo, (log_k - log_s_c) / glm.sig)
+    tilt = glm.sig - glm.lam
     if law.lattice:
         start = math.ceil(lo)
-        tilt = glm.sig - glm.lam
         total, prev = 0.0, -math.inf
         for n in range(start, start + _MAX_TERMS):
             term = integrand(float(n))
@@ -120,9 +120,15 @@ def exact_call(glm: GlmSpec, opt: OptionSpec) -> float:
                 return total
             prev = tilted
         raise QuadratureFailure(f"call series not converged in {_MAX_TERMS} terms")
-    # A separate unit interval at the threshold keeps an edge singularity
-    # (gamma shape below 1) out of the infinite-range transform.
-    edges = (lo, lo + 1.0, hi) if math.isfinite(lo) else (lo, hi)
+    # Breakpoints 8 standard deviations either side of the centre of the law
+    # tilted by pi_T S_T put the bulk of the mass in a finite piece whatever
+    # its width: a short expiry leaves it too narrow for quad's first nodes on
+    # a long or infinite piece, which then return 0 with a tiny error.
+    # They also keep an edge singularity (gamma shape below 1) out of the
+    # infinite-range transform.
+    centre = t * glm.model.psi_prime(tilt)
+    width = 8.0 * math.sqrt(t * glm.model.psi_second(tilt))
+    edges = sorted({lo, hi} | {p for p in (centre - width, centre + width) if lo < p < hi})
     value = err = 0.0
     for a, b in zip(edges, edges[1:]):
         v, e = integrate.quad(integrand, a, b, epsabs=1e-15, epsrel=1e-10, limit=500)

@@ -148,6 +148,7 @@ def test_single_interval_schedule_matches_constant_model():
     driver = g.simulate_path(model, horizon=2.0, steps=8, rng=g.Rng(3))
     spath = g.schedule_asset_path(vglm, sch, [driver])
     kpath = g.schedule_kernel_path(vglm, sch, [driver])
+    assert type(spath) is type(kpath) is g.PricePath
     spec = g.GlmSpec(model=model, r=r, lam=lam, sig=sig, s0=s0)
     for j, t in enumerate(driver.times):
         x = driver.values[j]

@@ -38,6 +38,45 @@ def test_brownian_exact_matches_bs():
             assert exact == pytest.approx(bs, abs=1e-10), (k, t)
 
 
+@pytest.mark.parametrize("lam, sig", [(0.2, 0.25), (2.5, 0.1)])
+@pytest.mark.parametrize("expiry", [1e-8, 1e-4, 1e-3, 1e-2])
+@pytest.mark.parametrize("strike", [0.0, 0.3, 0.5, 1.0, 1.01])
+def test_brownian_exact_short_expiry(strike, expiry, lam, sig):
+    # A short expiry leaves the law far narrower than the distance from the
+    # log-moneyness threshold to its centre; the price must still be found.
+    spec = brownian_spec(lam=lam, sig=sig)
+    exact = g.exact_call(spec, g.OptionSpec(strike=strike, expiry=expiry))
+    bs = g.bs_call_price(spec.s0, spec.r, spec.sig, strike, expiry)
+    assert exact == pytest.approx(bs, abs=1e-10)
+
+
+def _gamma_closed_form(spec, opt):
+    """E[pi_T (S_T - K)^+] for the gamma family through the regularized upper
+    incomplete gamma function: E[e^{bX_T}; X_T > x] = (1-b)^{-mT} Q(mT, (1-b)x)."""
+    from scipy.special import gammaincc
+
+    t, strike, shape = opt.expiry, opt.strike, spec.model.m * opt.expiry
+    log_pi_c = -spec.r * t - t * spec.model.psi(-spec.lam)
+    log_s_c = (math.log(spec.s0) + (spec.r + spec.premium) * t
+               - t * spec.model.psi(spec.sig))
+    x = 0.0 if strike == 0.0 else max(0.0, (math.log(strike) - log_s_c) / spec.sig)
+
+    def tail(b):
+        return (1.0 - b) ** -shape * gammaincc(shape, (1.0 - b) * x)
+
+    return (math.exp(log_pi_c + log_s_c) * tail(spec.sig - spec.lam)
+            - strike * math.exp(log_pi_c) * tail(-spec.lam))
+
+
+@pytest.mark.parametrize("expiry", [1e-2, 0.1, 1.0, 4.0])
+@pytest.mark.parametrize("strike", [0.0, 0.5, 0.9, 1.0, 1.05, 1.3, 3.0])
+def test_gamma_exact_matches_incomplete_gamma(strike, expiry):
+    spec = g.GlmSpec(model=g.Gamma(m=1.0), r=0.02, lam=0.5, sig=0.4)
+    opt = g.OptionSpec(strike=strike, expiry=expiry)
+    want = _gamma_closed_form(spec, opt)
+    assert g.exact_call(spec, opt) == pytest.approx(want, rel=1e-9, abs=1e-14)
+
+
 def test_brownian_price_lambda_independent():
     # The diffusive model's option price carries no risk-aversion dependence.
     opt = g.OptionSpec(strike=1.0, expiry=1.0)

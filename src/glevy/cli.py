@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -66,9 +67,8 @@ def _write_csv(path, header, rows):
 
 def cmd_premium(args) -> int:
     spec = load_spec(args.spec)
-    lams = _parse_grid(args.grid)
-    sigs = _parse_grid(args.grid)
-    rows = prem.premium_surface(spec.model, lams, sigs)
+    grid = _parse_grid(args.grid)
+    rows = prem.premium_surface(spec.model, grid, grid)
     _write_csv(args.out, ["lambda", "sigma", "R", "R_tilde"], rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -158,9 +158,9 @@ def cmd_verify(args) -> int:
     checks["identity_residual"] = abs(prem.premium_identity_check(model, lam, sig)) < 1e-12
     r_tilde = prem.inverse_fx_premium(model, lam, sig)
     checks["siegel_sign"] = (r_tilde > 0.0) == (sig > lam) or (sig == lam and abs(r_tilde) < 1e-12)
+    psi2 = model.psi_second(sig)
     checks["curvature_recovery"] = (
-        abs(prem.curvature_from_premium(model, sig) - model.psi_second(sig))
-        <= 1e-3 * abs(model.psi_second(sig)))
+        abs(prem.curvature_from_premium(model, sig) - psi2) <= 1e-3 * abs(psi2))
     checks["expected_price"] = (
         abs(expected_asset_price(spec, 1.0) - spec.s0 * math.exp(spec.r + spec.premium))
         < 1e-12 * spec.s0)
@@ -169,6 +169,7 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="glevy", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)

@@ -5,6 +5,10 @@ the excess rate of return above the interest rate, together with its
 foreign-exchange inverse, derivative/sign analysis, and an independent
 evaluation route through the jump-measure representation
 R = q*lam*sig + integral (e^{sig x} - 1)(1 - e^{-lam x}) nu(dx).
+
+Each function evaluates every distinct psi (or psi') argument once and
+combines the values in the order of the per-point formulas (`risk_premium`,
+`inverse_fx_premium`), so its results equal theirs bit for bit.
 """
 from __future__ import annotations
 
@@ -54,8 +58,9 @@ def inverse_fx_premium(model: LevyModel, lam: float, sig: float) -> float:
 
 def premium_identity_check(model: LevyModel, lam: float, sig: float) -> float:
     """Residual of R + R_tilde = psi(sig) + psi(-sig); zero up to roundoff."""
-    return (risk_premium(model, lam, sig) + inverse_fx_premium(model, lam, sig)
-            - model.psi(sig) - model.psi(-sig))
+    psi = model.psi
+    a, b, c, d = psi(sig), psi(-lam), psi(sig - lam), psi(-sig)
+    return (a + b - c) + (d + c - b) - a - d
 
 
 def premium_via_levy_measure(model: LevyModel, lam: float, sig: float,
@@ -115,9 +120,8 @@ def premium_via_levy_measure(model: LevyModel, lam: float, sig: float,
 
 def premium_gradient(model: LevyModel, lam: float, sig: float) -> tuple[float, float]:
     """(dR/dlam, dR/dsig), both strictly positive for lam, sig > 0."""
-    d_lam = model.psi_prime(sig - lam) - model.psi_prime(-lam)
-    d_sig = model.psi_prime(sig) - model.psi_prime(sig - lam)
-    return d_lam, d_sig
+    at_diff = model.psi_prime(sig - lam)
+    return at_diff - model.psi_prime(-lam), model.psi_prime(sig) - at_diff
 
 
 def premium_hessian_signs(model: LevyModel, lam: float, sig: float) -> tuple[int, int]:
@@ -139,17 +143,22 @@ def curvature_from_premium(model: LevyModel, sig: float) -> float:
     Uses R(0, .) = 0 identically, so the lam-difference is one-sided at
     lam = h (lam must stay nonnegative).
     """
-    h = _FD_SCALE * max(1.0, abs(sig))
-    k = _FD_SCALE * max(1.0, abs(sig))
-    d_sig_at_h = (risk_premium(model, h, sig + k) - risk_premium(model, h, sig - k)) / (2.0 * k)
+    psi = model.psi
+    h = k = _FD_SCALE * max(1.0, abs(sig))
+    up, down, at_h = sig + k, sig - k, psi(-h)
+    d_sig_at_h = ((psi(up) + at_h - psi(up - h))
+                  - (psi(down) + at_h - psi(down - h))) / (2.0 * k)
     return d_sig_at_h / h
 
 
 def _mixed_partial(model: LevyModel, lam: float, sig: float, h: float) -> float:
     """4-point stencil for d2R/dlam dsig."""
-    rp = risk_premium
-    return (rp(model, lam + h, sig + h) - rp(model, lam + h, sig - h)
-            - rp(model, lam - h, sig + h) + rp(model, lam - h, sig - h)) / (4.0 * h * h)
+    psi = model.psi
+    s_up, s_down, l_up, l_down = sig + h, sig - h, lam + h, lam - h
+    a_up, a_down, b_up, b_down = psi(s_up), psi(s_down), psi(-l_up), psi(-l_down)
+    return ((a_up + b_up - psi(s_up - l_up)) - (a_down + b_up - psi(s_down - l_up))
+            - (a_up + b_down - psi(s_up - l_down))
+            + (a_down + b_down - psi(s_down - l_down))) / (4.0 * h * h)
 
 
 _DEFAULT_GRID = (0.1, 0.2, 0.3)
@@ -181,10 +190,14 @@ def is_bilinear(model: LevyModel, grid: Sequence[float] = _DEFAULT_GRID,
 def premium_surface(model: LevyModel, lams: Sequence[float],
                     sigs: Sequence[float]) -> list[tuple[float, float, float, float]]:
     """Row-major (lam, sig, R, R_tilde) rows over the grid."""
+    lams, sigs, psi = list(lams), list(sigs), model.psi
+    if not lams or not sigs:
+        return []
+    per_sig = [(sig, float(sig), psi(sig), psi(-sig)) for sig in sigs]
     rows = []
     for lam in lams:
-        for sig in sigs:
-            rows.append((float(lam), float(sig),
-                         risk_premium(model, lam, sig),
-                         inverse_fx_premium(model, lam, sig)))
+        b, lam_f = psi(-lam), float(lam)
+        for sig, sig_f, a, d in per_sig:
+            c = psi(sig - lam)
+            rows.append((lam_f, sig_f, a + b - c, d + c - b))
     return rows

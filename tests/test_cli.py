@@ -7,7 +7,7 @@ import math
 import pytest
 
 import glevy as g
-from glevy.cli import main
+from glevy.cli import DEFAULT_SEED, build_parser, main
 
 
 @pytest.fixture
@@ -81,6 +81,23 @@ def test_price_option_exact_and_mc(gamma_spec, tmp_path, capsys):
     with open(out) as fh:
         row = next(csv.DictReader(fh))
     assert abs(float(row["price"]) - exact) < 4.0 * float(row["stderr"])
+
+
+def test_successive_calls_share_no_state(gamma_spec, tmp_path, capsys):
+    # One parser serves every call in a process; no call may leak into the next.
+    assert build_parser() is build_parser()
+    argv = ["price-option", "--spec", str(gamma_spec), "--out", str(tmp_path / "opt.csv"),
+            "--strike", "1.0", "--method", "mc", "--n", "2000"]
+    assert main(argv + ["--seed", "7"]) == 0
+    assert "seed=7" in capsys.readouterr().out
+    assert main(argv) == 0
+    assert f"seed={DEFAULT_SEED}" in capsys.readouterr().out
+    assert DEFAULT_SEED == 20120229
+    assert main(argv + ["--method", "fourier"]) == 2
+    assert main(["price-option", "--spec", str(gamma_spec)]) == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith(f"seed={DEFAULT_SEED}\n")
 
 
 def test_price_option_exact_unsupported_family(tmp_path):

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import glevy as g
+from glevy import premium
 from conftest import (
     DEFAULT_MODELS,
+    FAMILY_NAMES,
     assert_close,
     central_diff,
     random_risk_params,
@@ -227,3 +231,218 @@ def test_premium_surface_shape():
     assert (lam, sig) == (0.2, 0.1)
     assert r == pytest.approx(g.risk_premium(model, 0.2, 0.1), rel=1e-15)
     assert rt == pytest.approx(g.inverse_fx_premium(model, 0.2, 0.1), rel=1e-15)
+
+
+# --------------------------------------------------------------------------
+# Each distinct psi argument is evaluated once, and the results equal the
+# per-point formulas bit for bit.
+# --------------------------------------------------------------------------
+
+MIRRORED = ("Poisson", "Gamma", "ScaledGamma", "AsymmetricVG", "NegativeBinomial")
+ALL_MODELS = [DEFAULT_MODELS[name][0] for name in FAMILY_NAMES] + [
+    g.mirror(DEFAULT_MODELS[name][0]) for name in MIRRORED]
+
+
+def _same(new, old):
+    # repr tells -0.0 from 0.0, which == does not.
+    return new == old and repr(new) == repr(old)
+
+
+# The per-point formulas, built from whole risk_premium and
+# inverse_fx_premium calls as they were before psi values were shared.
+def _ref_identity_check(model, lam, sig):
+    return (g.risk_premium(model, lam, sig) + g.inverse_fx_premium(model, lam, sig)
+            - model.psi(sig) - model.psi(-sig))
+
+
+def _ref_gradient(model, lam, sig):
+    d_lam = model.psi_prime(sig - lam) - model.psi_prime(-lam)
+    d_sig = model.psi_prime(sig) - model.psi_prime(sig - lam)
+    return d_lam, d_sig
+
+
+def _ref_curvature(model, sig):
+    h = premium._FD_SCALE * max(1.0, abs(sig))
+    k = premium._FD_SCALE * max(1.0, abs(sig))
+    rp = g.risk_premium
+    d_sig_at_h = (rp(model, h, sig + k) - rp(model, h, sig - k)) / (2.0 * k)
+    return d_sig_at_h / h
+
+
+def _ref_mixed_partial(model, lam, sig, h):
+    rp = g.risk_premium
+    return (rp(model, lam + h, sig + h) - rp(model, lam + h, sig - h)
+            - rp(model, lam - h, sig + h) + rp(model, lam - h, sig - h)) / (4.0 * h * h)
+
+
+def _ref_surface(model, lams, sigs):
+    rows = []
+    for lam in lams:
+        for sig in sigs:
+            rows.append((float(lam), float(sig),
+                         g.risk_premium(model, lam, sig),
+                         g.inverse_fx_premium(model, lam, sig)))
+    return rows
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type of the error it raises."""
+    try:
+        return fn(*args)
+    except g.GlevyError as e:
+        return type(e)
+
+
+def _grid_for(model, n, dtype=float):
+    hi = min(model.domain.upper, -model.domain.lower, 3.0) * 0.45
+    return np.linspace(0.02, hi, n).astype(dtype)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda model: model.family)
+def test_pointwise_functions_match_the_per_point_formulas(model, np_rng):
+    for lam, sig in random_risk_params(model, 30, np_rng, need_minus_sigma=True):
+        assert _same(g.premium_identity_check(model, lam, sig),
+                     _ref_identity_check(model, lam, sig))
+        assert _same(g.premium_gradient(model, lam, sig), _ref_gradient(model, lam, sig))
+        assert _same(g.curvature_from_premium(model, sig), _ref_curvature(model, sig))
+        for h in (1e-3, 1e-2):
+            if lam > 2 * h and sig > 2 * h:
+                assert _same(premium._mixed_partial(model, lam, sig, h),
+                             _ref_mixed_partial(model, lam, sig, h))
+
+
+@pytest.mark.parametrize("dtype", [float, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda model: model.family)
+def test_surface_matches_the_per_point_formulas(model, dtype):
+    lams, sigs = _grid_for(model, 17, dtype), _grid_for(model, 13, dtype)[::-1]
+    assert _same(g.premium_surface(model, lams, sigs), _ref_surface(model, lams, sigs))
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda model: model.family)
+def test_surface_on_python_ints_matches_the_per_point_formulas(model):
+    # Integer points leave the domain of most families; then both raise.
+    lams, sigs = [0, 1, 2], [0, 1]
+    new = _outcome(g.premium_surface, model, lams, sigs)
+    assert _same(new, _outcome(_ref_surface, model, lams, sigs))
+    if model.domain.upper == math.inf and model.domain.lower == -math.inf:
+        assert len(new) == 6
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda model: model.family)
+def test_empty_surface_evaluates_nothing(model, monkeypatch):
+    def no_psi(self, alpha):
+        raise AssertionError("psi evaluated")
+
+    monkeypatch.setattr(type(model), "psi", no_psi)
+    assert g.premium_surface(model, [], [0.1, 5.0]) == []
+    assert g.premium_surface(model, np.array([0.1, 5.0]), np.array([])) == []
+
+
+@pytest.mark.parametrize("bad_sig", [0.5, 0.999, 1.0, 1.5, -1.5, math.inf, math.nan])
+@pytest.mark.parametrize("model", [g.Gamma(m=1.0), g.mirror(g.Gamma(m=1.0))],
+                         ids=lambda model: model.family)
+def test_surface_raises_exactly_when_the_per_point_formulas_do(model, bad_sig):
+    lams, sigs = [0.1, 0.3], [0.2, bad_sig, 0.4]
+    new = _outcome(g.premium_surface, model, lams, sigs)
+    old = _outcome(_ref_surface, model, lams, sigs)
+    if old is g.DomainViolation:
+        assert new is g.DomainViolation
+    else:
+        assert isinstance(old, list) and _same(new, old)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda model: model.family)
+def test_bilinearity_stencil_matches_the_per_point_formulas(model):
+    # The points and step of is_bilinear's default scan.
+    for lam in premium._DEFAULT_GRID:
+        for sig in premium._DEFAULT_GRID:
+            assert _same(_outcome(premium._mixed_partial, model, lam, sig, 1e-3),
+                         _outcome(_ref_mixed_partial, model, lam, sig, 1e-3))
+
+
+def _count_calls(monkeypatch, method):
+    calls = []
+    original = getattr(g.Gamma, method)
+
+    def counting(self, alpha):
+        calls.append(alpha)
+        return original(self, alpha)
+
+    monkeypatch.setattr(g.Gamma, method, counting)
+    return calls
+
+
+def test_surface_evaluates_each_psi_argument_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "psi")
+    rows = g.premium_surface(g.Gamma(m=1.0), [0.1, 0.2, 0.3], [0.1, 0.2, 0.3, 0.4])
+    assert len(rows) == 12
+    assert len(calls) == 12 + 3 + 8
+
+
+def test_identity_check_evaluates_psi_four_times(monkeypatch):
+    calls = _count_calls(monkeypatch, "psi")
+    g.premium_identity_check(g.Gamma(m=1.0), 0.25, 0.5)
+    assert sorted(calls) == [-0.5, -0.25, 0.25, 0.5]
+
+
+def test_gradient_evaluates_psi_prime_three_times(monkeypatch):
+    calls = _count_calls(monkeypatch, "psi_prime")
+    g.premium_gradient(g.Gamma(m=1.0), 1.0, 0.5)
+    assert sorted(calls) == [-1.0, -0.5, 0.5]
+
+
+def test_curvature_evaluates_psi_five_times(monkeypatch):
+    calls = _count_calls(monkeypatch, "psi")
+    g.curvature_from_premium(g.Gamma(m=1.0), 0.5)
+    assert len(calls) == 5
+
+
+def test_mixed_partial_evaluates_psi_eight_times(monkeypatch):
+    calls = _count_calls(monkeypatch, "psi")
+    premium._mixed_partial(g.Gamma(m=1.0), 0.2, 0.3, 1e-3)
+    assert len(calls) == 8
+
+
+# --------------------------------------------------------------------------
+# Properties over random in-domain (lam, sig).
+# --------------------------------------------------------------------------
+
+def _draw_point(data, model, need_minus_sigma=False):
+    dom = model.domain
+    lam_max = min(-dom.lower, 3.0) * 0.95
+    sig_max = min(dom.upper, 3.0) * 0.95
+    if need_minus_sigma:
+        sig_max = min(sig_max, lam_max)
+    lam = data.draw(st.floats(1e-3, lam_max), label="lam")
+    sig = data.draw(st.floats(1e-3, sig_max), label="sig")
+    probes = (sig, -lam, sig - lam) + ((-sig,) if need_minus_sigma else ())
+    assume(all(dom.admissible(p) for p in probes))
+    return lam, sig
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda model: model.family)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_premium_pair_sums_to_psi_sig_plus_psi_minus_sig(model, data):
+    lam, sig = _draw_point(data, model, need_minus_sigma=True)
+    values = [model.psi(a) for a in (sig, -lam, sig - lam, -sig)]
+    scale = max(1.0, *map(abs, values))
+    total = g.risk_premium(model, lam, sig) + g.inverse_fx_premium(model, lam, sig)
+    assert abs(total - model.psi(sig) - model.psi(-sig)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda model: model.family)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_premium_vanishes_at_zero_lambda(model, data):
+    _, sig = _draw_point(data, model)
+    assert g.risk_premium(model, 0.0, sig) == 0.0
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda model: model.family)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_premium_gradient_is_positive(model, data):
+    lam, sig = _draw_point(data, model)
+    d_lam, d_sig = g.premium_gradient(model, lam, sig)
+    assert d_lam > 0.0 and d_sig > 0.0

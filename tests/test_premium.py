@@ -248,8 +248,8 @@ def _same(new, old):
     return new == old and repr(new) == repr(old)
 
 
-# The per-point formulas, built from whole risk_premium and
-# inverse_fx_premium calls as they were before psi values were shared.
+# Reference per-point formulas, composed of whole risk_premium and
+# inverse_fx_premium calls, each of which evaluates its own psi values.
 def _ref_identity_check(model, lam, sig):
     return (g.risk_premium(model, lam, sig) + g.inverse_fx_premium(model, lam, sig)
             - model.psi(sig) - model.psi(-sig))

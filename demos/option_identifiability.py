@@ -15,7 +15,9 @@ def main():
     opt = g.OptionSpec(strike=1.05, expiry=1.0)
 
     print("=== Brownian: price is lambda-independent ===")
-    out = g.dependence_experiment("Brownian", [0.0, 0.5, 1.0, 2.0], opt)
+    specs = [g.GlmSpec(model=g.Brownian(), r=0.02, lam=lam, sig=0.25)
+             for lam in (0.0, 0.5, 1.0, 2.0)]
+    out = g.dependence_experiment(specs, opt, 1e-10)
     for row in out["rows"]:
         print(f"  lam={row['params']['lambda']:4.1f}  price={row['price']:.12f}")
     bs = g.bs_call_price(1.0, 0.02, 0.25, opt.strike, opt.expiry)
@@ -23,7 +25,8 @@ def main():
 
     print("\n=== Poisson: only m e^{-lam} is identifiable ===")
     pairs = [(1.0, 0.0), (2.0, math.log(2.0)), (4.0, math.log(4.0))]
-    out = g.dependence_experiment("Poisson", pairs, opt)
+    specs = [g.GlmSpec(model=g.Poisson(m=m), r=0.02, lam=lam, sig=0.3) for m, lam in pairs]
+    out = g.dependence_experiment(specs, opt, 1e-10)
     for row in out["rows"]:
         pr = row["params"]
         print(f"  m={pr['m']:4.1f} lam={pr['lambda']:6.4f} "
@@ -33,7 +36,9 @@ def main():
 
     print("\n=== Gamma: only (m, sig/(1+lam)) is identifiable ===")
     triples = [(1.0, 0.0, 0.4), (1.0, 1.0, 0.8), (1.0, 0.5, 0.6)]
-    out = g.dependence_experiment("Gamma", triples, opt)
+    specs = [g.GlmSpec(model=g.Gamma(m=m), r=0.02, lam=lam, sig=sig)
+             for m, lam, sig in triples]
+    out = g.dependence_experiment(specs, opt, 1e-8)
     for row in out["rows"]:
         pr = row["params"]
         print(f"  m={pr['m']:4.1f} lam={pr['lambda']:4.1f} sig={pr['sigma']:4.1f} "

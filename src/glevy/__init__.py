@@ -15,7 +15,6 @@ from .errors import (
     ParamOutOfRange,
     QuadratureFailure,
     Unsupported,
-    WrongFamily,
 )
 from .exponents import (
     AsymmetricVG,
@@ -23,12 +22,11 @@ from .exponents import (
     CompoundPoissonNormal,
     Gamma,
     Interval,
-    LevyMeasureSpec,
     LevyModel,
+    Measure,
     NegativeBinomial,
     Poisson,
     ScaledGamma,
-    TerminalLaw,
     VarianceGamma,
     make_model,
     mirror,

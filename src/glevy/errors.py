@@ -32,10 +32,6 @@ class Unsupported(GlevyError):
         super().__init__(f"{what} not supported for family {family}")
 
 
-class WrongFamily(GlevyError):
-    """An operation was asked for a family it does not cover."""
-
-
 class QuadratureFailure(GlevyError):
     """Numerical integration did not reach the requested tolerance."""
 

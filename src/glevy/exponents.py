@@ -4,10 +4,12 @@ Each family knows its cumulant function psi (with E[exp(a*X_t)] = exp(t*psi(a)))
 its first two analytic derivatives, the open interval of admissible
 arguments, the exact law of its increments (`increments`), its jump
 measure (`levy_measure`) and, where it has a closed form, the law of X_t
-(`terminal_law`). All model objects are immutable and safe to share
-between threads. A model's admissible interval is fixed at construction
-(built once, on first use, then reused by every evaluation); NaN and +-inf
-are never admissible.
+(`terminal_law`). The jump measure and the law are one type, `Measure`:
+atoms on the integers plus an optional density. Its `integrate` serves both
+the jump-measure premium and the exact call pricer, and a mirror reflects
+both. All model objects are immutable and safe to share between threads. A
+model's admissible interval is fixed at construction (built once, on first
+use, then reused by every evaluation); NaN and +-inf are never admissible.
 """
 from __future__ import annotations
 
@@ -18,8 +20,9 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from scipy import integrate
 
-from .errors import DomainViolation, ParamOutOfRange, Unsupported
+from .errors import DomainViolation, ParamOutOfRange, QuadratureFailure, Unsupported
 
 __all__ = [
     "Interval",
@@ -34,8 +37,7 @@ __all__ = [
     "NegativeBinomial",
     "Mirrored",
     "FAMILIES",
-    "LevyMeasureSpec",
-    "TerminalLaw",
+    "Measure",
     "make_model",
     "mirror",
 ]
@@ -43,6 +45,8 @@ __all__ = [
 # Relative margin kept between an evaluation point and a finite endpoint of
 # the admissible interval; endpoints themselves are excluded.
 DOMAIN_MARGIN = 1e-9
+_MAX_TERMS = 1_000_000  # hard cap on the terms of an atom series
+_SERIES_RTOL = 1e-14  # relative tail left behind by an atom series
 
 
 @dataclass(frozen=True)
@@ -92,60 +96,97 @@ def _finite(name: str, value) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class LevyMeasureSpec:
-    """Jump measure of a model, as point masses or a density on a half/full line.
+def _poisson_log_pmf(n: int, mu: float) -> float:
+    """log P(N = n) for N ~ Poisson(mu).
 
-    gaussian_q is the diffusion coefficient of the continuous part; drift_p is
-    recorded for completeness but plays no role in the premium.
+    n log(mu) - mu - lgamma(n + 1) is a difference of terms of size mu log(mu),
+    each rounded, so near the mode of a large mu it loses relative precision
+    to cancellation. From n = 16 on it is formed in Loader's saddle-point form
+    -bd0(n, mu) - stirlerr(n) - log(2 pi n)/2 instead (C. Loader, "Fast and
+    accurate computation of binomial probabilities", 2000), with
+    bd0 = n log1p(d/mu) - d for d = n - mu, whose rounding is of the order of
+    d rather than mu log(mu). Below 16 the direct form loses at most about
+    1e-14 and Stirling's series for stirlerr(n) is not yet exact to rounding.
+    """
+    if n < 16:
+        return n * math.log(mu) - mu - math.lgamma(n + 1.0)
+    nn = 1.0 / (n * n)
+    stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - nn / 1188) * nn) * nn) * nn) / n
+    d = n - mu
+    return d - n * math.log1p(d / mu) - stirlerr - 0.5 * math.log(2.0 * math.pi * n)
+
+
+@dataclass(frozen=True)
+class Measure:
+    """A measure on the real line: atoms on the integers plus an optional density.
+
+    Both a model's jump measure (`levy_measure`, with the Gaussian coefficient
+    gaussian_q of its continuous part) and the law of X_t (`terminal_law`,
+    gaussian_q = 0) are Measures. The atom of index n, for the integers n in
+    atoms = (first, last) (last may be inf), sits at sign*n with weight
+    exp(log_weight(n)); there are none when log_weight is None. The density
+    exp(log_density(x)) lives on support.
     """
 
-    kind: str  # "PointMasses" | "Density"
-    atoms: tuple = ()  # ((jump size, rate), ...) for PointMasses
-    density: Callable[[float], float] | None = None
+    log_weight: Callable[[int], float] | None = None
+    atoms: tuple[int, float] = (0, math.inf)
+    sign: int = 1
     log_density: Callable[[float], float] | None = None
     support: tuple[float, float] = (-math.inf, math.inf)
     gaussian_q: float = 0.0
-    drift_p: float = 0.0
 
+    def reflected(self) -> "Measure":
+        """The image of this measure under x -> -x."""
+        log_f, (lo, hi) = self.log_density, self.support
+        return replace(self, sign=-self.sign, support=(-hi, -lo),
+                       log_density=None if log_f is None else lambda x: log_f(-x))
 
-@dataclass(frozen=True)
-class TerminalLaw:
-    """Law of X_t: the log pdf, or the log pmf on the integers when lattice
-    is set, with its support (lo, hi)."""
+    def integrate(self, g: Callable[[float, float], float], lo: float, hi: float,
+                  breaks=()) -> tuple[float, float]:
+        """(value, error estimate) of the integral of g(x, log w(x)) over [lo, hi],
+        where w is the weight of the atom at x or the density at x.
 
-    log_density: Callable[[float], float]
-    support: tuple[float, float] = (-math.inf, math.inf)
-    lattice: bool = False
-
-
-class _NBAtoms:
-    """Lazy atom sequence for the negative binomial jump measure.
-
-    Atoms sit at n = 1, 2, ... with rate m q^n / n and never end; a consumer
-    stops on its own test (premium_via_levy_measure stops once a term falls
-    below 1e-14 of the running sum).
-    """
-
-    def __init__(self, m: float, q: float):
-        self.m, self.q = m, q
-
-    def __iter__(self):
-        n, qn = 1, self.q
-        while True:
-            yield (float(n), self.m * qn / n)
-            n += 1
-            qn *= self.q
-
-
-class _NegatedAtoms:
-    """The atoms of a reflected measure, negated lazily (NB atoms never end)."""
-
-    def __init__(self, atoms):
-        self.atoms = atoms
-
-    def __iter__(self):
-        return ((-x, rate) for x, rate in self.atoms)
+        The atoms in range are summed from the first one. Past the peak of the
+        weights the sum stops once the tail, estimated as the geometric series
+        of the last ratio of terms (a bound when the terms are log-concave),
+        is within 1e-14 of the sum; the estimate is the error. The density is
+        integrated by adaptive quadrature over the pieces into which breaks
+        cut [lo, hi].
+        """
+        value = err = 0.0
+        if self.log_weight is not None:
+            log_weight, sign = self.log_weight, float(self.sign)
+            first, last = self.atoms
+            a, b = (lo, hi) if sign > 0.0 else (-hi, -lo)
+            start, last = math.ceil(a) if a > first else first, min(last, b)
+            prev_w, prev = -math.inf, 0.0
+            for n in range(start, start + _MAX_TERMS):
+                if n > last:
+                    break
+                log_w = log_weight(n)
+                term = g(sign * n, log_w)
+                value += term
+                # size^2 / (prev - size) is the geometric tail of the last
+                # ratio of terms; it is negative while the terms rise. Before
+                # the peak of the weights a run of underflowed terms must not
+                # stop the sum.
+                size = abs(term)
+                if log_w < prev_w and size * size <= _SERIES_RTOL * abs(value) * (prev - size):
+                    err = size * size / (prev - size) if size else 0.0
+                    break
+                prev_w, prev = log_w, size
+            else:
+                raise QuadratureFailure(f"atom series not converged in {_MAX_TERMS} terms")
+        log_f = self.log_density
+        lo, hi = max(lo, self.support[0]), min(hi, self.support[1])
+        if log_f is not None and lo < hi:
+            edges = sorted({lo, hi, *(p for p in breaks if lo < p < hi)})
+            for a, b in zip(edges, edges[1:]):
+                v, e = integrate.quad(lambda x: g(x, log_f(x)), a, b,
+                                      epsabs=1e-15, epsrel=1e-10, limit=500)
+                value += v
+                err += e
+        return value, err
 
 
 @dataclass(frozen=True)
@@ -181,11 +222,11 @@ class LevyModel:
         """size iid draws of X_dt from the exact increment law, drawn from g."""
         raise Unsupported(self.family, "sampling")
 
-    def levy_measure(self) -> LevyMeasureSpec:
+    def levy_measure(self) -> Measure:
         """The jump measure nu and Gaussian coefficient of X."""
         raise Unsupported(self.family, "Levy measure")
 
-    def terminal_law(self, t: float) -> TerminalLaw:
+    def terminal_law(self, t: float) -> Measure:
         """The law of X_t, for t > 0."""
         raise Unsupported(self.family, "terminal law")
 
@@ -214,12 +255,12 @@ class Brownian(LevyModel):
         return g.normal(0.0, math.sqrt(dt), size)
 
     def levy_measure(self):
-        return LevyMeasureSpec(kind="PointMasses", gaussian_q=1.0)
+        return Measure(gaussian_q=1.0)
 
     def terminal_law(self, t):
         t = _positive("t", t)
         c = -0.5 * math.log(2.0 * math.pi * t)
-        return TerminalLaw(lambda x: c - 0.5 * x * x / t)
+        return Measure(log_density=lambda x: c - 0.5 * x * x / t)
 
 
 @dataclass(frozen=True)
@@ -249,13 +290,12 @@ class Poisson(LevyModel):
         return g.poisson(self.m * dt, size).astype(float)
 
     def levy_measure(self):
-        return LevyMeasureSpec(kind="PointMasses", atoms=((1.0, self.m),))
+        log_m = math.log(self.m)
+        return Measure(log_weight=lambda n: log_m, atoms=(1, 1))
 
     def terminal_law(self, t):
         mt = self.m * _positive("t", t)
-        log_mt = math.log(mt)
-        return TerminalLaw(lambda n: n * log_mt - mt - math.lgamma(n + 1.0),
-                           support=(0.0, math.inf), lattice=True)
+        return Measure(log_weight=lambda n: _poisson_log_pmf(n, mt))
 
 
 @dataclass(frozen=True)
@@ -295,12 +335,9 @@ class CompoundPoissonNormal(LevyModel):
         return g.normal(0.0, 1.0, size) * self.s * np.sqrt(counts)
 
     def levy_measure(self):
-        m, s = self.m, self.s
-        c = 1.0 / (s * math.sqrt(2.0 * math.pi))
-        return LevyMeasureSpec(kind="Density",
-                               density=lambda x: m * c * math.exp(-0.5 * (x / s) ** 2),
-                               log_density=lambda x: math.log(m * c) - 0.5 * (x / s) ** 2,
-                               support=(-math.inf, math.inf))
+        s = self.s
+        log_c = math.log(self.m / (s * math.sqrt(2.0 * math.pi)))
+        return Measure(log_density=lambda x: log_c - 0.5 * (x / s) ** 2)
 
 
 @dataclass(frozen=True)
@@ -334,17 +371,15 @@ class Gamma(LevyModel):
         return g.gamma(self.m * dt, 1.0, size)
 
     def levy_measure(self):
-        m = self.m
-        return LevyMeasureSpec(kind="Density",
-                               density=lambda x: m * math.exp(-x) / x,
-                               log_density=lambda x: math.log(m) - x - math.log(x),
-                               support=(0.0, math.inf))
+        log_m = math.log(self.m)
+        return Measure(log_density=lambda x: log_m - x - math.log(x),
+                       support=(0.0, math.inf))
 
     def terminal_law(self, t):
         shape = self.m * _positive("t", t)
         c = -math.lgamma(shape)
-        return TerminalLaw(lambda x: c + (shape - 1.0) * math.log(x) - x,
-                           support=(0.0, math.inf))
+        return Measure(log_density=lambda x: c + (shape - 1.0) * math.log(x) - x,
+                       support=(0.0, math.inf))
 
 
 @dataclass(frozen=True)
@@ -378,11 +413,9 @@ class ScaledGamma(LevyModel):
         return self.kappa * g.gamma(self.m * dt, 1.0, size)
 
     def levy_measure(self):
-        m, kappa = self.m, self.kappa
-        return LevyMeasureSpec(kind="Density",
-                               density=lambda x: m * math.exp(-x / kappa) / x,
-                               log_density=lambda x: math.log(m) - x / kappa - math.log(x),
-                               support=(0.0, math.inf))
+        log_m, kappa = math.log(self.m), self.kappa
+        return Measure(log_density=lambda x: log_m - x / kappa - math.log(x),
+                       support=(0.0, math.inf))
 
 
 @dataclass(frozen=True)
@@ -417,12 +450,8 @@ class VarianceGamma(LevyModel):
         return (g.gamma(shape, 1.0, size) - g.gamma(shape, 1.0, size)) / math.sqrt(2.0 * self.m)
 
     def levy_measure(self):
-        m = self.m
-        b = math.sqrt(2.0 * m)
-        return LevyMeasureSpec(kind="Density",
-                               density=lambda x: m * math.exp(-b * abs(x)) / abs(x),
-                               log_density=lambda x: math.log(m) - b * abs(x) - math.log(abs(x)),
-                               support=(-math.inf, math.inf))
+        log_m, b = math.log(self.m), math.sqrt(2.0 * self.m)
+        return Measure(log_density=lambda x: log_m - b * abs(x) - math.log(abs(x)))
 
 
 @dataclass(frozen=True)
@@ -512,7 +541,9 @@ class NegativeBinomial(LevyModel):
         return g.negative_binomial(self.m * dt, 1.0 - self.q, size).astype(float)
 
     def levy_measure(self):
-        return LevyMeasureSpec(kind="PointMasses", atoms=_NBAtoms(self.m, self.q))
+        log_m, log_q = math.log(self.m), math.log(self.q)
+        return Measure(log_weight=lambda n: log_m + n * log_q - math.log(n),
+                       atoms=(1, math.inf))
 
 
 @dataclass(frozen=True)
@@ -542,14 +573,10 @@ class Mirrored(LevyModel):
         return -self.base.increments(dt, size, g)
 
     def levy_measure(self):
-        spec = self.base.levy_measure()
-        f, log_f = spec.density, spec.log_density
-        lo, hi = spec.support
-        return replace(
-            spec, atoms=_NegatedAtoms(spec.atoms),
-            density=None if f is None else lambda x: f(-x),
-            log_density=None if log_f is None else lambda x: log_f(-x),
-            support=(-hi, -lo), drift_p=-spec.drift_p)
+        return self.base.levy_measure().reflected()
+
+    def terminal_law(self, t):
+        return self.base.terminal_law(t).reflected()
 
     def params(self) -> dict:
         return self.base.params()
@@ -571,7 +598,14 @@ _SYMMETRIC = (Brownian, CompoundPoissonNormal, VarianceGamma)
 
 
 def make_model(family: str, params: dict | None = None, **kw) -> LevyModel:
-    """Build a validated model from a family name and parameter mapping."""
+    """Build a validated model from a family name and parameter mapping.
+
+    "Mirrored[<family>]", the name a mirrored model reports, builds the
+    mirror of that family's model from the same parameters.
+    """
+    name = str(family)
+    if name.startswith("Mirrored[") and name.endswith("]"):
+        return mirror(make_model(name[len("Mirrored["):-1], params, **kw))
     if family == "JumpDiffusion":
         raise Unsupported(family, "scalar construction (use multifactor.jump_diffusion)")
     try:

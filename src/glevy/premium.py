@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from scipy import integrate
-
 from .errors import QuadratureFailure, Unsupported
 from .exponents import LevyModel
 
@@ -63,59 +61,32 @@ def premium_identity_check(model: LevyModel, lam: float, sig: float) -> float:
     return (a + b - c) + (d + c - b) - a - d
 
 
-def premium_via_levy_measure(model: LevyModel, lam: float, sig: float,
-                             rtol: float = 1e-10, atol: float = 1e-14) -> float:
+def premium_via_levy_measure(model: LevyModel, lam: float, sig: float) -> float:
     """Numerical R(lam, sig) via the jump-measure representation.
 
-    Independent of the closed-form route: atoms are summed (with truncation at
-    relative tail weight 1e-14), densities integrated by adaptive quadrature.
+    Independent of the closed-form route: atoms are summed (until the
+    estimated tail falls below 1e-14 of the sum), densities integrated by
+    adaptive quadrature.
     """
-    spec = model.levy_measure()
-    total = spec.gaussian_q * lam * sig
+    nu = model.levy_measure()
 
-    def integrand_weight(x: float) -> float:
-        return math.expm1(sig * x) * -math.expm1(-lam * x)
-
-    if spec.kind == "PointMasses":
-        partial = 0.0
-        for x, rate in spec.atoms:
-            term = integrand_weight(x) * rate
-            partial += term
-            if abs(term) < 1e-14 * max(abs(partial), atol):
-                break
-        return total + partial
-
-    lo, hi = spec.support
-    f = spec.density
-    log_f = spec.log_density
-
-    def integrand(x: float) -> float:
+    def integrand(x: float, log_w: float) -> float:
         a, b = sig * x, -lam * x
-        if max(a, b) < 50.0:
+        if a < 50.0 and b < 50.0:
             # Accurate near x = 0 where the factors nearly cancel.
-            return integrand_weight(x) * f(x)
-        # Deep tail: one factor is huge and the density tiny; expand the
-        # product into four exponentials and fold the log-density in, so no
+            return math.expm1(a) * -math.expm1(b) * math.exp(log_w)
+        # Deep tail: one factor is huge and the weight tiny; expand the
+        # product into four exponentials and fold the log-weight in, so no
         # intermediate overflows. In-domain parameters make every exponent
         # tend to -inf here.
-        lf = log_f(x)
-        return (math.exp(a + lf) - math.exp(lf)
-                - math.exp(a + b + lf) + math.exp(b + lf))
+        return (math.exp(a + log_w) - math.exp(log_w)
+                - math.exp(a + b + log_w) + math.exp(b + log_w))
 
-    pieces = []
-    if lo < 0.0:
-        pieces.append((lo, 0.0))
-    if hi > 0.0:
-        pieces.append((0.0, hi))
-    value, err = 0.0, 0.0
-    for a, b in pieces:
-        v, e = integrate.quad(integrand, a, b, epsabs=atol, epsrel=rtol, limit=500)
-        value += v
-        err += e
+    value, err = nu.integrate(integrand, -math.inf, math.inf, breaks=(0.0,))
     if err > 1e-8 * max(abs(value), 1.0):
         raise QuadratureFailure(
             f"premium quadrature error {err:.2e} exceeds tolerance for {model.family}")
-    return total + value
+    return nu.gaussian_q * lam * sig + value
 
 
 def premium_gradient(model: LevyModel, lam: float, sig: float) -> tuple[float, float]:

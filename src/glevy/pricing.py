@@ -99,7 +99,11 @@ def asset_value(spec: GlmSpec, x, t: float):
 
 def expected_asset_price(spec: GlmSpec, t: float) -> float:
     """E[S_t] = s0 e^{(r + R) t} in closed form."""
-    return spec.s0 * math.exp((spec.r + spec.premium) * t)
+    growth = (spec.r + spec.premium) * t
+    try:
+        return spec.s0 * math.exp(growth)
+    except OverflowError:
+        raise ParamOutOfRange("(r + R) t", growth, "E[S_t] overflows a float") from None
 
 
 def _require_f(spec: GlmSpec) -> float:

@@ -164,12 +164,17 @@ def test_criterion_7_martingale_suite():
 def test_criterion_8_option_identifiability():
     opt = g.OptionSpec(strike=1.05, expiry=1.0)
     po = g.dependence_experiment(
-        "Poisson", [(1.0, 0.0), (2.0, math.log(2.0)), (4.0, math.log(4.0))], opt
+        [g.GlmSpec(model=g.Poisson(m=m), r=0.02, lam=lam, sig=0.3)
+         for m, lam in [(1.0, 0.0), (2.0, math.log(2.0)), (4.0, math.log(4.0))]], opt, 1e-10
     )
     ga = g.dependence_experiment(
-        "Gamma", [(1.0, 0.0, 0.4), (1.0, 1.0, 0.8), (1.0, 0.5, 0.6)], opt
+        [g.GlmSpec(model=g.Gamma(m=m), r=0.02, lam=lam, sig=sig)
+         for m, lam, sig in [(1.0, 0.0, 0.4), (1.0, 1.0, 0.8), (1.0, 0.5, 0.6)]], opt, 1e-8
     )
-    br = g.dependence_experiment("Brownian", [0.0, 0.5, 1.0, 2.0], opt)
+    br = g.dependence_experiment(
+        [g.GlmSpec(model=g.Brownian(), r=0.02, lam=lam, sig=0.25)
+         for lam in [0.0, 0.5, 1.0, 2.0]], opt, 1e-10
+    )
     spec = g.GlmSpec(model=g.Brownian(), r=0.02, lam=0.5, sig=0.25)
     bs_gap = abs(
         g.brownian_exact_call(spec, opt)

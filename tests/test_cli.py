@@ -111,6 +111,19 @@ def test_price_option_exact_unsupported_family(tmp_path):
     assert rc == 2
 
 
+def test_price_option_exact_mirrored_poisson(tmp_path):
+    spec = g.GlmSpec(model=g.mirror(g.Poisson(m=1.0)), r=0.02, lam=0.3, sig=0.5)
+    p = tmp_path / "mirrored.json"
+    p.write_text(json.dumps(g.spec_to_dict(spec)))
+    out = tmp_path / "opt.csv"
+    rc = main(["price-option", "--spec", str(p), "--out", str(out),
+               "--strike", "1.05", "--expiry", "1.0", "--method", "exact"])
+    assert rc == 0
+    with open(out) as fh:
+        row = next(csv.DictReader(fh))
+    assert float(row["price"]) == g.exact_call(spec, g.OptionSpec(strike=1.05, expiry=1.0))
+
+
 def test_fx_check_reports_negative_inverse_premium(tmp_path, capsys):
     # sigma < lambda: the inverse-rate premium must come out negative.
     p = tmp_path / "fx.json"
@@ -156,6 +169,18 @@ def test_verify_passes(gamma_spec, capsys):
     assert rc == 0
     assert out["pass"]
     assert all(out["checks"].values())
+
+
+def test_verify_overflowing_expected_price_exits_2(tmp_path, capsys):
+    # R is about 6.5e7 here, so E[S_1] = s0 e^{r + R} overflows a float.
+    p = tmp_path / "cpn.json"
+    p.write_text(json.dumps({
+        "family": "CompoundPoissonNormal", "params": {"m": 1.0, "s": 3.0},
+        "r": 0.02, "lambda": 0.3, "sigma": 2.0,
+    }))
+    assert main(["verify", "--spec", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_bad_spec_exits_2(tmp_path):

@@ -45,12 +45,18 @@ def test_mirrored_asymmetric_vg_has_no_levy_measure():
         g.mirror(g.AsymmetricVG(m=1.5, mu=0.2, s=0.8)).levy_measure()
 
 
-@pytest.mark.parametrize("name", list(FAMILIES))
+LAW_CASES = {**{name: DEFAULT_MODELS[name] for name in FAMILIES},
+             **{f"mirror-{name}": (g.mirror(DEFAULT_MODELS[name][0]), *DEFAULT_MODELS[name][1:])
+                for name in ASYMMETRIC}}
+
+
+@pytest.mark.parametrize("name", list(LAW_CASES))
 def test_family_terminal_law_prices_or_is_unsupported(name):
-    model, lam, sig = DEFAULT_MODELS[name]
+    model, lam, sig = LAW_CASES[name]
     spec = g.GlmSpec(model=model, r=0.02, lam=lam, sig=sig)
     opt = g.OptionSpec(strike=1.05, expiry=1.0)
-    if "terminal_law" not in vars(FAMILIES[name]):
+    # A mirror has a law exactly when its base does.
+    if "terminal_law" not in vars(type(getattr(model, "base", model))):
         with pytest.raises(g.Unsupported):
             g.exact_call(spec, opt)
         return
@@ -58,9 +64,11 @@ def test_family_terminal_law_prices_or_is_unsupported(name):
     assert abs(res.estimate - g.exact_call(spec, opt)) < 4.0 * res.stderr
 
 
-def test_mirrored_poisson_has_no_terminal_law():
-    with pytest.raises(g.Unsupported):
-        g.mirror(g.Poisson(m=1.0)).terminal_law(1.0)
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_mirrored_spec_round_trips(name):
+    model, lam, sig = DEFAULT_MODELS[name]
+    spec = g.GlmSpec(model=g.mirror(model), r=0.02, lam=lam, sig=sig, s0=1.3)
+    assert g.spec_from_dict(g.spec_to_dict(spec)) == spec
 
 
 @pytest.mark.parametrize("name", ["brownian_exact_call", "poisson_exact_call",

@@ -124,15 +124,16 @@ def test_deep_out_of_the_money_is_tiny():
     assert g.gamma_exact_call(spec_g, opt) < 1e-6
 
 
-def _poisson_brute_force(spec, opt):
-    """sum over n <= 200 of P(N_T = n) pi_T(n) (S_T(n) - K)^+, term by term."""
+def _poisson_brute_force(spec, opt, sign=1):
+    """sum over n <= 200 of P(N_T = n) pi_T(x) (S_T(x) - K)^+ at x = sign n,
+    term by term."""
     t = opt.expiry
-    mt = spec.model.m * t
+    mt = spec.model.params()["m"] * t
     total = 0.0
     for n in range(201):
         pmf = math.exp(-mt + n * math.log(mt) - math.lgamma(n + 1))
-        payoff = max(g.asset_value(spec, n, t) - opt.strike, 0.0)
-        total += pmf * g.kernel_value(spec, n, t) * payoff
+        payoff = max(g.asset_value(spec, sign * n, t) - opt.strike, 0.0)
+        total += pmf * g.kernel_value(spec, sign * n, t) * payoff
     return total
 
 
@@ -146,6 +147,37 @@ def test_poisson_exact_matches_brute_force_sum(strike, expiry):
     want = _poisson_brute_force(spec, opt)
     assert want > 0.0
     assert g.exact_call(spec, opt) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("strike,expiry", [(1.7, 1.0), (1.05, 0.05), (2.5, 1.0)])
+def test_mirrored_poisson_deep_out_of_the_money(strike, expiry):
+    # S_T falls with the count N_T, so only the counts up to a bound are in the
+    # money: the reflected lattice must sum those atoms and no others (none at
+    # K = 2.5).
+    spec = g.GlmSpec(model=g.mirror(g.Poisson(m=1.0)), r=0.02, lam=0.3, sig=0.5)
+    opt = g.OptionSpec(strike=strike, expiry=expiry)
+    want = _poisson_brute_force(spec, opt, sign=-1)
+    assert g.exact_call(spec, opt) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_poisson_large_mean_matches_mpmath():
+    # A count law of mean 1e4: the log pmf near the mode is a difference of
+    # terms near 1e5 unless formed without that cancellation.
+    mpmath = pytest.importorskip("mpmath")
+    spec = g.GlmSpec(model=g.Poisson(m=1e4), r=0.02, lam=0.005, sig=0.01)
+    opt = g.OptionSpec(strike=1.0, expiry=1.0)
+    with mpmath.workdps(40):
+        m, lam, sig, r = (mpmath.mpf(v) for v in (1e4, 0.005, 0.01, 0.02))
+        psi = lambda a: m * mpmath.expm1(a)  # noqa: E731
+        log_s_c = r + psi(sig) + psi(-lam) - psi(sig - lam) - psi(sig)
+        log_pi_c = -r - psi(-lam)
+        want = mpmath.mpf(0)
+        for n in range(9000, 11001):  # every count beyond holds < 1e-20 of the price
+            log_s = log_s_c + sig * n
+            if log_s > 0:
+                log_pmf = n * mpmath.log(m) - m - mpmath.loggamma(n + 1)
+                want += mpmath.exp(log_pmf + log_pi_c - lam * n) * mpmath.expm1(log_s)
+        assert abs(g.exact_call(spec, opt) / want - 1) < 1e-13
 
 
 def test_mc_against_exact_oracles():
@@ -183,7 +215,8 @@ def test_kernel_discounts_unit_payoff():
 
 def test_dependence_experiment_brownian():
     opt = g.OptionSpec(strike=1.0, expiry=1.0)
-    out = g.dependence_experiment("Brownian", [0.0, 0.5, 1.0, 2.0], opt)
+    specs = [brownian_spec(lam=lam) for lam in (0.0, 0.5, 1.0, 2.0)]
+    out = g.dependence_experiment(specs, opt, 1e-10)
     assert out["equal_within_tolerance"]
     assert out["spread"] < out["tolerance"]
     assert len(out["rows"]) == 4
@@ -192,14 +225,16 @@ def test_dependence_experiment_brownian():
 def test_dependence_experiment_poisson():
     opt = g.OptionSpec(strike=1.1, expiry=1.0)
     pairs = [(1.0, 0.0), (2.0, math.log(2.0)), (4.0, math.log(4.0))]
-    out = g.dependence_experiment("Poisson", pairs, opt)
+    specs = [g.GlmSpec(model=g.Poisson(m=m), r=0.02, lam=lam, sig=0.3) for m, lam in pairs]
+    out = g.dependence_experiment(specs, opt, 1e-10)
     assert out["equal_within_tolerance"]
 
 
 def test_dependence_experiment_gamma():
     opt = g.OptionSpec(strike=1.05, expiry=1.0)
     triples = [(1.0, 0.0, 0.4), (1.0, 1.0, 0.8), (1.0, 0.6, 0.64)]
-    out = g.dependence_experiment("Gamma", triples, opt)
+    specs = [g.GlmSpec(model=g.Gamma(m=m), r=0.02, lam=lam, sig=sig) for m, lam, sig in triples]
+    out = g.dependence_experiment(specs, opt, 1e-8)
     assert out["equal_within_tolerance"]
 
 

@@ -189,15 +189,13 @@ def test_jump_decomposition_unsupported():
 
 
 def test_measure_atoms():
-    spec = g.Poisson(m=2.0).levy_measure()
-    atoms = list(spec.atoms)
-    assert atoms == [(1.0, 2.0)]
+    nu = g.Poisson(m=2.0).levy_measure()
+    assert (nu.atoms, nu.sign) == ((1, 1), 1)
+    assert math.exp(nu.log_weight(1)) == pytest.approx(2.0, rel=1e-15)
     nb = g.NegativeBinomial(m=1.0, q=0.5).levy_measure()
-    it = iter(nb.atoms)
-    x1, w1 = next(it)
-    x2, w2 = next(it)
-    assert (x1, w1) == (1.0, 0.5)  # m q^1 / 1
-    assert x2 == 2.0 and w2 == pytest.approx(0.125)  # m q^2 / 2
+    assert (nb.atoms, nb.sign) == ((1, math.inf), 1)
+    assert math.exp(nb.log_weight(1)) == pytest.approx(0.5, rel=1e-15)  # m q^1 / 1
+    assert math.exp(nb.log_weight(2)) == pytest.approx(0.125, rel=1e-15)  # m q^2 / 2
 
 
 def test_premium_witness_values():

@@ -142,7 +142,7 @@ class Measure:
                        log_density=None if log_f is None else lambda x: log_f(-x))
 
     def integrate(self, g: Callable[[float, float], float], lo: float, hi: float,
-                  breaks=()) -> tuple[float, float]:
+                  breaks: tuple[float, ...]) -> tuple[float, float]:
         """(value, error estimate) of the integral of g(x, log w(x)) over [lo, hi],
         where w is the weight of the atom at x or the density at x.
 

@@ -107,7 +107,7 @@ def exact_call(glm: GlmSpec, opt: OptionSpec) -> float:
     width = 8.0 * math.sqrt(t * model.psi_second(tilt))
     # S_T(x) exceeds K only beyond the log-moneyness threshold.
     value, err = law.integrate(integrand, (log_k - log_s_c) / sig, math.inf,
-                               breaks=(centre - width, centre + width))
+                               (centre - width, centre + width))
     if err > min(1e-9 * max(abs(value), 1e-3), 1e-8 * max(abs(value), 1e-6)):
         raise QuadratureFailure(f"call quadrature error {err:.2e}")
     return value

@@ -149,13 +149,13 @@ def test_poisson_exact_matches_brute_force_sum(strike, expiry):
     assert g.exact_call(spec, opt) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("strike,expiry", [(1.7, 1.0), (1.05, 0.05), (2.5, 1.0)])
-def test_mirrored_poisson_deep_out_of_the_money(strike, expiry):
-    # S_T falls with the count N_T, so only the counts up to a bound are in the
-    # money: the reflected lattice must sum those atoms and no others (none at
-    # K = 2.5).
+@pytest.mark.parametrize("strike", [1.02, 1.7, 2.5])
+def test_mirrored_poisson_deep_out_of_the_money(strike):
+    # S_1 = 1.73 e^{-N/2} falls with the count N, so only the counts up to a
+    # bound are in the money (N <= 1 at K = 1.02, N = 0 at 1.7, none at 2.5):
+    # the reflected lattice must sum those atoms and no others.
     spec = g.GlmSpec(model=g.mirror(g.Poisson(m=1.0)), r=0.02, lam=0.3, sig=0.5)
-    opt = g.OptionSpec(strike=strike, expiry=expiry)
+    opt = g.OptionSpec(strike=strike, expiry=1.0)
     want = _poisson_brute_force(spec, opt, sign=-1)
     assert g.exact_call(spec, opt) == pytest.approx(want, rel=1e-12, abs=0.0)
 

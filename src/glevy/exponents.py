@@ -110,7 +110,7 @@ def _poisson_log_pmf(n: int, mu: float) -> float:
     """
     if n < 16:
         return n * math.log(mu) - mu - math.lgamma(n + 1.0)
-    nn = n ** -2.0
+    nn = n ** -2.0  # not 1/(n*n): the integer n*n overflows a float beyond n = 1e154
     stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - nn / 1188) * nn) * nn) * nn) / n
     d = n - mu
     return d - n * math.log1p(d / mu) - stirlerr - 0.5 * math.log(2.0 * math.pi * n)

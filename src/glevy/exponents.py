@@ -142,16 +142,17 @@ class Measure:
                        log_density=None if log_f is None else lambda x: log_f(-x))
 
     def integrate(self, g: Callable[[float, float], float], lo: float, hi: float,
-                  breaks: tuple[float, ...]) -> tuple[float, float]:
+                  tilt: float, breaks: tuple[float, ...]) -> tuple[float, float]:
         """(value, error estimate) of the integral of g(x, log w(x)) over [lo, hi],
         where w is the weight of the atom at x or the density at x.
 
-        The atoms in range are summed from the first one. Past the peak of the
-        weights the sum stops once the tail, estimated as the geometric series
-        of the last ratio of terms (a bound when the terms are log-concave),
-        is within 1e-14 of the sum; the estimate is the error. The density is
-        integrated by adaptive quadrature over the pieces into which breaks
-        cut [lo, hi].
+        The atoms in range are summed from the first one. The caller picks tilt
+        so that w(x) e^{tilt x} grows and falls with the size of its terms.
+        Past the peak of that tilted weight the sum stops once the tail,
+        estimated as the geometric series of the last ratio of terms (a bound
+        when the terms are log-concave), is within 1e-14 of the sum; the
+        estimate is the error. The density is integrated by adaptive
+        quadrature over the pieces into which breaks cut [lo, hi].
         """
         value = err = 0.0
         if self.log_weight is not None:
@@ -163,18 +164,19 @@ class Measure:
             for n in range(start, start + _MAX_TERMS):
                 if n > last:
                     break
+                x = sign * n
                 log_w = log_weight(n)
-                term = g(sign * n, log_w)
+                term = g(x, log_w)
                 value += term
                 # size^2 / (prev - size) is the geometric tail of the last
                 # ratio of terms; it is negative while the terms rise. Before
-                # the peak of the weights a run of underflowed terms must not
-                # stop the sum.
-                size = abs(term)
-                if log_w < prev_w and size * size <= _SERIES_RTOL * abs(value) * (prev - size):
+                # the peak of the tilted weight a run of underflowed terms
+                # must not stop the sum: the terms may still rise.
+                size, tilted = abs(term), log_w + tilt * x
+                if tilted < prev_w and size * size <= _SERIES_RTOL * abs(value) * (prev - size):
                     err = size * size / (prev - size) if size else 0.0
                     break
-                prev_w, prev = log_w, size
+                prev_w, prev = tilted, size
             else:
                 raise QuadratureFailure(f"atom series not converged in {_MAX_TERMS} terms")
         log_f = self.log_density

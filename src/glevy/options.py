@@ -96,18 +96,21 @@ def exact_call(glm: GlmSpec, opt: OptionSpec) -> float:
             return math.exp(log_w) * (math.exp(log_s) - strike)
         return math.exp(log_w + log_s) - strike * math.exp(log_w)
 
-    # Breakpoints 8 standard deviations either side of the centre of the law
-    # tilted by pi_T S_T put the bulk of the mass in a finite piece whatever
-    # its width: a short expiry leaves it too narrow for quad's first nodes on
-    # a long or infinite piece, which then return 0 with a tiny error.
-    # They also keep an edge singularity (gamma shape below 1) out of the
-    # infinite-range transform.
+    # The law tilted by pi_T S_T, whose weights grow and fall with the terms.
     tilt = sig - lam
-    centre = t * model.psi_prime(tilt)
-    width = 8.0 * math.sqrt(t * model.psi_second(tilt))
+    breaks = ()
+    if law.log_density is not None:
+        # Breakpoints 8 standard deviations either side of the centre of the
+        # tilted law put the bulk of the mass in a finite piece whatever its
+        # width: a short expiry leaves it too narrow for quad's first nodes on
+        # a long or infinite piece, which then return 0 with a tiny error.
+        # They also keep an edge singularity (gamma shape below 1) out of the
+        # infinite-range transform.
+        centre = t * model.psi_prime(tilt)
+        width = 8.0 * math.sqrt(t * model.psi_second(tilt))
+        breaks = (centre - width, centre + width)
     # S_T(x) exceeds K only beyond the log-moneyness threshold.
-    value, err = law.integrate(integrand, (log_k - log_s_c) / sig, math.inf,
-                               (centre - width, centre + width))
+    value, err = law.integrate(integrand, (log_k - log_s_c) / sig, math.inf, tilt, breaks)
     if err > min(1e-9 * max(abs(value), 1e-3), 1e-8 * max(abs(value), 1e-6)):
         raise QuadratureFailure(f"call quadrature error {err:.2e}")
     return value

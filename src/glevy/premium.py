@@ -82,7 +82,9 @@ def premium_via_levy_measure(model: LevyModel, lam: float, sig: float) -> float:
         return (math.exp(a + log_w) - math.exp(log_w)
                 - math.exp(a + b + log_w) + math.exp(b + log_w))
 
-    value, err = nu.integrate(integrand, -math.inf, math.inf, (0.0,))
+    # Tilt 0: a jump measure's atom weights fall from its first atom on, and
+    # a term here underflows only when the whole sum is near underflow.
+    value, err = nu.integrate(integrand, -math.inf, math.inf, 0.0, (0.0,))
     if err > 1e-8 * max(abs(value), 1.0):
         raise QuadratureFailure(
             f"premium quadrature error {err:.2e} exceeds tolerance for {model.family}")

@@ -160,6 +160,24 @@ def test_mirrored_poisson_deep_out_of_the_money(strike):
     assert g.exact_call(spec, opt) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("m, sig", [(1000.0, 1.6), (100.0, 3.15), (1.0, 8.0)])
+def test_poisson_call_past_the_mode_matches_tilted_law(m, sig):
+    # The first in-the-money count lies far past the pmf's mode, where every
+    # pmf term underflows, but short of the mode m e^sig of the law tilted by
+    # pi_T S_T, which holds nearly all of the price: the series must not stop
+    # on the underflowed terms. With lam = 0, pi_T = e^{-r} and
+    # E[pi_T (S_T - K)^+] = P(N' >= n) - K e^{-r} P(N >= n), N' ~ Poisson(m e^sig).
+    stats = pytest.importorskip("scipy.stats")
+    r = 0.02
+    spec = g.GlmSpec(model=g.Poisson(m=m), r=r, lam=0.0, sig=sig)
+    opt = g.OptionSpec(strike=1.0, expiry=1.0)
+    n = math.floor((m * math.expm1(sig) - r) / sig) + 1  # first count with S_1 > 1
+    want = (stats.poisson.sf(n - 1, m * math.exp(sig))
+            - math.exp(-r) * stats.poisson.sf(n - 1, m))
+    assert want > 0.99
+    assert g.exact_call(spec, opt) == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
 def test_poisson_large_mean_matches_mpmath():
     # A count law of mean 1e4: the log pmf near the mode is a difference of
     # terms near 1e5 unless formed without that cancellation.

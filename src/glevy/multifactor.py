@@ -6,12 +6,18 @@ premium and the kernel/asset exponentials all separate into per-component
 sums. Coefficient schedules are deterministic, bounded and piecewise constant
 (right-continuous), which keeps the compensated exponential an honest
 martingale and makes the stochastic integral an exact finite sum.
+
+A `Schedule` holds read-only copies of its arrays, so it cannot change after it
+has been checked. The domain check, the grid check and the per-step
+coefficients and drifts are computed once per (model, schedule, grid) and kept
+on the schedule for the next call with the same pair. `submartingale_check`
+streams its draws: it keeps running sums, O(n) in memory for n paths.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -121,25 +127,28 @@ def vector_asset_value(vglm: VectorGlm, x, t: float):
     return np.exp(log_s)[()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
     """Piecewise-constant coefficients on [t_0=0, t_K]; right-continuous.
 
     breakpoints has K+1 entries for K intervals; r has K entries; lam and sig
     are K x ncomp. Evaluation beyond the last breakpoint extends the final
-    interval's coefficients.
+    interval's coefficients. The arrays are read-only copies of the inputs,
+    and two schedules are equal when their arrays are.
     """
 
     breakpoints: np.ndarray
     r: np.ndarray
     lam: np.ndarray
     sig: np.ndarray
+    # (vglm, grid, plan) of the last path built on this schedule; see _plan.
+    _memo: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        r = np.asarray(self.r, dtype=float)
-        lam = np.atleast_2d(np.asarray(self.lam, dtype=float))
-        sig = np.atleast_2d(np.asarray(self.sig, dtype=float))
+        bp = np.array(self.breakpoints, dtype=float)
+        r = np.array(self.r, dtype=float)
+        lam = np.array(self.lam, dtype=float, ndmin=2)
+        sig = np.array(self.sig, dtype=float, ndmin=2)
         if not all(np.isfinite(a).all() for a in (bp, r, lam, sig)):
             raise ParamOutOfRange("schedule", (bp, r, lam, sig), "must be finite")
         if bp[0] != 0.0 or np.any(np.diff(bp) <= 0.0):
@@ -151,10 +160,15 @@ class Schedule:
         if lam.shape != sig.shape:
             raise ParamOutOfRange("schedule", (lam.shape, sig.shape),
                                   "lam and sig must have equal shapes")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "sig", sig)
+        for name, a in (("breakpoints", bp), ("r", r), ("lam", lam), ("sig", sig)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    def __eq__(self, other):
+        if not isinstance(other, Schedule):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in ("breakpoints", "r", "lam", "sig"))
 
     @property
     def n_intervals(self) -> int:
@@ -215,45 +229,39 @@ def _require_refining_grid(times: np.ndarray, schedule: Schedule) -> np.ndarray:
     return np.clip(np.searchsorted(bp, times[:-1], side="right") - 1, 0, schedule.n_intervals - 1)
 
 
-def _schedule_log_values(vglm: VectorGlm, schedule: Schedule, times: np.ndarray,
-                         comp_values: list[np.ndarray], which: str) -> np.ndarray:
-    """Log asset ("sigma") or log kernel ("lambda") values on the grid.
+def _plan(vglm: VectorGlm, schedule: Schedule, times: np.ndarray) -> dict:
+    """What the log asset ("sigma") and log kernel ("lambda") values need on
+    a grid refining the schedule: per side, the coefficient and the drift*dt
+    of each grid step (one row per component), the log value at 0 and the
+    signed integral of r up to each grid point.
 
-    comp_values is one (n_paths, len(times)) matrix per component with
-    X_0 = 0. The stochastic integral of a piecewise-constant coefficient is
-    the exact finite sum of coefficient times driver increment per grid step.
+    The schedule keeps the plan of the last (vglm, grid) pair, matched by
+    value, so repeated paths on one pair check and compute it once.
     """
-    schedule.validate_against([c.model for c in vglm.components])
+    memo = schedule._memo
+    if memo is not None and memo[0] == vglm and np.array_equal(memo[1], times):
+        return memo[2]
+    models = [c.model for c in vglm.components]
+    schedule.validate_against(models)
     idx = _require_refining_grid(times, schedule)
     dt = np.diff(times)
-    n_paths = comp_values[0].shape[0]
-
-    log_vals = np.zeros((n_paths, len(times)))
-    for i, c in enumerate(vglm.components):
-        dx = np.diff(comp_values[i], axis=1)
-        if which == "sigma":
-            coef = schedule.sig[idx, i]
-            # Per-interval deterministic rates, looked up per grid step.
-            drift_k = np.array([
-                risk_premium(c.model, schedule.lam[k, i], schedule.sig[k, i])
-                - c.model.psi(schedule.sig[k, i])
-                for k in range(schedule.n_intervals)])
-        else:
-            coef = -schedule.lam[idx, i]
-            drift_k = np.array([-c.model.psi(-schedule.lam[k, i])
-                                for k in range(schedule.n_intervals)])
-        log_vals[:, 1:] += np.cumsum(coef * dx + drift_k[idx] * dt, axis=1)
-
-    r_step = schedule.r[idx] * dt
-    if which == "sigma":
-        log_vals += math.log(vglm.s0)
-        log_vals[:, 1:] += np.cumsum(r_step)
-    else:
-        log_vals[:, 1:] -= np.cumsum(r_step)
-    return log_vals
+    cum_r = np.concatenate(([0.0], np.cumsum(schedule.r[idx] * dt)))
+    lam, sig, intervals = schedule.lam, schedule.sig, range(schedule.n_intervals)
+    # Per-interval deterministic rates (interval x component), looked up per grid step.
+    asset = np.array([[risk_premium(m, lam[k, i], sig[k, i]) - m.psi(sig[k, i])
+                       for i, m in enumerate(models)] for k in intervals])
+    kernel = np.array([[-m.psi(-lam[k, i]) for i, m in enumerate(models)] for k in intervals])
+    plan = {"sigma": (sig[idx].T, asset[idx].T * dt, math.log(vglm.s0), cum_r),
+            "lambda": (-lam[idx].T, kernel[idx].T * dt, 0.0, -cum_r)}
+    object.__setattr__(schedule, "_memo", (vglm, times.copy(), plan))
+    return plan
 
 
-def _driver_matrix(vglm: VectorGlm, driver_paths) -> tuple[np.ndarray, list[np.ndarray]]:
+def _schedule_path(vglm: VectorGlm, schedule: Schedule, driver_paths, which: str) -> PricePath:
+    """Asset ("sigma") or kernel ("lambda") path on the drivers' grid. The
+    stochastic integral of a piecewise-constant coefficient is the exact
+    finite sum of coefficient times driver increment per grid step.
+    """
     ncomp = len(vglm.components)
     if len(driver_paths) != ncomp:
         raise ParamOutOfRange("driver_paths", len(driver_paths),
@@ -262,21 +270,22 @@ def _driver_matrix(vglm: VectorGlm, driver_paths) -> tuple[np.ndarray, list[np.n
     for p in driver_paths[1:]:
         if not np.array_equal(np.asarray(p.times), times):
             raise GridMismatch("driver paths must share one grid")
-    return times, [np.asarray(p.values, dtype=float)[None, :] for p in driver_paths]
+    coef, drift_dt, log0, cum_r = _plan(vglm, schedule, times)[which]
+    log_vals = np.zeros(len(times))
+    for i, p in enumerate(driver_paths):
+        dx = np.diff(np.asarray(p.values, dtype=float))
+        log_vals[1:] += np.cumsum(coef[i] * dx + drift_dt[i])
+    return PricePath(times, np.exp(log_vals + log0 + cum_r))
 
 
 def schedule_asset_path(vglm: VectorGlm, schedule: Schedule, driver_paths) -> PricePath:
     """Price path S_t under the coefficient schedule, on the drivers' grid."""
-    times, comp_values = _driver_matrix(vglm, driver_paths)
-    log_vals = _schedule_log_values(vglm, schedule, times, comp_values, "sigma")
-    return PricePath(times, np.exp(log_vals[0]))
+    return _schedule_path(vglm, schedule, driver_paths, "sigma")
 
 
 def schedule_kernel_path(vglm: VectorGlm, schedule: Schedule, driver_paths) -> PricePath:
     """Pricing kernel path pi_t under the coefficient schedule."""
-    times, comp_values = _driver_matrix(vglm, driver_paths)
-    log_vals = _schedule_log_values(vglm, schedule, times, comp_values, "lambda")
-    return PricePath(times, np.exp(log_vals[0]))
+    return _schedule_path(vglm, schedule, driver_paths, "lambda")
 
 
 def integrated_premium(vglm: VectorGlm, schedule: Schedule, s: float, t: float) -> float:
@@ -311,21 +320,20 @@ def submartingale_check(vglm: VectorGlm, schedule: Schedule, s: float, t: float,
     j_s = int(np.argmin(np.abs(grid - s)))
     b_s, b_t = money_market(schedule, s), money_market(schedule, t)
 
-    comp_values = []
-    dts = np.diff(grid)
+    coef, drift_dt, log0, cum_r = _plan(vglm, schedule, grid)["sigma"]
+    log_s, log_t = np.zeros(n), np.zeros(n)
     for i, c in enumerate(vglm.components):
         sub = rng.spawn(i)
-        # Increments sampled per step (one row each) of the irregular grid, exact in law.
-        inc = np.empty((len(dts), n))
-        for j, dtj in enumerate(dts):
-            inc[j] = sample_increments(c.model, float(dtj), n, sub)
-        vals = np.zeros((n, len(grid)))
-        np.cumsum(inc.T, axis=1, out=vals[:, 1:])
-        comp_values.append(vals)
-
-    log_s_vals = _schedule_log_values(vglm, schedule, grid, comp_values, "sigma")
-    ratios_s = np.exp(log_s_vals[:, j_s]) / b_s
-    ratios_t = np.exp(log_s_vals[:, -1]) / b_t
+        # Increments drawn per step of the irregular grid, exact in law; only
+        # the running log-value sum and its value at s are kept.
+        acc = np.zeros(n)
+        for j, dtj in enumerate(np.diff(grid)):
+            acc += coef[i, j] * sample_increments(c.model, float(dtj), n, sub) + drift_dt[i, j]
+            if j + 1 == j_s:
+                log_s += acc
+        log_t += acc
+    ratios_s = np.exp(log_s + log0 + cum_r[j_s]) / b_s
+    ratios_t = np.exp(log_t + log0 + cum_r[-1]) / b_t
 
     mean_s, mean_t = ratios_s.mean(), ratios_t.mean()
     se_s = ratios_s.std(ddof=1) / math.sqrt(n)

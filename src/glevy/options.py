@@ -109,8 +109,14 @@ def exact_call(glm: GlmSpec, opt: OptionSpec) -> float:
         centre = t * model.psi_prime(tilt)
         width = 8.0 * math.sqrt(t * model.psi_second(tilt))
         breaks = (centre - width, centre + width)
-    # S_T(x) exceeds K only beyond the log-moneyness threshold.
-    value, err = law.integrate(integrand, (log_k - log_s_c) / sig, math.inf, tilt, breaks)
+    # S_T(x) exceeds K only beyond the log-moneyness threshold. Past 2^53 no
+    # atom series can start (integers stop being distinct doubles), and the
+    # laws here put no mass there: S_T is deterministic and the call is worth
+    # its limit.
+    x_k = (log_k - log_s_c) / sig
+    if strike > 0.0 and not abs(x_k) < 2.0**53:
+        return max(glm.s0 - strike * math.exp(-glm.r * t), 0.0)
+    value, err = law.integrate(integrand, x_k, math.inf, tilt, breaks)
     if err > min(1e-9 * max(abs(value), 1e-3), 1e-8 * max(abs(value), 1e-6)):
         raise QuadratureFailure(f"call quadrature error {err:.2e}")
     return value
@@ -130,6 +136,8 @@ def dependence_experiment(specs, opt: OptionSpec, tol: float) -> dict:
     """
     rows = [{"params": {**glm.model.params(), "lambda": glm.lam, "sigma": glm.sig},
              "price": exact_call(glm, opt)} for glm in specs]
+    if not rows:
+        raise ParamOutOfRange("specs", specs, "must be nonempty")
     prices = [row["price"] for row in rows]
     spread = max(prices) - min(prices)
     return {"strike": opt.strike, "expiry": opt.expiry,

@@ -124,6 +124,20 @@ def test_price_option_exact_mirrored_poisson(tmp_path):
     assert float(row["price"]) == g.exact_call(spec, g.OptionSpec(strike=1.05, expiry=1.0))
 
 
+@pytest.mark.parametrize("sig", [1e-300, 1e-310])
+def test_price_option_exact_vanishing_sigma(tmp_path, sig):
+    spec = g.GlmSpec(model=g.Poisson(m=1.0), r=0.0, lam=0.3, sig=sig)
+    p = tmp_path / "tiny_sigma.json"
+    p.write_text(json.dumps(g.spec_to_dict(spec)))
+    out = tmp_path / "opt.csv"
+    rc = main(["price-option", "--spec", str(p), "--out", str(out),
+               "--strike", "2.0", "--expiry", "1.0", "--method", "exact"])
+    assert rc == 0
+    with open(out) as fh:
+        row = next(csv.DictReader(fh))
+    assert float(row["price"]) == 0.0
+
+
 def test_fx_check_reports_negative_inverse_premium(tmp_path, capsys):
     # sigma < lambda: the inverse-rate premium must come out negative.
     p = tmp_path / "fx.json"

@@ -312,3 +312,166 @@ def test_submartingale_check_rejects_bad_input(s, t, n):
     vglm = g.VectorGlm(components=(g.Component(g.Gamma(m=1.0), 0.4, 0.3),), r=0.02)
     with pytest.raises(g.ParamOutOfRange):
         g.submartingale_check(vglm, make_schedule(), s, t, n=n, rng=g.Rng(1))
+
+
+def test_schedule_equality_compares_arrays_by_value():
+    a, b = make_schedule(), make_schedule()
+    assert (a == b) is True
+    assert (a != b) is False
+    assert a != g.Schedule(breakpoints=[0.0, 1.0, 2.0], r=[0.02, 0.05],
+                           lam=[[0.4], [0.6]], sig=[[0.3], [0.5]])
+    assert a != g.Schedule(breakpoints=[0.0, 2.0], r=[0.02], lam=[[0.4]], sig=[[0.3]])
+    assert a != a.to_dict()
+    # The plan a path leaves on the schedule takes no part in == or repr.
+    vglm = g.VectorGlm(components=(g.Component(g.Gamma(m=1.0), 0.4, 0.3),), r=0.02)
+    g.schedule_asset_path(vglm, a, [g.simulate_path(g.Gamma(m=1.0), 2.0, 8, g.Rng(4))])
+    assert a == b
+    assert repr(a) == repr(b)
+
+
+def test_schedule_copies_its_arrays_read_only():
+    bp, r = np.array([0.0, 1.0, 2.0]), np.array([0.02, 0.04])
+    lam, sig = np.array([[0.4], [0.6]]), np.array([[0.3], [0.5]])
+    sch = g.Schedule(breakpoints=bp, r=r, lam=lam, sig=sig)
+    for a in (bp, r, lam, sig):
+        a[-1] += 1.0
+    assert sch == make_schedule()
+    for a in (sch.breakpoints, sch.r, sch.lam, sch.sig):
+        with pytest.raises(ValueError):
+            a[-1] = 5.0
+    assert sch == make_schedule()
+
+
+def test_schedule_paths_follow_the_model_across_plan_switches():
+    # One schedule serves A, then B, then A again: each call gives the paths a
+    # fresh schedule gives for its own model.
+    sch = make_schedule()
+    a = g.VectorGlm(components=(g.Component(g.Gamma(m=1.0), 0.4, 0.3),), r=0.02)
+    b = g.VectorGlm(components=(g.Component(g.Gamma(m=2.0), 0.4, 0.3),), r=0.02, s0=2.0)
+    driver = g.simulate_path(g.Gamma(m=1.0), horizon=2.0, steps=8, rng=g.Rng(3))
+    for fn in (g.schedule_asset_path, g.schedule_kernel_path):
+        assert not np.array_equal(fn(a, make_schedule(), [driver]).values,
+                                  fn(b, make_schedule(), [driver]).values)
+    for vglm in (a, b, a):
+        for fn in (g.schedule_asset_path, g.schedule_kernel_path):
+            want = fn(vglm, make_schedule(), [driver]).values
+            assert np.array_equal(fn(vglm, sch, [driver]).values, want)
+
+
+def test_grid_mismatch_raises_after_a_good_grid():
+    model = g.Gamma(m=1.0)
+    vglm = g.VectorGlm(components=(g.Component(model, 0.4, 0.3),), r=0.02)
+    sch = make_schedule()
+    good = g.simulate_path(model, horizon=2.0, steps=8, rng=g.Rng(4))
+    bad = g.simulate_path(model, horizon=2.0, steps=3, rng=g.Rng(4))
+    g.schedule_asset_path(vglm, sch, [good])
+    g.schedule_kernel_path(vglm, sch, [good])
+    for fn in (g.schedule_asset_path, g.schedule_kernel_path):
+        with pytest.raises(g.GridMismatch):
+            fn(vglm, sch, [bad])
+
+
+def test_domain_violation_raises_after_another_model_passed():
+    # sig = 1.2 lies in the Brownian domain but outside the gamma one (alpha < 1).
+    sch = g.Schedule(breakpoints=[0.0, 1.0], r=[0.02], lam=[[0.5]], sig=[[1.2]])
+    brownian = g.VectorGlm(components=(g.Component(g.Brownian(), 0.5, 1.2),), r=0.02)
+    gamma = g.VectorGlm(components=(g.Component(g.Gamma(m=1.0), 0.4, 0.3),), r=0.02)
+    driver = g.simulate_path(g.Brownian(), horizon=1.0, steps=4, rng=g.Rng(5))
+    g.schedule_asset_path(brownian, sch, [driver])
+    for fn in (g.schedule_asset_path, g.schedule_kernel_path):
+        with pytest.raises(g.DomainViolation):
+            fn(gamma, sch, [driver])
+    with pytest.raises(g.DomainViolation):
+        g.submartingale_check(gamma, sch, 0.5, 1.0, n=100, rng=g.Rng(1))
+
+
+def test_repeated_schedule_paths_evaluate_psi_once(monkeypatch):
+    model = g.Gamma(m=1.0)
+    vglm = g.VectorGlm(components=(g.Component(model, 0.4, 0.3),), r=0.02)
+    sch = make_schedule()
+    driver = g.simulate_path(model, horizon=2.0, steps=8, rng=g.Rng(6))
+    calls = []
+    psi = g.Gamma.psi
+
+    def counting_psi(self, alpha):
+        calls.append(alpha)
+        return psi(self, alpha)
+
+    monkeypatch.setattr(g.Gamma, "psi", counting_psi)
+    g.schedule_asset_path(vglm, sch, [driver])
+    first = len(calls)
+    assert first > 0
+    for _ in range(99):
+        g.schedule_asset_path(vglm, sch, [driver])
+    for _ in range(100):
+        g.schedule_kernel_path(vglm, sch, [driver])
+    assert len(calls) == first
+
+
+class _RecordingRng(g.Rng):
+    """An Rng that keeps every substream it hands out."""
+
+    def spawn(self, k):
+        child = super().spawn(k)
+        self.__dict__.setdefault("children", []).append(child)
+        return child
+
+
+def _matrix_submartingale_check(vglm, sch, s, t, n, rng, steps_per_year=32):
+    """Reference: the check with every increment, driver value and log value
+    held as a (grid x n) matrix, drawn in the same order from the same
+    substreams."""
+    steps = max(int(round(t * steps_per_year)), 4)
+    grid = np.unique(np.concatenate([np.linspace(0.0, t, steps + 1),
+                                     sch.breakpoints[sch.breakpoints <= t + 1e-12], [s, t]]))
+    j_s = int(np.argmin(np.abs(grid - s)))
+    dt = np.diff(grid)
+    idx = np.array([sch.interval_of(x) for x in grid[:-1]])
+    log_vals = np.zeros((n, len(grid)))
+    for i, c in enumerate(vglm.components):
+        sub = rng.spawn(i)
+        inc = np.array([g.sample_increments(c.model, float(d), n, sub) for d in dt])
+        values = np.zeros((n, len(grid)))
+        values[:, 1:] = np.cumsum(inc.T, axis=1)
+        drift = np.array([g.risk_premium(c.model, sch.lam[k, i], sch.sig[k, i])
+                          - c.model.psi(sch.sig[k, i]) for k in idx])
+        log_vals[:, 1:] += np.cumsum(sch.sig[idx, i] * np.diff(values, axis=1) + drift * dt,
+                                     axis=1)
+    log_vals += math.log(vglm.s0)
+    log_vals[:, 1:] += np.cumsum(sch.r[idx] * dt)
+    ratio_s = np.exp(log_vals[:, j_s]) / g.money_market(sch, s)
+    ratio_t = np.exp(log_vals[:, -1]) / g.money_market(sch, t)
+    return {"mean_s": ratio_s.mean(), "stderr_s": ratio_s.std(ddof=1) / math.sqrt(n),
+            "mean_t": ratio_t.mean(), "stderr_t": ratio_t.std(ddof=1) / math.sqrt(n),
+            "observed_ratio": ratio_t.mean() / ratio_s.mean()}
+
+
+def _benchmark_schedule(name):
+    """The Brownian, Poisson and Gamma schedules of acceptance criterion 11 on
+    [0.5, 3], and a two-component jump diffusion on [0.5, 2]."""
+    if name == "JumpDiffusion":
+        vglm = g.jump_diffusion(m=1.0, s=0.3, lam=0.3, sig=0.2, beta=0.5, theta=0.4, r=0.02)
+        sch = g.Schedule(breakpoints=[0.0, 1.0, 2.0], r=[0.02, 0.03],
+                         lam=[[0.3, 0.5], [0.4, 0.6]], sig=[[0.2, 0.4], [0.3, 0.3]])
+        return vglm, sch, 2.0
+    model = {"Brownian": g.Brownian(), "Poisson": g.Poisson(m=1.0), "Gamma": g.Gamma(m=1.0)}[name]
+    vglm = g.VectorGlm(components=(g.Component(model, 0.4, 0.3),), r=0.02, s0=2.0)
+    sch = g.Schedule(breakpoints=[0.0, 1.0, 2.0, 3.0], r=[0.02, 0.04, 0.03],
+                     lam=[[0.4], [0.6], [0.3]], sig=[[0.3], [0.5], [0.2]])
+    return vglm, sch, 3.0
+
+
+@pytest.mark.parametrize("name", ["Brownian", "Poisson", "Gamma", "JumpDiffusion"])
+def test_submartingale_check_matches_matrix_reference(name):
+    vglm, sch, t = _benchmark_schedule(name)
+    rng, ref_rng = _RecordingRng(71), _RecordingRng(71)
+    out = g.submartingale_check(vglm, sch, 0.5, t, n=2000, rng=rng)
+    ref = _matrix_submartingale_check(vglm, sch, 0.5, t, 2000, ref_rng)
+    for key, want in ref.items():
+        assert out[key] == pytest.approx(want, rel=1e-13, abs=0.0), key
+    # Same substreams, each left at the same position (the next draws agree),
+    # and the stream itself untouched.
+    assert [c.spawn_key for c in rng.children] == [c.spawn_key for c in ref_rng.children]
+    assert ([c.generator.random(4).tolist() for c in rng.children]
+            == [c.generator.random(4).tolist() for c in ref_rng.children])
+    assert rng.generator.random(4).tolist() == g.Rng(71).generator.random(4).tolist()

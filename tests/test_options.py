@@ -256,6 +256,25 @@ def test_dependence_experiment_gamma():
     assert out["equal_within_tolerance"]
 
 
+def test_dependence_experiment_rejects_empty_specs():
+    with pytest.raises(g.ParamOutOfRange):
+        g.dependence_experiment([], g.OptionSpec(strike=1.0, expiry=1.0), 1e-10)
+
+
+@pytest.mark.parametrize("sig", [1e-300, 1e-310])
+@pytest.mark.parametrize("strike", [2.0, 0.5])
+@pytest.mark.parametrize("model", [g.Poisson(m=1.0), g.mirror(g.Poisson(m=1.0)), g.Gamma(m=1.0)],
+                         ids=["Poisson", "Mirrored[Poisson]", "Gamma"])
+def test_vanishing_volatility_prices_the_degenerate_limit(model, strike, sig):
+    # The log-moneyness threshold (log K - log s_c)/sig lies past 2^53 (or
+    # overflows): S_T is deterministic at double precision and the call is
+    # worth (s0 - K e^{-rT})^+.
+    spec = g.GlmSpec(model=model, r=0.02, lam=0.3, sig=sig)
+    want = max(1.0 - strike * math.exp(-0.02), 0.0)
+    price = g.exact_call(spec, g.OptionSpec(strike=strike, expiry=1.0))
+    assert price == pytest.approx(want, rel=1e-12)
+
+
 def test_option_spec_validation():
     with pytest.raises(g.ParamOutOfRange):
         g.OptionSpec(strike=-1.0, expiry=1.0)

@@ -180,6 +180,13 @@ def test_grid_mismatch_raises():
     driver = g.simulate_path(model, horizon=2.0, steps=3, rng=g.Rng(4))
     with pytest.raises(g.GridMismatch):
         g.schedule_asset_path(vglm, sch, [driver])
+    # Also right after the schedule has planned paths on a good grid.
+    good = g.simulate_path(model, horizon=2.0, steps=8, rng=g.Rng(4))
+    g.schedule_asset_path(vglm, sch, [good])
+    g.schedule_kernel_path(vglm, sch, [good])
+    for fn in (g.schedule_asset_path, g.schedule_kernel_path):
+        with pytest.raises(g.GridMismatch):
+            fn(vglm, sch, [driver])
 
 
 @pytest.mark.parametrize("times", [
@@ -356,19 +363,6 @@ def test_schedule_paths_follow_the_model_across_plan_switches():
         for fn in (g.schedule_asset_path, g.schedule_kernel_path):
             want = fn(vglm, make_schedule(), [driver]).values
             assert np.array_equal(fn(vglm, sch, [driver]).values, want)
-
-
-def test_grid_mismatch_raises_after_a_good_grid():
-    model = g.Gamma(m=1.0)
-    vglm = g.VectorGlm(components=(g.Component(model, 0.4, 0.3),), r=0.02)
-    sch = make_schedule()
-    good = g.simulate_path(model, horizon=2.0, steps=8, rng=g.Rng(4))
-    bad = g.simulate_path(model, horizon=2.0, steps=3, rng=g.Rng(4))
-    g.schedule_asset_path(vglm, sch, [good])
-    g.schedule_kernel_path(vglm, sch, [good])
-    for fn in (g.schedule_asset_path, g.schedule_kernel_path):
-        with pytest.raises(g.GridMismatch):
-            fn(vglm, sch, [bad])
 
 
 def test_domain_violation_raises_after_another_model_passed():

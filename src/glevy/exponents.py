@@ -562,14 +562,25 @@ class Mirrored(LevyModel):
     def domain(self) -> Interval:
         return self.base.domain.mirrored()
 
+    # The base checks -alpha; its domain error is re-raised naming the
+    # caller's alpha and this model's domain.
     def psi(self, alpha):
-        return self.base.psi(-float(alpha))
+        try:
+            return self.base.psi(-float(alpha))
+        except DomainViolation:
+            raise DomainViolation(float(alpha), self.domain) from None
 
     def psi_prime(self, alpha):
-        return -self.base.psi_prime(-float(alpha))
+        try:
+            return -self.base.psi_prime(-float(alpha))
+        except DomainViolation:
+            raise DomainViolation(float(alpha), self.domain) from None
 
     def psi_second(self, alpha):
-        return self.base.psi_second(-float(alpha))
+        try:
+            return self.base.psi_second(-float(alpha))
+        except DomainViolation:
+            raise DomainViolation(float(alpha), self.domain) from None
 
     def increments(self, dt, size, g):
         return -self.base.increments(dt, size, g)

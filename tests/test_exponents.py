@@ -274,3 +274,22 @@ def test_mirror_involution():
         assert mm.psi(a) == pytest.approx(base.psi(a), rel=1e-15)
     assert mm.domain.lower == base.domain.lower
     assert mm.domain.upper == base.domain.upper
+
+
+ASYMMETRIC = ["Poisson", "Gamma", "ScaledGamma", "AsymmetricVG", "NegativeBinomial"]
+
+
+@pytest.mark.parametrize("name", ASYMMETRIC)
+@pytest.mark.parametrize("method", ["psi", "psi_prime", "psi_second"])
+def test_mirror_domain_violation_names_the_callers_argument(name, method):
+    mm = g.mirror(DEFAULT_MODELS[name][0])
+    dom = mm.domain
+    outside = [math.nan, math.inf, -math.inf]
+    outside += [a for a in (dom.lower - 0.5, dom.upper + 0.5) if math.isfinite(a)]
+    for alpha in outside:
+        with pytest.raises(g.DomainViolation) as info:
+            getattr(mm, method)(alpha)
+        e = info.value
+        assert e.interval == dom
+        assert e.alpha == alpha or (math.isnan(alpha) and math.isnan(e.alpha))
+        assert str(e) == f"alpha={alpha} outside admissible interval {dom}"

@@ -7,24 +7,25 @@ sums. Coefficient schedules are deterministic, bounded and piecewise constant
 (right-continuous), which keeps the compensated exponential an honest
 martingale and makes the stochastic integral an exact finite sum.
 
-A `Schedule` holds read-only copies of its arrays, so it cannot change after it
-has been checked. The domain check, the grid check and the per-step
-coefficients and drifts are computed once per (model, schedule, grid) and kept
-on the schedule for the next call with the same pair. `submartingale_check`
-streams its draws: it keeps running sums, O(n) in memory for n paths.
+Each component, and each (interval, component) cell of a schedule, is a
+`pricing.Component`. A `Schedule` holds read-only copies of its arrays, so it
+cannot change after it has been checked. The domain check, the grid check and
+the per-step coefficients and drifts are computed once per (model, schedule,
+grid) and kept on the schedule for the next call with the same pair.
+`submartingale_check` streams its draws: it keeps running sums, O(n) in memory
+for n paths.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainViolation, GridMismatch, ParamOutOfRange
-from .exponents import Brownian, CompoundPoissonNormal, LevyModel
-from .premium import risk_premium
+from .errors import GridMismatch, ParamOutOfRange
+from .exponents import Brownian, CompoundPoissonNormal
+from .pricing import Component, log_value
 
 __all__ = [
     "Component",
@@ -45,25 +46,6 @@ __all__ = [
 # A price or kernel path on the drivers' grid; it starts at s0 or 1, so it is
 # not a driver Path.
 PricePath = namedtuple("PricePath", "times values")
-
-
-@dataclass(frozen=True)
-class Component:
-    """One independent driver with its own risk aversion and volatility."""
-
-    model: LevyModel
-    lam: float
-    sig: float
-
-    def __post_init__(self):
-        dom = self.model.domain
-        for a in (self.sig, -self.lam, self.sig - self.lam):
-            if not dom.admissible(a):
-                raise DomainViolation(a, dom)
-
-    @cached_property
-    def premium(self) -> float:
-        return risk_premium(self.model, self.lam, self.sig)
 
 
 @dataclass(frozen=True)
@@ -114,7 +96,7 @@ def vector_kernel_value(vglm: VectorGlm, x, t: float):
     x = _as_matrix(x, len(vglm.components))
     log_pi = -vglm.r * t
     for i, c in enumerate(vglm.components):
-        log_pi = log_pi - c.lam * x[..., i] - t * c.model.psi(-c.lam)
+        log_pi = log_value(log_pi, 0.0, c.model, -c.lam, x[..., i], t)
     return np.exp(log_pi)[()]
 
 
@@ -123,7 +105,7 @@ def vector_asset_value(vglm: VectorGlm, x, t: float):
     x = _as_matrix(x, len(vglm.components))
     log_s = math.log(vglm.s0) + vglm.r * t
     for i, c in enumerate(vglm.components):
-        log_s = log_s + c.premium * t + c.sig * x[..., i] - t * c.model.psi(c.sig)
+        log_s = log_value(log_s, c.premium, c.model, c.sig, x[..., i], t)
     return np.exp(log_s)[()]
 
 
@@ -178,15 +160,6 @@ class Schedule:
         k = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
         return min(max(k, 0), self.n_intervals - 1)
 
-    def validate_against(self, models) -> None:
-        for k in range(self.n_intervals):
-            for i, model in enumerate(models):
-                dom = model.domain
-                for a in (self.sig[k, i], -self.lam[k, i],
-                          self.sig[k, i] - self.lam[k, i]):
-                    if not dom.admissible(a):
-                        raise DomainViolation(a, dom)
-
     @classmethod
     def from_dict(cls, d: dict) -> "Schedule":
         return cls(breakpoints=d["breakpoints"], r=d["r"],
@@ -195,6 +168,14 @@ class Schedule:
     def to_dict(self) -> dict:
         return {"breakpoints": self.breakpoints.tolist(), "r": self.r.tolist(),
                 "lambda": self.lam.tolist(), "sigma": self.sig.tolist()}
+
+
+def _cells(vglm: VectorGlm, schedule: Schedule) -> list:
+    """The Component of each (interval, component) cell of the schedule, one
+    row per interval; building them checks each cell's domain."""
+    return [[Component(c.model, schedule.lam[k, i], schedule.sig[k, i])
+             for i, c in enumerate(vglm.components)]
+            for k in range(schedule.n_intervals)]
 
 
 def _integrate_piecewise(schedule: Schedule, values: np.ndarray, t: float) -> float:
@@ -241,18 +222,15 @@ def _plan(vglm: VectorGlm, schedule: Schedule, times: np.ndarray) -> dict:
     memo = schedule._memo
     if memo is not None and memo[0] == vglm and np.array_equal(memo[1], times):
         return memo[2]
-    models = [c.model for c in vglm.components]
-    schedule.validate_against(models)
+    cells = _cells(vglm, schedule)
     idx = _require_refining_grid(times, schedule)
     dt = np.diff(times)
     cum_r = np.concatenate(([0.0], np.cumsum(schedule.r[idx] * dt)))
-    lam, sig, intervals = schedule.lam, schedule.sig, range(schedule.n_intervals)
     # Per-interval deterministic rates (interval x component), looked up per grid step.
-    asset = np.array([[risk_premium(m, lam[k, i], sig[k, i]) - m.psi(sig[k, i])
-                       for i, m in enumerate(models)] for k in intervals])
-    kernel = np.array([[-m.psi(-lam[k, i]) for i, m in enumerate(models)] for k in intervals])
-    plan = {"sigma": (sig[idx].T, asset[idx].T * dt, math.log(vglm.s0), cum_r),
-            "lambda": (-lam[idx].T, kernel[idx].T * dt, 0.0, -cum_r)}
+    asset = np.array([[c.premium - c.model.psi(c.sig) for c in row] for row in cells])
+    kernel = np.array([[-c.model.psi(-c.lam) for c in row] for row in cells])
+    plan = {"sigma": (schedule.sig[idx].T, asset[idx].T * dt, math.log(vglm.s0), cum_r),
+            "lambda": (-schedule.lam[idx].T, kernel[idx].T * dt, 0.0, -cum_r)}
     object.__setattr__(schedule, "_memo", (vglm, times.copy(), plan))
     return plan
 
@@ -290,10 +268,7 @@ def schedule_kernel_path(vglm: VectorGlm, schedule: Schedule, driver_paths) -> P
 
 def integrated_premium(vglm: VectorGlm, schedule: Schedule, s: float, t: float) -> float:
     """Exact integral of the total excess rate of return over [s, t]."""
-    per_interval = np.array([
-        sum(risk_premium(c.model, schedule.lam[k, i], schedule.sig[k, i])
-            for i, c in enumerate(vglm.components))
-        for k in range(schedule.n_intervals)])
+    per_interval = np.array([sum(c.premium for c in row) for row in _cells(vglm, schedule)])
     return (_integrate_piecewise(schedule, per_interval, t)
             - _integrate_piecewise(schedule, per_interval, s))
 

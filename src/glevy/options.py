@@ -14,7 +14,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .errors import ParamOutOfRange, QuadratureFailure
-from .pricing import GlmSpec, asset_value, kernel_value
+from .pricing import GlmSpec, asset_value, kernel_value, log_value
 from .sampling import McResult, Rng, sample_increments
 
 __all__ = [
@@ -82,8 +82,8 @@ def exact_call(glm: GlmSpec, opt: OptionSpec) -> float:
     t, strike, model, lam, sig = opt.expiry, opt.strike, glm.model, glm.lam, glm.sig
     law = model.terminal_law(t)
     log_k = math.log(strike) if strike > 0.0 else -math.inf
-    log_pi_c = -glm.r * t - t * model.psi(-lam)
-    log_s_c = math.log(glm.s0) + (glm.r + glm.premium) * t - t * model.psi(sig)
+    log_pi_c = log_value(0.0, -glm.r, model, -lam, 0.0, t)
+    log_s_c = log_value(math.log(glm.s0), glm.r + glm.premium, model, sig, 0.0, t)
 
     def integrand(x: float, log_w: float) -> float:
         # All factors assembled in log space: the quadrature probes x deep in

@@ -1,9 +1,11 @@
 """Pointwise pricing-kernel and asset-price evaluation.
 
-Evaluators take the realized driver value x as an argument rather than owning
-any simulation, so exact oracles and Monte Carlo share one code path. Time is
-measured in years and all rates are continuously compounded. Every function
-accepts scalar or numpy-array x.
+A `GlmSpec` is a `Component` (model, lam, sig) plus a market, and every kernel
+and price is one compensated exponential, e^{log_value}. Evaluators take the
+realized driver value x as an argument rather than owning any simulation, so
+exact oracles and Monte Carlo share one code path. Time is measured in years
+and all rates are continuously compounded. Every function accepts scalar or
+numpy-array x.
 """
 from __future__ import annotations
 
@@ -39,18 +41,33 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class GlmSpec:
-    """A complete scalar pricing model.
-
-    model plus the interest rate r, risk aversion lam > 0, volatility sig > 0
-    and initial price s0 > 0; optionally a foreign rate f (FX models) and a
-    dividend stream (growth rate gamma_growth, initial rate d0).
-    """
+class Component:
+    """One Levy driver with risk aversion lam and volatility sig; its premium
+    exists only when sig, -lam and sig - lam lie in the exponent's domain."""
 
     model: LevyModel
-    r: float
     lam: float
     sig: float
+
+    def __post_init__(self):
+        dom = self.model.domain
+        for a in (self.sig, -self.lam, self.sig - self.lam):
+            if not dom.admissible(a):
+                raise DomainViolation(a, dom)
+
+    @cached_property
+    def premium(self) -> float:
+        return risk_premium(self.model, self.lam, self.sig)
+
+
+@dataclass(frozen=True, kw_only=True)
+class GlmSpec(Component):
+    """A complete scalar pricing model: a Component with lam >= 0 and sig > 0,
+    the interest rate r and initial price s0 > 0; optionally a foreign rate f
+    (FX models) and a dividend stream (growth rate gamma_growth, initial rate d0).
+    """
+
+    r: float
     s0: float = 1.0
     f: float | None = None
     gamma_growth: float | None = None
@@ -72,29 +89,25 @@ class GlmSpec:
             raise ParamOutOfRange("s0", self.s0, "must be > 0")
         if self.d0 is not None and not self.d0 > 0.0:
             raise ParamOutOfRange("d0", self.d0, "must be > 0")
-        dom = self.model.domain
-        for name, a in (("sig", self.sig), ("-lam", -self.lam),
-                        ("sig-lam", self.sig - self.lam)):
-            if not dom.admissible(a):
-                raise DomainViolation(a, dom)
+        super().__post_init__()
 
-    @cached_property
-    def premium(self) -> float:
-        return risk_premium(self.model, self.lam, self.sig)
+
+def log_value(log0, rate, model: LevyModel, a: float, x, t: float):
+    """log v0 + rate t + a x - t psi(a): the log of v0 e^{rate t} times the
+    compensated exponential e^{a x - t psi(a)} at X_t = x."""
+    return log0 + rate * t + a * x - t * model.psi(a)
 
 
 def kernel_value(spec: GlmSpec, x, t: float):
     """Pricing kernel pi_t = e^{-rt} e^{-lam x - t psi(-lam)} at X_t = x."""
-    c = spec.model.psi(-spec.lam)
-    return np.exp(-spec.r * t - spec.lam * np.asarray(x, dtype=float) - t * c)[()]
+    return np.exp(log_value(0.0, -spec.r, spec.model, -spec.lam,
+                            np.asarray(x, dtype=float), t))[()]
 
 
 def asset_value(spec: GlmSpec, x, t: float):
     """Asset price S_t = s0 e^{(r+R)t} e^{sig x - t psi(sig)} at X_t = x."""
-    c = spec.model.psi(spec.sig)
-    log_s = (math.log(spec.s0) + (spec.r + spec.premium) * t
-             + spec.sig * np.asarray(x, dtype=float) - t * c)
-    return np.exp(log_s)[()]
+    return np.exp(log_value(math.log(spec.s0), spec.r + spec.premium, spec.model,
+                            spec.sig, np.asarray(x, dtype=float), t))[()]
 
 
 def expected_asset_price(spec: GlmSpec, t: float) -> float:
@@ -115,23 +128,16 @@ def _require_f(spec: GlmSpec) -> float:
 def fx_value(spec: GlmSpec, x, t: float):
     """Exchange rate S_t = s0 e^{(r-f)t} e^{Rt} e^{sig x - t psi(sig)}."""
     f = _require_f(spec)
-    c = spec.model.psi(spec.sig)
-    log_s = (math.log(spec.s0) + (spec.r - f + spec.premium) * t
-             + spec.sig * np.asarray(x, dtype=float) - t * c)
-    return np.exp(log_s)[()]
+    return np.exp(log_value(math.log(spec.s0), spec.r - f + spec.premium, spec.model,
+                            spec.sig, np.asarray(x, dtype=float), t))[()]
 
 
 def inverse_fx_value(spec: GlmSpec, x, t: float):
     """Inverse rate with s0_tilde = 1/s0; the product fx * inverse_fx is 1."""
     f = _require_f(spec)
-    dom = spec.model.domain
-    if not dom.admissible(-spec.sig):
-        raise DomainViolation(-spec.sig, dom)
     r_tilde = inverse_fx_premium(spec.model, spec.lam, spec.sig)
-    c = spec.model.psi(-spec.sig)
-    log_s = (-math.log(spec.s0) + (f - spec.r + r_tilde) * t
-             - spec.sig * np.asarray(x, dtype=float) - t * c)
-    return np.exp(log_s)[()]
+    return np.exp(log_value(-math.log(spec.s0), f - spec.r + r_tilde, spec.model,
+                            -spec.sig, np.asarray(x, dtype=float), t))[()]
 
 
 def gordon_valuation(spec: GlmSpec) -> tuple[float, float]:
@@ -148,10 +154,8 @@ def gordon_valuation(spec: GlmSpec) -> tuple[float, float]:
 def dividend_asset_value(spec: GlmSpec, x, t: float):
     """Price path of the dividend-paying asset; D_t = delta * S_t throughout."""
     s0_implied, delta = gordon_valuation(spec)
-    c = spec.model.psi(spec.sig)
-    log_s = (math.log(s0_implied) + (spec.r - delta + spec.premium) * t
-             + spec.sig * np.asarray(x, dtype=float) - t * c)
-    return np.exp(log_s)[()]
+    return np.exp(log_value(math.log(s0_implied), spec.r - delta + spec.premium,
+                            spec.model, spec.sig, np.asarray(x, dtype=float), t))[()]
 
 
 def spec_from_dict(d: dict) -> GlmSpec:

@@ -258,8 +258,12 @@ def test_vector_glm_non_finite_rejected(field, value):
 def test_schedule_domain_validation():
     sch = g.Schedule(breakpoints=[0.0, 1.0], r=[0.02], lam=[[0.5]], sig=[[1.2]])
     model = g.Gamma(m=1.0)
+    vglm = g.VectorGlm(components=(g.Component(model, 0.4, 0.3),), r=0.02)
+    path = g.Path(times=[0.0, 1.0], values=[0.0, 0.1])
     with pytest.raises(g.DomainViolation):
-        sch.validate_against([model])
+        g.schedule_asset_path(vglm, sch, [path])
+    with pytest.raises(g.DomainViolation):
+        g.integrated_premium(vglm, sch, 0.0, 1.0)
 
 
 def test_integrated_premium():

@@ -222,7 +222,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (GlevyError, FileNotFoundError, KeyError, json.JSONDecodeError) as e:
+    except (GlevyError, OSError, KeyError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

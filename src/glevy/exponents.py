@@ -562,8 +562,6 @@ class Mirrored(LevyModel):
     def domain(self) -> Interval:
         return self.base.domain.mirrored()
 
-    # The base checks -alpha; its domain error is re-raised naming the
-    # caller's alpha and this model's domain.
     def psi(self, alpha):
         try:
             return self.base.psi(-float(alpha))
@@ -616,18 +614,20 @@ def make_model(family: str, params: dict | None = None, **kw) -> LevyModel:
     "Mirrored[<family>]", the name a mirrored model reports, builds the
     mirror of that family's model from the same parameters.
     """
-    name = str(family)
-    if name.startswith("Mirrored[") and name.endswith("]"):
-        return mirror(make_model(name[len("Mirrored["):-1], params, **kw))
+    if not isinstance(family, str):
+        raise ParamOutOfRange("family", family, "must be a family name")
+    if family.startswith("Mirrored[") and family.endswith("]"):
+        return mirror(make_model(family[len("Mirrored["):-1], params, **kw))
     if family == "JumpDiffusion":
         raise Unsupported(family, "scalar construction (use multifactor.jump_diffusion)")
     try:
         cls = FAMILIES[family]
     except KeyError:
-        raise Unsupported(str(family), "family") from None
-    merged = dict(params or {})
-    merged.update(kw)
-    return cls(**merged)
+        raise Unsupported(family, "family") from None
+    try:
+        return cls(**dict(params or {}, **kw))
+    except (TypeError, ValueError) as e:  # an unknown or non-numeric parameter
+        raise ParamOutOfRange("params", params, str(e)) from None
 
 
 def mirror(model: LevyModel) -> LevyModel:

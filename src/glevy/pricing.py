@@ -64,8 +64,7 @@ class Component:
 class GlmSpec(Component):
     """A complete scalar pricing model: a Component with lam >= 0 and sig > 0,
     the interest rate r and initial price s0 > 0; optionally a foreign rate f
-    (FX models) and a dividend stream (growth rate gamma_growth, initial rate d0).
-    """
+    (FX models) and a dividend stream (growth rate gamma_growth, initial rate d0)."""
 
     r: float
     s0: float = 1.0
@@ -93,8 +92,7 @@ class GlmSpec(Component):
 
 
 def log_value(log0, rate, model: LevyModel, a: float, x, t: float):
-    """log v0 + rate t + a x - t psi(a): the log of v0 e^{rate t} times the
-    compensated exponential e^{a x - t psi(a)} at X_t = x."""
+    """log v0 + rate t + a x - t psi(a), the log of v0 e^{rate t} e^{a x - t psi(a)}."""
     return log0 + rate * t + a * x - t * model.psi(a)
 
 
@@ -158,18 +156,27 @@ def dividend_asset_value(spec: GlmSpec, x, t: float):
                             spec.model, spec.sig, np.asarray(x, dtype=float), t))[()]
 
 
+def _number(key: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ParamOutOfRange(key, value, "must be a number") from None
+
+
 def spec_from_dict(d: dict) -> GlmSpec:
     """Build a GlmSpec from the JSON schema used by config files and the CLI."""
+    if not isinstance(d, dict):
+        raise ParamOutOfRange("spec", d, "must be a JSON object")
     model = make_model(d["family"], d.get("params", {}))
     return GlmSpec(
         model=model,
-        r=float(d["r"]),
-        lam=float(d["lambda"]),
-        sig=float(d["sigma"]),
-        s0=float(d.get("s0", 1.0)),
-        f=None if d.get("f") is None else float(d["f"]),
-        gamma_growth=None if d.get("gamma") is None else float(d["gamma"]),
-        d0=None if d.get("d0") is None else float(d["d0"]),
+        r=_number("r", d["r"]),
+        lam=_number("lambda", d["lambda"]),
+        sig=_number("sigma", d["sigma"]),
+        s0=_number("s0", d.get("s0", 1.0)),
+        f=None if d.get("f") is None else _number("f", d["f"]),
+        gamma_growth=None if d.get("gamma") is None else _number("gamma", d["gamma"]),
+        d0=None if d.get("d0") is None else _number("d0", d["d0"]),
     )
 
 
@@ -186,5 +193,8 @@ def spec_to_dict(spec: GlmSpec) -> dict:
 
 
 def load_spec(path) -> GlmSpec:
-    with open(path) as fh:
-        return spec_from_dict(json.load(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return spec_from_dict(json.load(fh))
+    except UnicodeDecodeError:
+        raise ParamOutOfRange("spec", str(path), "must be UTF-8 text") from None

@@ -4,6 +4,8 @@ import csv
 import json
 import math
 
+from pathlib import Path as FsPath
+
 import pytest
 
 import glevy as g
@@ -272,3 +274,78 @@ def test_simulate_negative_paths_exits_2(gamma_spec, tmp_path):
     assert main(["simulate", "--spec", str(gamma_spec), "--out", str(out),
                  "--n", "100", "--paths", "-1"]) == 2
     assert not out.exists()
+
+
+_GOOD_SPEC = {"family": "Gamma", "params": {"m": 1.0}, "r": 0.02, "lambda": 0.5,
+              "sigma": 0.4}
+
+
+def _files(root):
+    return sorted(p.relative_to(root) for p in root.rglob("*"))
+
+
+def _assert_one_error_line(capsys):
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", [
+    {**_GOOD_SPEC, "params": {"m": 1, "x": 2}},
+    {**_GOOD_SPEC, "params": {"m": "abc"}},
+    {**_GOOD_SPEC, "r": "abc"},
+    {**_GOOD_SPEC, "s0": "x"},
+    {**_GOOD_SPEC, "f": "q"},
+    {**_GOOD_SPEC, "r": None},
+    {**_GOOD_SPEC, "params": [1]},
+    [_GOOD_SPEC],
+    {**_GOOD_SPEC, "family": ["Gamma"]},
+], ids=["unknown-param", "param-abc", "r-abc", "s0-x", "f-q", "r-null", "params-list",
+        "top-level-array", "family-list"])
+def test_malformed_spec_exits_2(tmp_path, capsys, spec):
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(spec))
+    with pytest.raises(g.ParamOutOfRange):
+        g.load_spec(p)
+    assert main(["verify", "--spec", str(p)]) == 2
+    _assert_one_error_line(capsys)
+    assert _files(tmp_path) == [FsPath("s.json")]
+
+
+def test_spec_path_is_a_directory_exits_2(tmp_path, capsys):
+    assert main(["verify", "--spec", str(tmp_path)]) == 2
+    _assert_one_error_line(capsys)
+    assert _files(tmp_path) == []
+
+
+def test_spec_not_utf8_exits_2(tmp_path, capsys):
+    p = tmp_path / "s.json"
+    p.write_bytes(b'{"family": "Gamma\xff"}')
+    with pytest.raises(g.ParamOutOfRange):
+        g.load_spec(p)
+    assert main(["verify", "--spec", str(p)]) == 2
+    _assert_one_error_line(capsys)
+    assert _files(tmp_path) == [FsPath("s.json")]
+
+
+@pytest.mark.parametrize("command,where", [
+    (["premium"], "directory"),
+    (["premium"], "under-a-file"),
+    (["price-option", "--strike", "1.0", "--method", "exact"], "directory"),
+    (["price-option", "--strike", "1.0", "--method", "exact"], "under-a-file"),
+    (["simulate", "--n", "100", "--paths", "1", "--steps", "4"], "under-a-file"),
+], ids=["premium-dir", "premium-under-file", "price-dir", "price-under-file",
+        "simulate-under-file"])
+def test_unwritable_out_exits_2(gamma_spec, tmp_path, capsys, command, where):
+    if where == "directory":
+        out = tmp_path / "d"
+        out.mkdir()
+    else:
+        (tmp_path / "f").write_text("")
+        out = tmp_path / "f" / "x"
+    before = _files(tmp_path)
+    rc = main([command[0], "--spec", str(gamma_spec), "--out", str(out), *command[1:]])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert _files(tmp_path) == before

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import GridMismatch, ParamOutOfRange
 from .exponents import Brownian, CompoundPoissonNormal
 from .pricing import Component, log_value
+from .sampling import _check_count, sample_increments
 
 __all__ = [
     "Component",
@@ -181,6 +182,8 @@ def _cells(vglm: VectorGlm, schedule: Schedule) -> list:
 def _integrate_piecewise(schedule: Schedule, values: np.ndarray, t: float) -> float:
     """Exact integral over [0, t] of a piecewise-constant function given by
     per-interval values (extended beyond the last breakpoint)."""
+    if not 0.0 <= t < math.inf:
+        raise ParamOutOfRange("time", t, "must be finite and >= 0")
     bp = schedule.breakpoints
     total = 0.0
     for k in range(schedule.n_intervals):
@@ -194,8 +197,6 @@ def _integrate_piecewise(schedule: Schedule, values: np.ndarray, t: float) -> fl
 
 def money_market(schedule: Schedule, t: float) -> float:
     """B_t = exp(integral of r over [0, t]); B_0 = 1."""
-    if t < 0.0:
-        raise ParamOutOfRange("t", t, "must be >= 0")
     return math.exp(_integrate_piecewise(schedule, schedule.r, t))
 
 
@@ -281,12 +282,10 @@ def submartingale_check(vglm: VectorGlm, schedule: Schedule, s: float, t: float,
     E[S_t/B_t] against E[S_s/B_s], and checks the predicted ratio
     exp(integral of R over [s, t]).
     """
-    from .sampling import sample_increments
-
     if not 0.0 <= s < t < math.inf:
         raise ParamOutOfRange("(s, t)", (s, t), "need 0 <= s < t < inf")
-    if n < 2:
-        raise ParamOutOfRange("n", n, "must be >= 2")
+    _check_count("n", n, 2)
+    _check_count("steps_per_year", steps_per_year, 1)
     steps = max(int(round(t * steps_per_year)), 4)
     grid = np.unique(np.concatenate([
         np.linspace(0.0, t, steps + 1),

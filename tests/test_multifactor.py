@@ -325,6 +325,33 @@ def test_submartingale_check_rejects_bad_input(s, t, n):
         g.submartingale_check(vglm, make_schedule(), s, t, n=n, rng=g.Rng(1))
 
 
+@pytest.mark.parametrize("kw", [
+    dict(n=2.5),                   # not an integer
+    dict(steps_per_year=math.nan),
+    dict(steps_per_year=-5),       # once ran silently with 4 steps
+    dict(steps_per_year=0),
+], ids=["n=2.5", "steps=nan", "steps=-5", "steps=0"])
+def test_submartingale_check_rejects_bad_counts(kw):
+    vglm = g.VectorGlm(components=(g.Component(g.Gamma(m=1.0), 0.4, 0.3),), r=0.02)
+    kw = {"n": 100, **kw}
+    with pytest.raises(g.ParamOutOfRange):
+        g.submartingale_check(vglm, make_schedule(), 0.5, 2.0, rng=g.Rng(1), **kw)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -0.5])
+def test_money_market_rejects_bad_time(t):
+    with pytest.raises(g.ParamOutOfRange):
+        g.money_market(make_schedule(), t)
+
+
+@pytest.mark.parametrize("s,t", [(math.nan, 1.0), (0.0, math.nan), (-0.5, 1.0),
+                                 (0.0, math.inf)])
+def test_integrated_premium_rejects_bad_time(s, t):
+    vglm = g.VectorGlm(components=(g.Component(g.Gamma(m=1.0), 0.4, 0.3),), r=0.02)
+    with pytest.raises(g.ParamOutOfRange):
+        g.integrated_premium(vglm, make_schedule(), s, t)
+
+
 def test_schedule_equality_compares_arrays_by_value():
     a, b = make_schedule(), make_schedule()
     assert (a == b) is True

@@ -1,13 +1,16 @@
 """Tests for pricing-kernel, asset, FX, and dividend valuation."""
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import glevy as g
-from conftest import random_risk_params
+from glevy import multifactor, pricing
+from conftest import DEFAULT_MODELS, random_risk_params
 
 
 def make_spec(model, lam, sig, r=0.05, s0=1.0, **kw):
@@ -199,3 +202,150 @@ def test_cached_premium_is_exact(family_case):
     assert spec.premium == g.risk_premium(model, lam, sig)
     assert spec.premium == spec.premium
     assert spec == g.GlmSpec(model=model, r=0.02, lam=lam, sig=sig)
+
+
+# Reference formulas: each value function spelled out in full, in the operand
+# order of its log value. The library forms every one through log_value and
+# must match them bit for bit.
+def _ref_kernel(spec, x, t):
+    c = spec.model.psi(-spec.lam)
+    return np.exp(-spec.r * t - spec.lam * np.asarray(x, dtype=float) - t * c)[()]
+
+
+def _ref_asset(spec, x, t):
+    c = spec.model.psi(spec.sig)
+    log_s = (math.log(spec.s0) + (spec.r + spec.premium) * t
+             + spec.sig * np.asarray(x, dtype=float) - t * c)
+    return np.exp(log_s)[()]
+
+
+def _ref_fx(spec, x, t):
+    c = spec.model.psi(spec.sig)
+    log_s = (math.log(spec.s0) + (spec.r - spec.f + spec.premium) * t
+             + spec.sig * np.asarray(x, dtype=float) - t * c)
+    return np.exp(log_s)[()]
+
+
+def _ref_inverse_fx(spec, x, t):
+    r_tilde = g.inverse_fx_premium(spec.model, spec.lam, spec.sig)
+    c = spec.model.psi(-spec.sig)
+    log_s = (-math.log(spec.s0) + (spec.f - spec.r + r_tilde) * t
+             - spec.sig * np.asarray(x, dtype=float) - t * c)
+    return np.exp(log_s)[()]
+
+
+def _ref_dividend(spec, x, t):
+    s0_implied, delta = g.gordon_valuation(spec)
+    c = spec.model.psi(spec.sig)
+    log_s = (math.log(s0_implied) + (spec.r - delta + spec.premium) * t
+             + spec.sig * np.asarray(x, dtype=float) - t * c)
+    return np.exp(log_s)[()]
+
+
+def _ref_vector_kernel(vglm, x, t):
+    log_pi = -vglm.r * t
+    for i, c in enumerate(vglm.components):
+        log_pi = log_pi - c.lam * x[..., i] - t * c.model.psi(-c.lam)
+    return np.exp(log_pi)[()]
+
+
+def _ref_vector_asset(vglm, x, t):
+    log_s = math.log(vglm.s0) + vglm.r * t
+    for i, c in enumerate(vglm.components):
+        log_s = log_s + c.premium * t + c.sig * x[..., i] - t * c.model.psi(c.sig)
+    return np.exp(log_s)[()]
+
+
+_ASYMMETRIC = ["Poisson", "Gamma", "ScaledGamma", "AsymmetricVG", "NegativeBinomial"]
+_ALL_MODELS = {**DEFAULT_MODELS,
+               **{f"mirror-{n}": (g.mirror(DEFAULT_MODELS[n][0]), *DEFAULT_MODELS[n][1:])
+                  for n in _ASYMMETRIC}}
+_X = {"scalar": -0.37, "1d": np.linspace(-1.5, 1.5, 7),
+      "2d": np.linspace(-1.0, 1.0, 12).reshape(3, 4)}
+
+
+def _assert_identical(got, want):
+    assert repr(got) == repr(want)
+    assert np.array_equal(got, want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("t", [0.25, 1.0, 3.7])
+@pytest.mark.parametrize("xname", list(_X))
+@pytest.mark.parametrize("name", list(_ALL_MODELS))
+def test_value_functions_match_reference_formulas_bitwise(name, xname, t):
+    model, lam, sig = _ALL_MODELS[name]
+    x = _X[xname]
+    spec = make_spec(model, lam, sig, r=0.03, s0=1.3, f=0.01, gamma_growth=0.005, d0=0.05)
+    for fn, ref in [(g.kernel_value, _ref_kernel), (g.asset_value, _ref_asset),
+                    (g.fx_value, _ref_fx), (g.inverse_fx_value, _ref_inverse_fx),
+                    (g.dividend_asset_value, _ref_dividend)]:
+        _assert_identical(fn(spec, x, t), ref(spec, x, t))
+    one = g.VectorGlm(components=(g.Component(model, lam, sig),), r=0.03, s0=1.3)
+    two = g.VectorGlm(components=(g.Component(model, lam, sig),
+                                  g.Component(g.Brownian(), 0.2, 0.5)), r=0.03, s0=1.3)
+    x1 = np.asarray(x, dtype=float)[..., None]
+    x2 = np.stack([np.asarray(x, dtype=float), 0.5 * np.asarray(x, dtype=float)], -1)
+    for vglm, xv in ((one, x1), (two, x2)):
+        _assert_identical(g.vector_kernel_value(vglm, xv, t), _ref_vector_kernel(vglm, xv, t))
+        _assert_identical(g.vector_asset_value(vglm, xv, t), _ref_vector_asset(vglm, xv, t))
+
+
+def test_glm_spec_is_a_component():
+    assert issubclass(g.GlmSpec, g.Component)
+    assert multifactor.Component is pricing.Component is g.Component
+
+
+def test_glm_spec_serves_as_a_vector_component():
+    model, lam, sig = DEFAULT_MODELS["Gamma"]
+    spec = make_spec(model, lam, sig, r=0.03, s0=1.3)
+    vglm = g.VectorGlm(components=(spec,), r=spec.r, s0=spec.s0)
+    assert g.vector_premium(vglm) == spec.premium
+    x, t = np.array([-0.4, 0.1, 0.9]), 1.7
+    assert np.allclose(g.vector_asset_value(vglm, x[:, None], t), g.asset_value(spec, x, t),
+                       rtol=1e-14, atol=0.0)
+    assert np.allclose(g.vector_kernel_value(vglm, x[:, None], t),
+                       g.kernel_value(spec, x, t), rtol=1e-14, atol=0.0)
+
+
+def test_glm_spec_rejects_positional_market_fields():
+    # Inheritance puts lam and sig before r; the old positional order
+    # (model, r, lam, sig) must fail rather than swap r and lam.
+    with pytest.raises(TypeError):
+        g.GlmSpec(g.Brownian(), 0.02, 0.3, 0.5)
+    with pytest.raises(TypeError):
+        g.GlmSpec(g.Brownian(), 0.02, 0.3)
+
+
+class _Constructions(ast.NodeVisitor):
+    """(file, class, function) of each call that builds a DomainViolation."""
+
+    def __init__(self, filename):
+        self.filename, self.scope, self.sites = filename, [], []
+
+    def visit_ClassDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_ClassDef
+
+    def visit_Call(self, node):
+        if getattr(node.func, "id", None) == "DomainViolation":
+            self.sites.append((self.filename, *self.scope[-2:]))
+        self.generic_visit(node)
+
+
+def test_domain_violation_is_built_only_in_exponents_and_component():
+    sites = []
+    for path in sorted(Path(g.__file__).parent.glob("*.py")):
+        visitor = _Constructions(path.name)
+        visitor.visit(ast.parse(path.read_text()))
+        sites += visitor.sites
+    assert sorted(sites) == [
+        ("exponents.py", "LevyModel", "_check"),
+        ("exponents.py", "Mirrored", "psi"),
+        ("exponents.py", "Mirrored", "psi_prime"),
+        ("exponents.py", "Mirrored", "psi_second"),
+        ("pricing.py", "Component", "__post_init__"),
+    ]

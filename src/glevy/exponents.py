@@ -626,7 +626,7 @@ def make_model(family: str, params: dict | None = None, **kw) -> LevyModel:
         raise Unsupported(family, "family") from None
     try:
         return cls(**dict(params or {}, **kw))
-    except (TypeError, ValueError) as e:  # an unknown or non-numeric parameter
+    except (TypeError, ValueError, OverflowError) as e:  # unknown, non-numeric or huge
         raise ParamOutOfRange("params", params, str(e)) from None
 
 

@@ -159,7 +159,7 @@ def dividend_asset_value(spec: GlmSpec, x, t: float):
 def _number(key: str, value) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParamOutOfRange(key, value, "must be a number") from None
 
 

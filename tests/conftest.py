@@ -28,6 +28,9 @@ DEFAULT_MODELS = {
 
 FAMILY_NAMES = list(DEFAULT_MODELS)
 
+# Families whose exponent is not even; their mirrors are distinct models.
+ASYMMETRIC = ["Poisson", "Gamma", "ScaledGamma", "AsymmetricVG", "NegativeBinomial"]
+
 
 @pytest.fixture(params=FAMILY_NAMES)
 def family_case(request):

@@ -300,8 +300,10 @@ def _assert_one_error_line(capsys):
     {**_GOOD_SPEC, "params": [1]},
     [_GOOD_SPEC],
     {**_GOOD_SPEC, "family": ["Gamma"]},
+    {**_GOOD_SPEC, "r": 10**400},             # an integer no float can hold
+    {**_GOOD_SPEC, "params": {"m": 10**400}},
 ], ids=["unknown-param", "param-abc", "r-abc", "s0-x", "f-q", "r-null", "params-list",
-        "top-level-array", "family-list"])
+        "top-level-array", "family-list", "r-huge-int", "param-huge-int"])
 def test_malformed_spec_exits_2(tmp_path, capsys, spec):
     p = tmp_path / "s.json"
     p.write_text(json.dumps(spec))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import glevy as g
 from glevy.exponents import DOMAIN_MARGIN
 from conftest import (
+    ASYMMETRIC,
     DEFAULT_MODELS,
     FAMILY_NAMES,
     assert_close,
@@ -274,9 +275,6 @@ def test_mirror_involution():
         assert mm.psi(a) == pytest.approx(base.psi(a), rel=1e-15)
     assert mm.domain.lower == base.domain.lower
     assert mm.domain.upper == base.domain.upper
-
-
-ASYMMETRIC = ["Poisson", "Gamma", "ScaledGamma", "AsymmetricVG", "NegativeBinomial"]
 
 
 @pytest.mark.parametrize("name", ASYMMETRIC)

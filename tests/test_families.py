@@ -10,9 +10,7 @@ import pytest
 
 import glevy as g
 from glevy.exponents import FAMILIES, LevyModel, Mirrored
-from conftest import DEFAULT_MODELS
-
-ASYMMETRIC = ["Poisson", "Gamma", "ScaledGamma", "AsymmetricVG", "NegativeBinomial"]
+from conftest import ASYMMETRIC, DEFAULT_MODELS
 
 
 def test_every_family_has_a_default_model():

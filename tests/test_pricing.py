@@ -10,7 +10,7 @@ import pytest
 
 import glevy as g
 from glevy import multifactor, pricing
-from conftest import DEFAULT_MODELS, random_risk_params
+from conftest import ASYMMETRIC, DEFAULT_MODELS, random_risk_params
 
 
 def make_spec(model, lam, sig, r=0.05, s0=1.0, **kw):
@@ -256,10 +256,9 @@ def _ref_vector_asset(vglm, x, t):
     return np.exp(log_s)[()]
 
 
-_ASYMMETRIC = ["Poisson", "Gamma", "ScaledGamma", "AsymmetricVG", "NegativeBinomial"]
 _ALL_MODELS = {**DEFAULT_MODELS,
                **{f"mirror-{n}": (g.mirror(DEFAULT_MODELS[n][0]), *DEFAULT_MODELS[n][1:])
-                  for n in _ASYMMETRIC}}
+                  for n in ASYMMETRIC}}
 _X = {"scalar": -0.37, "1d": np.linspace(-1.5, 1.5, 7),
       "2d": np.linspace(-1.0, 1.0, 12).reshape(3, 4)}
 

@@ -28,7 +28,7 @@ from .pricing import (
     inverse_fx_value,
     load_spec,
 )
-from .sampling import Rng, mc_expectation, simulate_path
+from .sampling import McResult, Rng, _check_count, _check_dt, sample_increments, simulate_path
 
 DEFAULT_SEED = 20120229  # fixed so published runs reproduce
 MAX_GRID_POINTS = 1000  # per axis; the premium surface has up to 10**6 rows
@@ -58,11 +58,12 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _write_csv(path, header, rows):
+    """The header, then each row of floats formatted in one operation, every
+    value as _fmt writes it."""
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+        csv.writer(fh).writerow(header)
+        fh.writelines(line % row for row in rows)
 
 
 def cmd_premium(args) -> int:
@@ -81,14 +82,15 @@ def cmd_simulate(args) -> int:
     print(f"seed={args.seed}")
     paths = [simulate_path(spec.model, args.horizon, args.steps, Rng(args.seed, i))
              for i in range(args.paths)]
-    # Martingale summary: MC mean of the compensated exponential at sig.
-    sig, model = spec.sig, spec.model
-    comp = model.psi(sig)
-
-    def payoff(path):
-        return math.exp(sig * path.values[-1] - args.horizon * comp)
-
-    res = mc_expectation(payoff, model, args.horizon, 1, args.n, Rng(args.seed, 10_000))
+    # Martingale summary: MC mean of the compensated exponential at sig over
+    # exact draws of X_T, the draws mc_expectation makes with one step.
+    sig, model, horizon, n = spec.sig, spec.model, args.horizon, args.n
+    _check_count("n", n, 2)
+    _check_dt(horizon, "horizon")
+    x = sample_increments(model, horizon, n, Rng(args.seed, 10_000))
+    # math.exp, as a per-path payoff would: np.exp can differ from it by an ulp.
+    res = McResult.from_samples(
+        np.fromiter(map(math.exp, (sig * x - horizon * model.psi(sig)).tolist()), float, n))
     summary = {"estimate": res.estimate, "stderr": res.stderr, "n": res.n,
                "seed": args.seed}
     # Written only once every draw succeeded, so a rejected input leaves no files.
@@ -96,7 +98,7 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for i, p in enumerate(paths):
         _write_csv(out / f"path_{i:04d}.csv", ["t", "x"],
-                   list(zip(p.times.tolist(), p.values.tolist())))
+                   zip(p.times.tolist(), p.values.tolist()))
     (out / "mc_summary.json").write_text(json.dumps(summary, indent=2))
     print(json.dumps(summary))
     return 0 if abs(res.estimate - 1.0) < 4.0 * res.stderr else 1
@@ -105,18 +107,19 @@ def cmd_simulate(args) -> int:
 def cmd_price_option(args) -> int:
     spec = load_spec(args.spec)
     opt = OptionSpec(strike=args.strike, expiry=args.expiry)
-    rows = []
-    params = json.dumps(spec.model.params())
     if args.method == "mc":
         print(f"seed={args.seed}")
         res = mc_call_price(spec, opt, args.n, Rng(args.seed))
-        rows.append((spec.model.family, params, args.strike, args.expiry,
-                     res.estimate, res.stderr, "mc"))
+        price, stderr = res.estimate, res.stderr
     else:
-        rows.append((spec.model.family, params, args.strike, args.expiry,
-                     exact_call(spec, opt), 0.0, "exact"))
-    _write_csv(args.out, ["family", "params", "K", "T", "price", "stderr", "method"], rows)
-    print(f"price={_fmt(rows[0][4])}")
+        price, stderr = exact_call(spec, opt), 0.0
+    # The params JSON holds commas and quotes, so csv quotes this row.
+    with open(args.out, "w", newline="") as fh:
+        csv.writer(fh).writerows([
+            ["family", "params", "K", "T", "price", "stderr", "method"],
+            [spec.model.family, json.dumps(spec.model.params()), _fmt(args.strike),
+             _fmt(args.expiry), _fmt(price), _fmt(stderr), args.method]])
+    print(f"price={_fmt(price)}")
     return 0
 
 

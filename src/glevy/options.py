@@ -53,9 +53,7 @@ def mc_call_price(glm: GlmSpec, opt: OptionSpec, n: int, rng: Rng) -> McResult:
     t = opt.expiry
     x = sample_increments(glm.model, t, n, rng)
     payoff = kernel_value(glm, x, t) * np.maximum(asset_value(glm, x, t) - opt.strike, 0.0)
-    return McResult(estimate=float(payoff.mean()),
-                    stderr=float(payoff.std(ddof=1) / math.sqrt(n)),
-                    n=n)
+    return McResult.from_samples(payoff)
 
 
 def bs_call_price(s0: float, r: float, sig: float, strike: float, expiry: float) -> float:

@@ -94,10 +94,16 @@ class McResult:
     stderr: float
     n: int
 
+    @classmethod
+    def from_samples(cls, samples: np.ndarray) -> "McResult":
+        """The sample mean and its standard error."""
+        n = len(samples)
+        return cls(float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n)), n)
 
-def _check_dt(dt: float) -> None:
+
+def _check_dt(dt: float, name: str = "dt") -> None:
     if not 0.0 < dt < math.inf:
-        raise ParamOutOfRange("dt", dt, "must be finite and > 0")
+        raise ParamOutOfRange(name, dt, "must be finite and > 0")
 
 
 def _check_count(name: str, value, least: int = 0) -> None:
@@ -125,8 +131,7 @@ def simulate_paths(model: LevyModel, horizon: float, steps: int, n: int,
                    rng: Rng) -> tuple[np.ndarray, np.ndarray]:
     """(times, values) with values of shape (n, steps+1), cumulative sums of
     exact increments of size horizon/steps."""
-    if not 0.0 < horizon < math.inf:
-        raise ParamOutOfRange("horizon", horizon, "must be finite and > 0")
+    _check_dt(horizon, "horizon")
     _check_count("steps", steps, 1)
     _check_count("n", n)
     dt = horizon / steps
@@ -210,6 +215,4 @@ def mc_expectation(payoff: Callable[[Path], float], model: LevyModel,
         # start at (0, 0) by construction.
         rows = map(tuple.__new__, repeat(Path), zip(repeat(times), values))
         samples[bounds[k]:bounds[k + 1]] = np.fromiter(map(payoff, rows), float, chunk)
-    est = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / math.sqrt(n))
-    return McResult(estimate=est, stderr=stderr, n=n)
+    return McResult.from_samples(samples)

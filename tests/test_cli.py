@@ -1,15 +1,18 @@
 """In-process tests for the command-line interface."""
 
 import csv
+import io
 import json
 import math
 
 from pathlib import Path as FsPath
 
+import numpy as np
 import pytest
 
 import glevy as g
-from glevy.cli import DEFAULT_SEED, build_parser, main
+from glevy.cli import DEFAULT_SEED, _write_csv, build_parser, main
+from conftest import DEFAULT_MODELS
 
 
 @pytest.fixture
@@ -351,3 +354,116 @@ def test_unwritable_out_exits_2(gamma_spec, tmp_path, capsys, command, where):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert _files(tmp_path) == before
+
+
+def _write_spec(tmp_path, model, lam, sig):
+    p = tmp_path / "s.json"
+    spec = g.GlmSpec(model=model, lam=lam, sig=sig, r=0.02)
+    p.write_text(json.dumps(g.spec_to_dict(spec)))
+    return p
+
+
+@pytest.mark.parametrize("n", [2, 20_000])
+@pytest.mark.parametrize("name", ["Gamma", "VarianceGamma", "NegativeBinomial",
+                                  "Mirrored[Poisson]", "Brownian"])
+def test_simulate_summary_is_the_one_step_mc_expectation_bit_for_bit(tmp_path, capsys,
+                                                                      name, n):
+    base = name.removeprefix("Mirrored[").removesuffix("]")
+    model, lam, sig = DEFAULT_MODELS[base]
+    if base != name:
+        model = g.mirror(model)
+    spec_path = _write_spec(tmp_path, model, lam, sig)
+    out, seed, horizon = tmp_path / "sim", 31, 1.5
+    rc = main(["simulate", "--spec", str(spec_path), "--out", str(out), "--seed", str(seed),
+               "--n", str(n), "--paths", "1", "--steps", "4", "--horizon", repr(horizon)])
+    summary = json.loads((out / "mc_summary.json").read_text())
+    assert capsys.readouterr().out.splitlines()[-1] == json.dumps(summary)
+
+    comp = model.psi(sig)
+
+    def payoff(path):
+        return math.exp(sig * path.values[-1] - horizon * comp)
+
+    ref = g.mc_expectation(payoff, model, horizon, 1, n, g.Rng(seed, 10_000))
+    assert repr(summary["estimate"]) == repr(ref.estimate)
+    assert repr(summary["stderr"]) == repr(ref.stderr)
+    assert summary["n"] == ref.n == n
+    assert rc == (0 if abs(ref.estimate - 1.0) < 4.0 * ref.stderr else 1)
+
+
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_simulate_too_few_samples_exits_2(gamma_spec, tmp_path, capsys, n):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--spec", str(gamma_spec), "--out", str(out), "--n", n]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: parameter n={n} violates: must be >= 2\n"
+    assert not out.exists()
+
+
+def test_simulate_bad_horizon_without_paths_names_the_horizon(gamma_spec, tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--spec", str(gamma_spec), "--out", str(out), "--n", "100",
+                 "--paths", "0", "--horizon", "inf"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: parameter horizon=inf violates: must be finite and > 0\n"
+    assert not out.exists()
+
+
+def _reference_csv(header, rows) -> bytes:
+    """csv.writer with every float at 17 significant digits."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
+    return buf.getvalue().encode()
+
+
+def test_csv_float_rows_match_the_reference_writer(tmp_path):
+    special = [math.inf, -math.inf, math.nan, -math.nan, 0.0, -0.0, 5e-324, 2.2e-308,
+               1.7976931348623157e308, 0.1, 1e16, 1e17, 123456789012345678.0, 1e-5, -2.5]
+    bits = np.random.default_rng(3).integers(0, 2**64, 600, dtype=np.uint64)
+    values = special + bits.view(np.float64).tolist()
+    rows = list(zip(values[0::3], values[1::3], values[2::3]))
+    out = tmp_path / "t.csv"
+    _write_csv(out, ["a", "b", "c"], rows)
+    assert out.read_bytes() == _reference_csv(["a", "b", "c"], rows)
+
+
+def test_cli_csv_files_match_the_reference_writer(gamma_spec, tmp_path, capsys):
+    model = g.Gamma(m=1.0)
+    surface = tmp_path / "surface.csv"
+    assert main(["premium", "--spec", str(gamma_spec), "--out", str(surface),
+                 "--grid", "0.05:0.4:0.01"]) == 0
+    grid = np.arange(0.05, 0.4 + 0.005, 0.01)
+    assert surface.read_bytes() == _reference_csv(
+        ["lambda", "sigma", "R", "R_tilde"], g.premium_surface(model, grid, grid))
+
+    sim = tmp_path / "sim"
+    main(["simulate", "--spec", str(gamma_spec), "--out", str(sim), "--seed", "7",
+          "--n", "100", "--paths", "2", "--steps", "16"])
+    for i in range(2):
+        p = g.simulate_path(model, 1.0, 16, g.Rng(7, i))
+        assert (sim / f"path_{i:04d}.csv").read_bytes() == _reference_csv(
+            ["t", "x"], zip(p.times.tolist(), p.values.tolist()))
+
+    header = ["family", "params", "K", "T", "price", "stderr", "method"]
+    # NB's params JSON holds a comma and quotes, so csv must quote that field.
+    nb, lam, sig = DEFAULT_MODELS["NegativeBinomial"]
+    spec_path = _write_spec(tmp_path, nb, lam, sig)
+    spec = g.load_spec(spec_path)
+    opt = tmp_path / "opt.csv"
+    assert main(["price-option", "--spec", str(spec_path), "--out", str(opt),
+                 "--strike", "1.05", "--method", "mc", "--n", "2000", "--seed", "5"]) == 0
+    res = g.mc_call_price(spec, g.OptionSpec(strike=1.05, expiry=1.0), 2000, g.Rng(5))
+    params = json.dumps(nb.params())
+    assert "," in params and '"' in params
+    assert opt.read_bytes() == _reference_csv(
+        header, [(nb.family, params, 1.05, 1.0, res.estimate, res.stderr, "mc")])
+    assert b'"{""m"": 1.0, ""q"": 0.5}"' in opt.read_bytes()
+
+    assert main(["price-option", "--spec", str(gamma_spec), "--out", str(opt),
+                 "--strike", "0.9", "--expiry", "2.0", "--method", "exact"]) == 0
+    price = g.exact_call(g.load_spec(gamma_spec), g.OptionSpec(strike=0.9, expiry=2.0))
+    assert opt.read_bytes() == _reference_csv(
+        header, [("Gamma", json.dumps(model.params()), 0.9, 2.0, price, 0.0, "exact")])

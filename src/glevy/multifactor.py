@@ -174,6 +174,9 @@ class Schedule:
 def _cells(vglm: VectorGlm, schedule: Schedule) -> list:
     """The Component of each (interval, component) cell of the schedule, one
     row per interval; building them checks each cell's domain."""
+    if schedule.lam.shape[1] != len(vglm.components):
+        raise ParamOutOfRange("schedule", schedule.lam.shape,
+                              f"{len(vglm.components)} components need as many lam/sig columns")
     return [[Component(c.model, schedule.lam[k, i], schedule.sig[k, i])
              for i, c in enumerate(vglm.components)]
             for k in range(schedule.n_intervals)]
@@ -197,7 +200,11 @@ def _integrate_piecewise(schedule: Schedule, values: np.ndarray, t: float) -> fl
 
 def money_market(schedule: Schedule, t: float) -> float:
     """B_t = exp(integral of r over [0, t]); B_0 = 1."""
-    return math.exp(_integrate_piecewise(schedule, schedule.r, t))
+    growth = float(_integrate_piecewise(schedule, schedule.r, t))
+    try:
+        return math.exp(growth)
+    except OverflowError:
+        raise ParamOutOfRange("integral of r", growth, "B_t overflows a float") from None
 
 
 def _require_refining_grid(times: np.ndarray, schedule: Schedule) -> np.ndarray:

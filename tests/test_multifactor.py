@@ -500,3 +500,38 @@ def test_submartingale_check_matches_matrix_reference(name):
     assert ([c.generator.random(4).tolist() for c in rng.children]
             == [c.generator.random(4).tolist() for c in ref_rng.children])
     assert rng.generator.random(4).tolist() == g.Rng(71).generator.random(4).tolist()
+
+
+def _two_column_schedule():
+    return g.Schedule(breakpoints=[0.0, 1.0, 2.0], r=[0.02, 0.04],
+                      lam=[[0.4, 0.1], [0.6, 0.1]], sig=[[0.3, 0.2], [0.5, 0.2]])
+
+
+@pytest.mark.parametrize("case", ["fewer-columns", "more-columns"])
+def test_schedule_column_count_must_match_components(case):
+    # A two-component model on a one-column schedule once raised an untyped
+    # IndexError; a one-component model on a two-column schedule once
+    # ignored the extra column.
+    if case == "fewer-columns":
+        vglm = g.jump_diffusion(m=1.0, s=0.5, lam=0.2, sig=0.3, beta=0.1, theta=0.2)
+        sch = make_schedule()
+    else:
+        vglm = g.VectorGlm(components=(g.Component(g.Gamma(m=1.0), 0.4, 0.3),), r=0.02)
+        sch = _two_column_schedule()
+    paths = [g.Path(times=[0.0, 1.0, 2.0], values=[0.0, 0.1, 0.2])] * len(vglm.components)
+    with pytest.raises(g.ParamOutOfRange):
+        g.integrated_premium(vglm, sch, 0.0, 2.0)
+    with pytest.raises(g.ParamOutOfRange):
+        g.schedule_asset_path(vglm, sch, paths)
+    with pytest.raises(g.ParamOutOfRange):
+        g.submartingale_check(vglm, sch, 0.5, 2.0, n=100, rng=g.Rng(1))
+
+
+def test_money_market_overflow_is_typed():
+    sch = g.Schedule(breakpoints=[0.0, 1.0], r=[5.0], lam=[[0.4]], sig=[[0.3]])
+    assert g.money_market(sch, 140.0) == pytest.approx(math.exp(700.0), rel=1e-12)
+    with pytest.raises(g.ParamOutOfRange):
+        g.money_market(sch, 200.0)
+    vglm = g.VectorGlm(components=(g.Component(g.Gamma(m=1.0), 0.4, 0.3),), r=0.02)
+    with pytest.raises(g.ParamOutOfRange):
+        g.submartingale_check(vglm, sch, 0.5, 200.0, n=2, rng=g.Rng(1), steps_per_year=1)

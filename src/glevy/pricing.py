@@ -93,6 +93,8 @@ class GlmSpec(Component):
 
 def log_value(log0, rate, model: LevyModel, a: float, x, t: float):
     """log v0 + rate t + a x - t psi(a), the log of v0 e^{rate t} e^{a x - t psi(a)}."""
+    if not 0.0 <= t < math.inf:
+        raise ParamOutOfRange("t", t, "must be finite and >= 0")
     return log0 + rate * t + a * x - t * model.psi(a)
 
 

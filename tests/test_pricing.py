@@ -3,6 +3,7 @@
 import ast
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +289,43 @@ def test_value_functions_match_reference_formulas_bitwise(name, xname, t):
     for vglm, xv in ((one, x1), (two, x2)):
         _assert_identical(g.vector_kernel_value(vglm, xv, t), _ref_vector_kernel(vglm, xv, t))
         _assert_identical(g.vector_asset_value(vglm, xv, t), _ref_vector_asset(vglm, xv, t))
+
+
+_VALUE_FUNCTIONS = [g.kernel_value, g.asset_value, g.fx_value, g.inverse_fx_value,
+                    g.dividend_asset_value]
+_VECTOR_VALUE_FUNCTIONS = [g.vector_kernel_value, g.vector_asset_value]
+
+
+def _time_check_models():
+    spec = make_spec(g.Gamma(m=1.0), 0.25, 0.5, r=0.03, s0=1.3, f=0.01,
+                     gamma_growth=0.005, d0=0.05)
+    vglm = g.VectorGlm(components=(g.Component(g.Gamma(m=1.0), 0.25, 0.5),
+                                   g.Component(g.Brownian(), 0.2, 0.5)), r=0.03, s0=1.3)
+    return spec, vglm
+
+
+@pytest.mark.parametrize("t", [-1.0, math.inf, math.nan])
+def test_value_functions_reject_bad_time(t):
+    # Once t = -1 gave a value and t = inf or nan gave nan with a RuntimeWarning.
+    spec, vglm = _time_check_models()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in _VALUE_FUNCTIONS:
+            with pytest.raises(g.ParamOutOfRange):
+                fn(spec, 0.1, t)
+        for fn in _VECTOR_VALUE_FUNCTIONS:
+            with pytest.raises(g.ParamOutOfRange):
+                fn(vglm, [0.1, -0.2], t)
+
+
+def test_value_functions_at_time_zero():
+    spec, vglm = _time_check_models()
+    s0_implied, _ = g.gordon_valuation(spec)
+    want = [1.0, spec.s0, spec.s0, 1.0 / spec.s0, s0_implied]
+    for fn, v in zip(_VALUE_FUNCTIONS, want):
+        assert fn(spec, 0.0, 0.0) == pytest.approx(v, rel=1e-15)
+    assert g.vector_kernel_value(vglm, [0.0, 0.0], 0.0) == 1.0
+    assert g.vector_asset_value(vglm, [0.0, 0.0], 0.0) == pytest.approx(vglm.s0, rel=1e-15)
 
 
 def test_glm_spec_is_a_component():

@@ -92,6 +92,8 @@ def cmd_simulate(args) -> int:
     # one float at a time: a list of all n floats raises the peak RSS.
     res = McResult.from_samples(
         np.fromiter(map(math.exp, memoryview(sig * x - horizon * model.psi(sig))), float, n))
+    if res.stderr == 0.0:  # all samples equal: no evidence either way
+        raise ParamOutOfRange("horizon", horizon, f"gives {n} samples with stderr 0")
     summary = {"estimate": res.estimate, "stderr": res.stderr, "n": res.n,
                "seed": args.seed}
     # Written only once every draw succeeded, so a rejected input leaves no files.

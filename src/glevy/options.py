@@ -11,9 +11,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import ParamOutOfRange, QuadratureFailure
+from .exponents import _finite, _positive
 from .pricing import GlmSpec, asset_value, kernel_value, log_value
 from .sampling import McResult, Rng, sample_increments
 
@@ -58,14 +59,18 @@ def mc_call_price(glm: GlmSpec, opt: OptionSpec, n: int, rng: Rng) -> McResult:
 
 def bs_call_price(s0: float, r: float, sig: float, strike: float, expiry: float) -> float:
     """Black-Scholes call price; serves as the closed-form lognormal oracle."""
+    OptionSpec(strike, expiry)
+    s0, r = _positive("s0", s0), _finite("r", r)
+    if not 0.0 <= sig < math.inf:
+        raise ParamOutOfRange("sig", sig, "must be finite and >= 0")
     if strike == 0.0:
         return s0
-    if sig <= 0.0:
-        return max(s0 - strike * math.exp(-r * expiry), 0.0)
     st = sig * math.sqrt(expiry)
+    if st == 0.0:  # sig = 0, or sig so small that st underflows
+        return max(s0 - strike * math.exp(-r * expiry), 0.0)
     d1 = (math.log(s0 / strike) + (r + 0.5 * sig * sig) * expiry) / st
     d2 = d1 - st
-    return s0 * norm.cdf(d1) - strike * math.exp(-r * expiry) * norm.cdf(d2)
+    return s0 * ndtr(d1) - strike * math.exp(-r * expiry) * ndtr(d2)
 
 
 def exact_call(glm: GlmSpec, opt: OptionSpec) -> float:

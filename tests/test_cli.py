@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 
 from pathlib import Path as FsPath
 
@@ -376,15 +378,19 @@ def test_simulate_summary_is_the_one_step_mc_expectation_bit_for_bit(tmp_path, c
     out, seed, horizon = tmp_path / "sim", 31, 1.5
     rc = main(["simulate", "--spec", str(spec_path), "--out", str(out), "--seed", str(seed),
                "--n", str(n), "--paths", "1", "--steps", "4", "--horizon", repr(horizon)])
-    summary = json.loads((out / "mc_summary.json").read_text())
-    assert capsys.readouterr().out.splitlines()[-1] == json.dumps(summary)
-
     comp = model.psi(sig)
 
     def payoff(path):
         return math.exp(sig * path.values[-1] - horizon * comp)
 
     ref = g.mc_expectation(payoff, model, horizon, 1, n, g.Rng(seed, 10_000))
+    if ref.stderr == 0.0:
+        # Equal samples (NegativeBinomial and Mirrored[Poisson] at n = 2) are
+        # rejected and leave no files.
+        assert (rc, out.exists()) == (2, False)
+        return
+    summary = json.loads((out / "mc_summary.json").read_text())
+    assert capsys.readouterr().out.splitlines()[-1] == json.dumps(summary)
     assert repr(summary["estimate"]) == repr(ref.estimate)
     assert repr(summary["stderr"]) == repr(ref.stderr)
     assert summary["n"] == ref.n == n
@@ -398,6 +404,38 @@ def test_simulate_too_few_samples_exits_2(gamma_spec, tmp_path, capsys, n):
     err = capsys.readouterr().err
     assert err == f"error: parameter n={n} violates: must be >= 2\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, flags", [
+    # Every sample underflows to 0.
+    (_GOOD_SPEC, ["--paths", "0", "--n", "100", "--horizon", "1e300"]),
+    # No jump by the horizon: every sample is 0.99999999999935.
+    ({"family": "Poisson", "params": {"m": 1.0}, "r": 0.02, "lambda": 0.3, "sigma": 0.5},
+     ["--horizon", "1e-12"]),
+], ids=["gamma-underflow", "poisson-no-jump"])
+def test_simulate_degenerate_sample_exits_2(tmp_path, capsys, spec, flags):
+    path, out = tmp_path / "s.json", tmp_path / "sim"
+    path.write_text(json.dumps(spec))
+    assert main(["simulate", "--spec", str(path), "--out", str(out)] + flags) == 2
+    cap = capsys.readouterr()
+    assert cap.out == f"seed={DEFAULT_SEED}\n"
+    assert cap.err.startswith("error: parameter horizon=") and cap.err.count("\n") == 1
+    assert "stderr 0" in cap.err
+    assert not out.exists()
+
+
+def test_cold_start_loads_no_scipy_stats(gamma_spec):
+    # Other test modules import scipy.stats, so only a fresh interpreter shows
+    # what importing glevy and running a command load.
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import glevy, glevy.cli; "
+            "rc = glevy.cli.main(['verify', '--spec', sys.argv[2]]); "
+            "print(json.dumps([rc, 'scipy.stats' in sys.modules, "
+            "'scipy.integrate' in sys.modules]))")
+    src = str(FsPath(g.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, src, str(gamma_spec)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False, True]
 
 
 def test_simulate_bad_horizon_without_paths_names_the_horizon(gamma_spec, tmp_path, capsys):

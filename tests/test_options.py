@@ -1,5 +1,6 @@
 """Tests for option valuation: closed forms, quadrature/series oracles, MC."""
 
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,54 @@ def test_bs_zero_vol_intrinsic():
     p = g.bs_call_price(1.0, 0.05, 1e-12, 0.9, 1.0)
     assert p == pytest.approx(1.0 - 0.9 * math.exp(-0.05), rel=1e-9)
     assert g.bs_call_price(1.0, 0.0, 1e-12, 2.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+
+
+def _bs_norm_cdf(s0, r, sig, strike, expiry):
+    """The Black-Scholes price as written with scipy.stats.norm.cdf."""
+    from scipy.stats import norm
+
+    if strike == 0.0:
+        return s0
+    if sig <= 0.0:
+        return max(s0 - strike * math.exp(-r * expiry), 0.0)
+    st = sig * math.sqrt(expiry)
+    d1 = (math.log(s0 / strike) + (r + 0.5 * sig * sig) * expiry) / st
+    d2 = d1 - st
+    return s0 * norm.cdf(d1) - strike * math.exp(-r * expiry) * norm.cdf(d2)
+
+
+def test_bs_is_the_norm_cdf_formula_bit_for_bit():
+    grid = itertools.product((0.5, 1.0, 2.0), (-0.01, 0.0, 0.05), (1e-12, 0.05, 0.25, 1.5),
+                             (0.0, 0.5, 1.0, 2.0, 10.0), (0.01, 1.0, 10.0))
+    for args in grid:
+        assert g.bs_call_price(*args) == _bs_norm_cdf(*args), args
+
+
+def test_bs_underflowing_vol_is_the_deterministic_limit():
+    # sig * sqrt(T) rounds to 0 for the smallest subnormal sig.
+    assert g.bs_call_price(1.0, 0.05, 5e-324, 0.9, 0.01) == 1.0 - 0.9 * math.exp(-0.05 * 0.01)
+
+
+@pytest.mark.parametrize("s0, r, sig, strike, expiry, name", [
+    (1.0, 0.05, 0.2, 1.0, 0.0, "expiry"),
+    (1.0, 0.05, 0.2, 1.0, -1.0, "expiry"),
+    (1.0, 0.05, 0.2, 1.0, math.inf, "expiry"),
+    (1.0, 0.05, 0.2, -1.0, 1.0, "strike"),
+    (1.0, 0.05, 0.2, math.nan, 1.0, "strike"),
+    (0.0, 0.05, 0.2, 1.0, 1.0, "s0"),
+    (-1.0, 0.05, 0.2, 1.0, 1.0, "s0"),
+    (math.inf, 0.05, 0.2, 1.0, 1.0, "s0"),
+    (math.nan, 0.05, 0.2, 0.0, 1.0, "s0"),
+    (1.0, math.nan, 0.2, 1.0, 1.0, "r"),
+    (1.0, -math.inf, 0.2, 1.0, 1.0, "r"),
+    (1.0, 0.05, math.nan, 1.0, 1.0, "sig"),
+    (1.0, 0.05, math.inf, 1.0, 1.0, "sig"),
+    (1.0, 0.05, -0.2, 1.0, 1.0, "sig"),
+])
+def test_bs_rejects_bad_input(s0, r, sig, strike, expiry, name):
+    with pytest.raises(g.ParamOutOfRange) as exc:
+        g.bs_call_price(s0, r, sig, strike, expiry)
+    assert exc.value.name == name
 
 
 def test_bs_monotone_in_strike():

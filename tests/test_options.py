@@ -42,7 +42,8 @@ def test_bs_is_the_norm_cdf_formula_bit_for_bit():
     grid = itertools.product((0.5, 1.0, 2.0), (-0.01, 0.0, 0.05), (1e-12, 0.05, 0.25, 1.5),
                              (0.0, 0.5, 1.0, 2.0, 10.0), (0.01, 1.0, 10.0))
     for args in grid:
-        assert g.bs_call_price(*args) == _bs_norm_cdf(*args), args
+        got, want = g.bs_call_price(*args), _bs_norm_cdf(*args)
+        assert got == want and type(got) is type(want), args
 
 
 def test_bs_underflowing_vol_is_the_deterministic_limit():

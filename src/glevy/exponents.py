@@ -69,7 +69,7 @@ class Interval:
                            else hi - DOMAIN_MARGIN * max(1.0, abs(hi)))
 
     def admissible(self, alpha: float) -> bool:
-        """Strict interior test with a safety margin at finite endpoints."""
+        """Strict interior test with a margin at finite endpoints; `_check` inlines it."""
         return self._lo <= alpha <= self._hi
 
     def mirrored(self) -> "Interval":
@@ -207,7 +207,7 @@ class LevyModel:
     def _check(self, alpha: float) -> float:
         alpha = float(alpha)
         dom = self.domain
-        if not dom.admissible(alpha):
+        if not dom._lo <= alpha <= dom._hi:  # dom.admissible(alpha), inline
             raise DomainViolation(alpha, dom)
         return alpha
 
@@ -485,22 +485,27 @@ class AsymmetricVG(LevyModel):
     def domain(self) -> Interval:
         return Interval(-1.0 / self.kappa2, 1.0 / self.kappa1)
 
-    def _u(self, alpha: float) -> float:
-        return 1.0 - (self.mu / self.m) * alpha - (self.s**2 / (2.0 * self.m)) * alpha * alpha
+    @cached_property
+    def _coefs(self) -> tuple[float, float, float]:
+        """(mu/m, s^2/2m, s^2), with psi(a) = -m ln(1 - (mu/m) a - (s^2/2m) a^2)."""
+        return self.mu / self.m, self.s**2 / (2.0 * self.m), self.s**2
 
     def psi(self, alpha):
         alpha = self._check(alpha)
-        return -self.m * math.log(self._u(alpha))
+        b, c, _ = self._coefs
+        return -self.m * math.log(1.0 - b * alpha - c * alpha * alpha)
 
     def psi_prime(self, alpha):
         alpha = self._check(alpha)
-        return (self.mu + self.s**2 * alpha) / self._u(alpha)
+        b, c, s2 = self._coefs
+        return (self.mu + s2 * alpha) / (1.0 - b * alpha - c * alpha * alpha)
 
     def psi_second(self, alpha):
         alpha = self._check(alpha)
-        u = self._u(alpha)
-        v = self.mu + self.s**2 * alpha
-        return (self.s**2 * u + v * v / self.m) / (u * u)
+        b, c, s2 = self._coefs
+        u = 1.0 - b * alpha - c * alpha * alpha
+        v = self.mu + s2 * alpha
+        return (s2 * u + v * v / self.m) / (u * u)
 
     def increments(self, dt, size, g):
         shape = self.m * dt

@@ -8,6 +8,7 @@ parameter combinations option prices actually identify).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,12 +66,24 @@ def bs_call_price(s0: float, r: float, sig: float, strike: float, expiry: float)
         raise ParamOutOfRange("sig", sig, "must be finite and >= 0")
     if strike == 0.0:
         return s0
+    try:
+        disc = math.exp(-r * expiry)
+    except OverflowError:
+        raise ParamOutOfRange("-r T", -r * expiry, "e^{-rT} overflows a float") from None
     st = sig * math.sqrt(expiry)
     if st == 0.0:  # sig = 0, or sig so small that st underflows
-        return max(s0 - strike * math.exp(-r * expiry), 0.0)
-    d1 = (math.log(s0 / strike) + (r + 0.5 * sig * sig) * expiry) / st
-    d2 = d1 - st
-    return s0 * ndtr(d1) - strike * math.exp(-r * expiry) * ndtr(d2)
+        return max(s0 - strike * disc, 0.0)
+    moneyness = s0 / strike
+    if sys.float_info.min <= moneyness < math.inf:
+        x = math.log(moneyness)
+    else:  # s0/K underflows or overflows
+        x = math.log(s0) - math.log(strike)
+    d1 = (x + (r + 0.5 * sig * sig) * expiry) / st
+    if math.isfinite(d1):
+        d2 = d1 - st
+    else:  # sig^2 T overflows: split d1 and d2 into x/st -+ st/2
+        d1, d2 = x / st + 0.5 * st, x / st - 0.5 * st
+    return s0 * ndtr(d1) - strike * disc * ndtr(d2)
 
 
 def exact_call(glm: GlmSpec, opt: OptionSpec) -> float:

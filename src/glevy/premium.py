@@ -103,11 +103,12 @@ def premium_hessian_signs(model: LevyModel, lam: float, sig: float) -> tuple[int
     d2_sig = at_sig - at_diff
     d2_lam = model.psi_second(-lam) - at_diff
     tol = 1e-12 * max(1.0, abs(at_sig))
+    return _sign(d2_sig, tol), _sign(d2_lam, tol)
 
-    def sgn(x: float) -> int:
-        return 0 if abs(x) < tol else (1 if x > 0 else -1)
 
-    return sgn(d2_sig), sgn(d2_lam)
+def _sign(x: float, tol: float) -> int:
+    """0 when |x| < tol, else the sign of x."""
+    return 0 if abs(x) < tol else (1 if x > 0 else -1)
 
 
 def curvature_from_premium(model: LevyModel, sig: float) -> float:

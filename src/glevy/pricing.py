@@ -169,6 +169,9 @@ def spec_from_dict(d: dict) -> GlmSpec:
     """Build a GlmSpec from the JSON schema used by config files and the CLI."""
     if not isinstance(d, dict):
         raise ParamOutOfRange("spec", d, "must be a JSON object")
+    for key in ("family", "r", "lambda", "sigma"):
+        if key not in d:
+            raise ParamOutOfRange(key, None, "must be given")
     model = make_model(d["family"], d.get("params", {}))
     return GlmSpec(
         model=model,

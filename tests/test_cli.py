@@ -319,6 +319,16 @@ def test_malformed_spec_exits_2(tmp_path, capsys, spec):
     assert _files(tmp_path) == [FsPath("s.json")]
 
 
+@pytest.mark.parametrize("key", ["family", "r", "lambda", "sigma"])
+def test_spec_without_a_required_key_exits_2_naming_it(tmp_path, capsys, key):
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({k: v for k, v in _GOOD_SPEC.items() if k != key}))
+    assert main(["verify", "--spec", str(p)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert out.err.startswith(f"error: parameter {key}=None violates: ")
+
+
 def test_spec_path_is_a_directory_exits_2(tmp_path, capsys):
     assert main(["verify", "--spec", str(tmp_path)]) == 2
     _assert_one_error_line(capsys)

@@ -3,10 +3,11 @@
 import dataclasses
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import glevy as g
@@ -153,6 +154,49 @@ def test_admissible_matches_four_branch_reference(data):
     assert interval.admissible(alpha) == _four_branch_admissible(interval, alpha)
 
 
+_DISTINCT_MODELS = list(dict.fromkeys(_MODELS))  # 8 families and 5 distinct mirrors
+
+
+def _inclusive_limits(interval):
+    """The limits of the admissible set: a margin inside each finite endpoint,
+    the largest finite float beyond an infinite one."""
+    limits = []
+    for e in (interval.lower, interval.upper):
+        if math.isinf(e):
+            limits.append(math.copysign(sys.float_info.max, e))
+        else:
+            margin = DOMAIN_MARGIN * max(1.0, abs(e))
+            limits.append(e + margin if e < 0.0 else e - margin)
+    return limits
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_checked_call_raises_exactly_outside_the_admissible_set(data):
+    model = data.draw(st.sampled_from(_DISTINCT_MODELS))
+    method = data.draw(st.sampled_from(["psi", "psi_prime", "psi_second"]))
+    dom = model.domain
+    limit = data.draw(st.sampled_from(_inclusive_limits(dom)))
+    alpha = data.draw(st.one_of(
+        st.integers(-64, 64).map(lambda k: limit + k * math.ulp(limit)),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.integers(-2**53, 2**53),
+        st.floats()))
+    if isinstance(alpha, float) and data.draw(st.booleans()):
+        alpha = np.float64(alpha)
+    admissible = dom.admissible(alpha)
+    try:
+        getattr(model, method)(alpha)
+    except g.DomainViolation as e:
+        assert not admissible
+        assert e.interval == dom
+        assert str(e) == f"alpha={float(alpha)} outside admissible interval {dom}"
+        return
+    except OverflowError:  # the formula, not the check: e.g. expm1 of an admissible 1e300
+        pass
+    assert admissible
+
+
 def test_evaluation_builds_no_interval(family_case, monkeypatch):
     model, lam, sig = family_case
     models = (model, g.mirror(model))
@@ -173,15 +217,47 @@ def test_evaluation_builds_no_interval(family_case, monkeypatch):
     assert built == []
 
 
+def _values(model, alphas):
+    return [(model.psi(a), model.psi_prime(a), model.psi_second(a)) for a in alphas]
+
+
 def test_domain_cache_keeps_value_semantics(family_case):
-    model, _, _ = family_case
+    model, lam, sig = family_case
+    alphas = (0.5 * sig, -0.5 * lam)
     for m in (model, g.mirror(model)):
         fresh = dataclasses.replace(m)
         text, digest = repr(fresh), hash(fresh)
         m.domain
+        values = _values(m, alphas)  # fills every cached property of the model
         assert m == fresh and hash(m) == digest and repr(m) == text
         back = pickle.loads(pickle.dumps(m))
-        assert back == m and hash(back) == digest and back.domain == m.domain
+        assert back == m and hash(back) == digest and repr(back) == text
+        assert back.domain == m.domain and _values(back, alphas) == values
+
+
+def _asymmetric_vg_reference(m, mu, s, a):
+    """(psi, psi', psi'') of AsymmetricVG(m, mu, s) at a, with u(a) formed from
+    the parameters at every call: the reference the cached coefficients keep."""
+    u = 1.0 - (mu / m) * a - (s**2 / (2.0 * m)) * a * a
+    v = mu + s**2 * a
+    return -m * math.log(u), (mu + s**2 * a) / u, (s**2 * u + v * v / m) / (u * u)
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.floats(0.05, 20.0), mu=st.floats(-2.0, 2.0), s=st.floats(0.05, 3.0),
+       frac=st.floats(-1.0, 1.0))
+def test_asymmetric_vg_values_are_the_reference_bit_for_bit(m, mu, s, frac):
+    model = g.AsymmetricVG(m=m, mu=mu, s=s)
+    dom = model.domain
+    a = frac * (dom.upper if frac > 0.0 else -dom.lower)
+    assume(dom.admissible(a))
+    psi, d1, d2 = _asymmetric_vg_reference(m, mu, s, a)
+    assert _bits(_values(model, [a])[0]) == _bits((psi, d1, d2))
+    assert _bits(_values(g.mirror(model), [-a])[0]) == _bits((psi, -d1, d2))
 
 
 def test_replace_rebuilds_domain():
@@ -192,6 +268,21 @@ def test_replace_rebuilds_domain():
     assert nb.domain.lower == pytest.approx(-math.log(2.0))
     other = dataclasses.replace(nb, base=g.NegativeBinomial(m=1.0, q=0.25))
     assert other.domain.lower == pytest.approx(-math.log(4.0))
+
+
+def test_replace_rebuilds_asymmetric_vg_coefficients():
+    avg = g.AsymmetricVG(m=1.5, mu=0.2, s=0.8)
+    alphas = (-0.5, 0.3)
+    _values(avg, alphas)  # fills the cached coefficients of the original
+    fresh = g.AsymmetricVG(m=1.5, mu=-0.2, s=0.8)
+    replaced = dataclasses.replace(avg, mu=-0.2)
+    _values(replaced, alphas)
+    for other in (replaced, pickle.loads(pickle.dumps(replaced))):
+        assert other == fresh and other != avg
+        assert hash(other) == hash(fresh) and repr(other) == repr(fresh)
+        assert other.domain == fresh.domain
+        assert ([_bits(v) for v in _values(other, alphas)]
+                == [_bits(_asymmetric_vg_reference(1.5, -0.2, 0.8, a)) for a in alphas])
 
 
 def test_make_model_and_unsupported():

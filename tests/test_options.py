@@ -51,6 +51,42 @@ def test_bs_underflowing_vol_is_the_deterministic_limit():
     assert g.bs_call_price(1.0, 0.05, 5e-324, 0.9, 0.01) == 1.0 - 0.9 * math.exp(-0.05 * 0.01)
 
 
+@pytest.mark.parametrize("s0, r, sig, strike, expiry", [
+    (1.0, 0.0, 1e200, 1.0, 1.0),     # sig * sig overflows
+    (2.0, 0.05, 1e155, 1.5, 1.0),    # 0.5 * sig * sig overflows
+    (1.0, 0.0, 1e150, 1.0, 1e10),    # (r + sig^2/2) T overflows
+    (1.0, 0.0, 1e200, 1.0, 1e200),   # sig sqrt(T) overflows too
+])
+def test_bs_huge_vol_is_the_spot_limit(s0, r, sig, strike, expiry):
+    # d1 -> inf and d2 -> -inf as sig grows, so the price tends to s0.
+    assert g.bs_call_price(s0, r, sig, strike, expiry) == s0
+
+
+def _bs_mpmath(s0, r, sig, strike, expiry):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        s0, r, sig, strike, expiry = (mpmath.mpf(v) for v in (s0, r, sig, strike, expiry))
+        st = sig * mpmath.sqrt(expiry)
+        d1 = (mpmath.log(s0 / strike) + (r + sig * sig / 2) * expiry) / st
+        return float(s0 * mpmath.ncdf(d1)
+                     - strike * mpmath.exp(-r * expiry) * mpmath.ncdf(d1 - st))
+
+
+@pytest.mark.parametrize("s0, strike", [(1e-200, 1e200), (1e200, 1e-200), (1e-300, 1e10)])
+@pytest.mark.parametrize("sig", [0.2, 60.0])
+def test_bs_moneyness_beyond_the_float_range_matches_mpmath(s0, strike, sig):
+    # s0/K underflows to 0 or overflows to inf; log s0 - log K does not.
+    got = g.bs_call_price(s0, 0.01, sig, strike, 1.0)
+    assert got == pytest.approx(_bs_mpmath(s0, 0.01, sig, strike, 1.0), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("sig", [0.2, 0.0])
+def test_bs_overflowing_discount_raises(sig):
+    with pytest.raises(g.ParamOutOfRange) as exc:
+        g.bs_call_price(1.0, -1000.0, sig, 1.0, 1.0)
+    assert exc.value.name == "-r T"
+
+
 @pytest.mark.parametrize("s0, r, sig, strike, expiry, name", [
     (1.0, 0.05, 0.2, 1.0, 0.0, "expiry"),
     (1.0, 0.05, 0.2, 1.0, -1.0, "expiry"),

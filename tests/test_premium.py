@@ -139,6 +139,31 @@ def test_hessian_signs_evaluates_psi_second_three_times(monkeypatch):
     assert sorted(calls) == [-1.0, -0.5, 0.5]
 
 
+class _Curvatures:
+    """A stand-in model whose psi'' is a table."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def psi_second(self, alpha):
+        return self.table[alpha]
+
+
+@pytest.mark.parametrize("k, sign", [(1.0, 1), (-1.0, -1), (0.5, 0), (-0.5, 0), (0.0, 0)])
+def test_hessian_signs_at_the_tolerance(k, sign):
+    # tol = 1e-12 max(1, |psi''(sig)|). psi''(sig - lam) = 0 makes d2R/dsig2 =
+    # psi''(sig) and d2R/dlam2 = psi''(-lam) exactly, so each lands on k * tol.
+    lam, sig = 1.0, 0.5
+
+    def signs(at_sig, at_minus_lam):
+        model = _Curvatures({sig: at_sig, sig - lam: 0.0, -lam: at_minus_lam})
+        return g.premium_hessian_signs(model, lam, sig)
+
+    assert signs(k * 1e-12, 0.0) == (sign, 0)
+    assert signs(0.0, k * 1e-12) == (0, sign)
+    assert signs(4.0, k * 4e-12) == (1, sign)  # |psi''(sig)| = 4 scales tol to 4e-12
+
+
 def test_curvature_recovery(family_case):
     model, lam, sig = family_case
     est = g.curvature_from_premium(model, sig)

@@ -197,6 +197,15 @@ def test_spec_rejects_non_finite(field, value):
         g.GlmSpec(**kw)
 
 
+@pytest.mark.parametrize("key", ["family", "r", "lambda", "sigma"])
+def test_spec_without_a_required_key_names_it(key):
+    d = {"family": "Gamma", "params": {"m": 1.0}, "r": 0.02, "lambda": 0.5, "sigma": 0.4}
+    del d[key]
+    with pytest.raises(g.ParamOutOfRange) as exc:
+        g.spec_from_dict(d)
+    assert exc.value.name == key
+
+
 def test_cached_premium_is_exact(family_case):
     model, lam, sig = family_case
     spec = g.GlmSpec(model=model, r=0.02, lam=lam, sig=sig)

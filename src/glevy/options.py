@@ -81,7 +81,7 @@ def bs_call_price(s0: float, r: float, sig: float, strike: float, expiry: float)
     d1 = (x + (r + 0.5 * sig * sig) * expiry) / st
     if math.isfinite(d1):
         d2 = d1 - st
-    else:  # sig^2 T overflows: split d1 and d2 into x/st -+ st/2
+    else:  # sig^2 T (or x/st) overflows: d1, d2 = x/st +- st/2 keep their limits
         d1, d2 = x / st + 0.5 * st, x / st - 0.5 * st
     return s0 * ndtr(d1) - strike * disc * ndtr(d2)
 

@@ -81,8 +81,11 @@ def bs_call_price(s0: float, r: float, sig: float, strike: float, expiry: float)
     d1 = (x + (r + 0.5 * sig * sig) * expiry) / st
     if math.isfinite(d1):
         d2 = d1 - st
-    else:  # sig^2 T (or x/st) overflows: d1, d2 = x/st +- st/2 keep their limits
-        d1, d2 = x / st + 0.5 * st, x / st - 0.5 * st
+    elif st == math.inf:  # d1 -> inf and d2 -> -inf whatever x and r T
+        return s0
+    else:  # sig^2 T, r T or (x + r T)/st overflows: y +- st/2 keep their limits
+        y = (x + r * expiry) / st
+        d1, d2 = y + 0.5 * st, y - 0.5 * st
     return s0 * ndtr(d1) - strike * disc * ndtr(d2)
 
 

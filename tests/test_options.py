@@ -55,11 +55,25 @@ def test_bs_underflowing_vol_is_the_deterministic_limit():
     (1.0, 0.0, 1e200, 1.0, 1.0),     # sig * sig overflows
     (2.0, 0.05, 1e155, 1.5, 1.0),    # 0.5 * sig * sig overflows
     (1.0, 0.0, 1e150, 1.0, 1e10),    # (r + sig^2/2) T overflows
-    (1.0, 0.0, 1e200, 1.0, 1e200),   # sig sqrt(T) overflows too
+    (1.0, 0.0, 1e200, 1.0, 1e200),   # sig^2 T overflows, sig sqrt(T) = 1e300 does not
+    (1.0, 0.0, 1e300, 1.0, 1e20),    # sig sqrt(T) overflows too
+    (1.0, 1e308, 1.7e308, 1.0, 2.0), # r T and sig sqrt(T) both overflow
 ])
 def test_bs_huge_vol_is_the_spot_limit(s0, r, sig, strike, expiry):
     # d1 -> inf and d2 -> -inf as sig grows, so the price tends to s0.
     assert g.bs_call_price(s0, r, sig, strike, expiry) == s0
+
+
+@pytest.mark.parametrize("s0, r, sig, strike, expiry, want", [
+    # A subnormal sig leaves sig sqrt(T) nonzero, so (x + r T)/st overflows
+    # with the sign of x + r T: d1 = d2 = +-inf, the deterministic limit.
+    (1.0, 0.05, 1e-320, 1.0, 1.0, 1.0 - math.exp(-0.05)),
+    (1.01, -0.05, 1e-320, 1.0, 1.0, 0.0),
+    # r T overflows with a normal sig: e^{-rT} is 0 and d1 = d2 = inf.
+    (1.0, 1e308, 0.2, 1.0, 2.0, 1.0),
+])
+def test_bs_overflowing_drift_keeps_its_sign(s0, r, sig, strike, expiry, want):
+    assert g.bs_call_price(s0, r, sig, strike, expiry) == want
 
 
 def _bs_mpmath(s0, r, sig, strike, expiry):

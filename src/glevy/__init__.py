@@ -61,7 +61,6 @@ from .sampling import (
     Rng,
     mc_expectation,
     nb_dual_sample,
-    sample_increment,
     sample_increments,
     simulate_path,
     simulate_paths,

@@ -27,8 +27,10 @@ from .pricing import (
     gordon_valuation,
     inverse_fx_value,
     load_spec,
+    log_value,
 )
-from .sampling import McResult, Rng, _check_count, _check_dt, sample_increments, simulate_path
+from .exponents import _positive
+from .sampling import McResult, Rng, _check_count, sample_increments, simulate_path
 
 DEFAULT_SEED = 20120229  # fixed so published runs reproduce
 MAX_GRID_POINTS = 1000  # per axis; the premium surface has up to 10**6 rows
@@ -86,12 +88,12 @@ def cmd_simulate(args) -> int:
     # exact draws of X_T, the draws mc_expectation makes with one step.
     sig, model, horizon, n = spec.sig, spec.model, args.horizon, args.n
     _check_count("n", n, 2)
-    _check_dt(horizon, "horizon")
+    _positive("horizon", horizon)
     x = sample_increments(model, horizon, n, Rng(args.seed, 10_000))
     # math.exp as a per-path payoff takes it (np.exp can differ by an ulp), fed
     # one float at a time: a list of all n floats raises the peak RSS.
-    res = McResult.from_samples(
-        np.fromiter(map(math.exp, memoryview(sig * x - horizon * model.psi(sig))), float, n))
+    log_s = log_value(0.0, 0.0, model, sig, x, horizon)
+    res = McResult.from_samples(np.fromiter(map(math.exp, memoryview(log_s)), float, n))
     if res.stderr == 0.0:  # all samples equal: no evidence either way
         raise ParamOutOfRange("horizon", horizon, f"gives {n} samples with stderr 0")
     summary = {"estimate": res.estimate, "stderr": res.stderr, "n": res.n,

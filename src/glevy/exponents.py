@@ -1,15 +1,16 @@
 """Levy model families: everything the library knows about one process X.
 
-Each family knows its cumulant function psi (with E[exp(a*X_t)] = exp(t*psi(a))),
-its first two analytic derivatives, the open interval of admissible
-arguments, the exact law of its increments (`increments`), its jump
-measure (`levy_measure`) and, where it has a closed form, the law of X_t
-(`terminal_law`). The jump measure and the law are one type, `Measure`:
-atoms on the integers plus an optional density. Its `integrate` serves both
-the jump-measure premium and the exact call pricer, and a mirror reflects
-both. All model objects are immutable and safe to share between threads. A
-model's admissible interval is fixed at construction (built once, on first
-use, then reused by every evaluation); NaN and +-inf are never admissible.
+Each family knows its cumulant function psi (with E[exp(a*X_t)] = exp(t*psi(a)))
+and its first two analytic derivatives as check-free formulas, the open
+interval of admissible arguments, the exact law of its increments
+(`increments`), its jump measure (`levy_measure`) and, where it has a closed
+form, the law of X_t (`terminal_law`). The jump measure and the law are one
+type, `Measure`: atoms on the integers plus an optional density. Its
+`integrate` serves both the jump-measure premium and the exact call pricer,
+and a mirror reflects both. All model objects are immutable and safe to share
+between threads. A model's admissible interval is fixed at construction
+(built once, on first use, then reused by every evaluation); NaN and +-inf are
+never admissible. `LevyModel` alone checks an argument against it.
 """
 from __future__ import annotations
 
@@ -69,7 +70,8 @@ class Interval:
                            else hi - DOMAIN_MARGIN * max(1.0, abs(hi)))
 
     def admissible(self, alpha: float) -> bool:
-        """Strict interior test with a margin at finite endpoints; `_check` inlines it."""
+        """Strict interior test with a margin at finite endpoints; `LevyModel.psi`,
+        `psi_prime` and `psi_second` inline it."""
         return self._lo <= alpha <= self._hi
 
     def mirrored(self) -> "Interval":
@@ -193,8 +195,13 @@ class Measure:
 
 @dataclass(frozen=True)
 class LevyModel:
-    """Base class; concrete families implement the closed-form exponent, the
-    exact increment law and, where known, the jump measure."""
+    """Base class. A family defines its exponent as the check-free formulas
+    `_psi`, `_psi_prime` and `_psi_second` of a float, its exact increment law
+    and, where known, its jump measure and the law of X_t. The public `psi`,
+    `psi_prime` and `psi_second` live here only: each checks float(alpha)
+    against the domain's inclusive limits, inline so a call is two frames,
+    raises DomainViolation outside them and ParamOutOfRange where the formula
+    overflows a float, and returns the formula's value."""
 
     @property
     def family(self) -> str:
@@ -204,21 +211,35 @@ class LevyModel:
     def domain(self) -> Interval:
         raise NotImplementedError
 
-    def _check(self, alpha: float) -> float:
-        alpha = float(alpha)
-        dom = self.domain
-        if not dom._lo <= alpha <= dom._hi:  # dom.admissible(alpha), inline
-            raise DomainViolation(alpha, dom)
-        return alpha
-
     def psi(self, alpha):
-        raise NotImplementedError
+        dom = self.domain
+        try:
+            a = float(alpha)
+            if not dom._lo <= a <= dom._hi:
+                raise DomainViolation(a, dom)
+            return self._psi(a)
+        except OverflowError:
+            raise ParamOutOfRange("alpha", alpha, "psi overflows a float") from None
 
     def psi_prime(self, alpha):
-        raise NotImplementedError
+        dom = self.domain
+        try:
+            a = float(alpha)
+            if not dom._lo <= a <= dom._hi:
+                raise DomainViolation(a, dom)
+            return self._psi_prime(a)
+        except OverflowError:
+            raise ParamOutOfRange("alpha", alpha, "psi_prime overflows a float") from None
 
     def psi_second(self, alpha):
-        raise NotImplementedError
+        dom = self.domain
+        try:
+            a = float(alpha)
+            if not dom._lo <= a <= dom._hi:
+                raise DomainViolation(a, dom)
+            return self._psi_second(a)
+        except OverflowError:
+            raise ParamOutOfRange("alpha", alpha, "psi_second overflows a float") from None
 
     def increments(self, dt: float, size: int, g: np.random.Generator) -> np.ndarray:
         """size iid draws of X_dt from the exact increment law, drawn from g."""
@@ -242,15 +263,13 @@ class Brownian(LevyModel):
 
     domain = _REAL_LINE
 
-    def psi(self, alpha):
-        alpha = self._check(alpha)
-        return 0.5 * alpha * alpha
+    def _psi(self, a):
+        return 0.5 * a * a
 
-    def psi_prime(self, alpha):
-        return self._check(alpha)
+    def _psi_prime(self, a):
+        return a
 
-    def psi_second(self, alpha):
-        self._check(alpha)
+    def _psi_second(self, a):
         return 1.0
 
     def increments(self, dt, size, g):
@@ -276,17 +295,14 @@ class Poisson(LevyModel):
 
     domain = _REAL_LINE
 
-    def psi(self, alpha):
-        alpha = self._check(alpha)
-        return self.m * math.expm1(alpha)
+    def _psi(self, a):
+        return self.m * math.expm1(a)
 
-    def psi_prime(self, alpha):
-        alpha = self._check(alpha)
-        return self.m * math.exp(alpha)
+    def _psi_prime(self, a):
+        return self.m * math.exp(a)
 
-    def psi_second(self, alpha):
-        alpha = self._check(alpha)
-        return self.m * math.exp(alpha)
+    def _psi_second(self, a):
+        return self.m * math.exp(a)
 
     def increments(self, dt, size, g):
         return g.poisson(self.m * dt, size).astype(float)
@@ -316,19 +332,16 @@ class CompoundPoissonNormal(LevyModel):
 
     domain = _REAL_LINE
 
-    def psi(self, alpha):
-        alpha = self._check(alpha)
-        return self.m * math.expm1(0.5 * self.s**2 * alpha * alpha)
+    def _psi(self, a):
+        return self.m * math.expm1(0.5 * self.s**2 * a * a)
 
-    def psi_prime(self, alpha):
-        alpha = self._check(alpha)
+    def _psi_prime(self, a):
         s2 = self.s**2
-        return self.m * s2 * alpha * math.exp(0.5 * s2 * alpha * alpha)
+        return self.m * s2 * a * math.exp(0.5 * s2 * a * a)
 
-    def psi_second(self, alpha):
-        alpha = self._check(alpha)
+    def _psi_second(self, a):
         s2 = self.s**2
-        return self.m * s2 * (1.0 + s2 * alpha * alpha) * math.exp(0.5 * s2 * alpha * alpha)
+        return self.m * s2 * (1.0 + s2 * a * a) * math.exp(0.5 * s2 * a * a)
 
     def increments(self, dt, size, g):
         # Sum of N(0, s^2) jumps, count Poisson(m dt): conditionally normal
@@ -355,17 +368,14 @@ class Gamma(LevyModel):
     def domain(self) -> Interval:
         return Interval(-math.inf, 1.0)
 
-    def psi(self, alpha):
-        alpha = self._check(alpha)
-        return -self.m * math.log1p(-alpha)
+    def _psi(self, a):
+        return -self.m * math.log1p(-a)
 
-    def psi_prime(self, alpha):
-        alpha = self._check(alpha)
-        return self.m / (1.0 - alpha)
+    def _psi_prime(self, a):
+        return self.m / (1.0 - a)
 
-    def psi_second(self, alpha):
-        alpha = self._check(alpha)
-        return self.m / (1.0 - alpha) ** 2
+    def _psi_second(self, a):
+        return self.m / (1.0 - a) ** 2
 
     def increments(self, dt, size, g):
         # numpy's gamma sampler (Marsaglia-Tsang rejection with the shape<1
@@ -399,17 +409,14 @@ class ScaledGamma(LevyModel):
     def domain(self) -> Interval:
         return Interval(-math.inf, 1.0 / self.kappa)
 
-    def psi(self, alpha):
-        alpha = self._check(alpha)
-        return -self.m * math.log1p(-alpha * self.kappa)
+    def _psi(self, a):
+        return -self.m * math.log1p(-a * self.kappa)
 
-    def psi_prime(self, alpha):
-        alpha = self._check(alpha)
-        return self.m * self.kappa / (1.0 - alpha * self.kappa)
+    def _psi_prime(self, a):
+        return self.m * self.kappa / (1.0 - a * self.kappa)
 
-    def psi_second(self, alpha):
-        alpha = self._check(alpha)
-        return self.m * self.kappa**2 / (1.0 - alpha * self.kappa) ** 2
+    def _psi_second(self, a):
+        return self.m * self.kappa**2 / (1.0 - a * self.kappa) ** 2
 
     def increments(self, dt, size, g):
         return self.kappa * g.gamma(self.m * dt, 1.0, size)
@@ -434,18 +441,15 @@ class VarianceGamma(LevyModel):
         b = math.sqrt(2.0 * self.m)
         return Interval(-b, b)
 
-    def psi(self, alpha):
-        alpha = self._check(alpha)
-        return -self.m * math.log1p(-alpha * alpha / (2.0 * self.m))
+    def _psi(self, a):
+        return -self.m * math.log1p(-a * a / (2.0 * self.m))
 
-    def psi_prime(self, alpha):
-        alpha = self._check(alpha)
-        return alpha / (1.0 - alpha * alpha / (2.0 * self.m))
+    def _psi_prime(self, a):
+        return a / (1.0 - a * a / (2.0 * self.m))
 
-    def psi_second(self, alpha):
-        alpha = self._check(alpha)
-        u = 1.0 - alpha * alpha / (2.0 * self.m)
-        return (1.0 + alpha * alpha / (2.0 * self.m)) / (u * u)
+    def _psi_second(self, a):
+        u = 1.0 - a * a / (2.0 * self.m)
+        return (1.0 + a * a / (2.0 * self.m)) / (u * u)
 
     def increments(self, dt, size, g):
         shape = self.m * dt
@@ -490,21 +494,18 @@ class AsymmetricVG(LevyModel):
         """(mu/m, s^2/2m, s^2), with psi(a) = -m ln(1 - (mu/m) a - (s^2/2m) a^2)."""
         return self.mu / self.m, self.s**2 / (2.0 * self.m), self.s**2
 
-    def psi(self, alpha):
-        alpha = self._check(alpha)
+    def _psi(self, a):
         b, c, _ = self._coefs
-        return -self.m * math.log(1.0 - b * alpha - c * alpha * alpha)
+        return -self.m * math.log(1.0 - b * a - c * a * a)
 
-    def psi_prime(self, alpha):
-        alpha = self._check(alpha)
+    def _psi_prime(self, a):
         b, c, s2 = self._coefs
-        return (self.mu + s2 * alpha) / (1.0 - b * alpha - c * alpha * alpha)
+        return (self.mu + s2 * a) / (1.0 - b * a - c * a * a)
 
-    def psi_second(self, alpha):
-        alpha = self._check(alpha)
+    def _psi_second(self, a):
         b, c, s2 = self._coefs
-        u = 1.0 - b * alpha - c * alpha * alpha
-        v = self.mu + s2 * alpha
+        u = 1.0 - b * a - c * a * a
+        v = self.mu + s2 * a
         return (s2 * u + v * v / self.m) / (u * u)
 
     def increments(self, dt, size, g):
@@ -530,18 +531,15 @@ class NegativeBinomial(LevyModel):
     def domain(self) -> Interval:
         return Interval(-math.inf, math.log(1.0 / self.q))
 
-    def psi(self, alpha):
-        alpha = self._check(alpha)
-        return self.m * (math.log1p(-self.q) - math.log1p(-self.q * math.exp(alpha)))
+    def _psi(self, a):
+        return self.m * (math.log1p(-self.q) - math.log1p(-self.q * math.exp(a)))
 
-    def psi_prime(self, alpha):
-        alpha = self._check(alpha)
-        qe = self.q * math.exp(alpha)
+    def _psi_prime(self, a):
+        qe = self.q * math.exp(a)
         return self.m * qe / (1.0 - qe)
 
-    def psi_second(self, alpha):
-        alpha = self._check(alpha)
-        qe = self.q * math.exp(alpha)
+    def _psi_second(self, a):
+        qe = self.q * math.exp(a)
         return self.m * qe / (1.0 - qe) ** 2
 
     def increments(self, dt, size, g):
@@ -567,23 +565,14 @@ class Mirrored(LevyModel):
     def domain(self) -> Interval:
         return self.base.domain.mirrored()
 
-    def psi(self, alpha):
-        try:
-            return self.base.psi(-float(alpha))
-        except DomainViolation:
-            raise DomainViolation(float(alpha), self.domain) from None
+    def _psi(self, a):
+        return self.base._psi(-a)
 
-    def psi_prime(self, alpha):
-        try:
-            return -self.base.psi_prime(-float(alpha))
-        except DomainViolation:
-            raise DomainViolation(float(alpha), self.domain) from None
+    def _psi_prime(self, a):
+        return -self.base._psi_prime(-a)
 
-    def psi_second(self, alpha):
-        try:
-            return self.base.psi_second(-float(alpha))
-        except DomainViolation:
-            raise DomainViolation(float(alpha), self.domain) from None
+    def _psi_second(self, a):
+        return self.base._psi_second(-a)
 
     def increments(self, dt, size, g):
         return -self.base.increments(dt, size, g)

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import GridMismatch, ParamOutOfRange
 from .exponents import Brownian, CompoundPoissonNormal
 from .pricing import Component, log_value
-from .sampling import _check_count, sample_increments
+from .sampling import McResult, _check_count, sample_increments
 
 __all__ = [
     "Component",
@@ -316,16 +316,14 @@ def submartingale_check(vglm: VectorGlm, schedule: Schedule, s: float, t: float,
     ratios_s = np.exp(log_s + log0 + cum_r[j_s]) / b_s
     ratios_t = np.exp(log_t + log0 + cum_r[-1]) / b_t
 
-    mean_s, mean_t = ratios_s.mean(), ratios_t.mean()
-    se_s = ratios_s.std(ddof=1) / math.sqrt(n)
-    se_t = ratios_t.std(ddof=1) / math.sqrt(n)
+    at_s, at_t = McResult.from_samples(ratios_s), McResult.from_samples(ratios_t)
     predicted_ratio = math.exp(integrated_premium(vglm, schedule, s, t))
-    combined_se = math.sqrt(se_s**2 + se_t**2)
+    combined_se = math.sqrt(at_s.stderr**2 + at_t.stderr**2)
     return {
-        "mean_s": float(mean_s), "stderr_s": float(se_s),
-        "mean_t": float(mean_t), "stderr_t": float(se_t),
+        "mean_s": at_s.estimate, "stderr_s": at_s.stderr,
+        "mean_t": at_t.estimate, "stderr_t": at_t.stderr,
         "predicted_ratio": predicted_ratio,
-        "observed_ratio": float(mean_t / mean_s),
-        "submartingale_ok": bool(mean_t >= mean_s - 4.0 * combined_se),
+        "observed_ratio": at_t.estimate / at_s.estimate,
+        "submartingale_ok": at_t.estimate >= at_s.estimate - 4.0 * combined_se,
         "n": n,
     }

@@ -23,13 +23,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParamOutOfRange, Unsupported
-from .exponents import LevyModel, NegativeBinomial, VarianceGamma
+from .exponents import LevyModel, NegativeBinomial, VarianceGamma, _positive
 
 __all__ = [
     "Rng",
     "Path",
     "McResult",
-    "sample_increment",
     "sample_increments",
     "simulate_path",
     "simulate_paths",
@@ -101,11 +100,6 @@ class McResult:
         return cls(float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n)), n)
 
 
-def _check_dt(dt: float, name: str = "dt") -> None:
-    if not 0.0 < dt < math.inf:
-        raise ParamOutOfRange(name, dt, "must be finite and > 0")
-
-
 def _check_count(name: str, value, least: int = 0) -> None:
     try:
         count = operator.index(value)
@@ -117,21 +111,16 @@ def _check_count(name: str, value, least: int = 0) -> None:
 
 def sample_increments(model: LevyModel, dt: float, size: int, rng: Rng) -> np.ndarray:
     """size iid draws of X_dt for the model's exact increment law."""
-    _check_dt(dt)
+    _positive("dt", dt)
     _check_count("size", size)
     return model.increments(dt, size, rng.generator)
-
-
-def sample_increment(model: LevyModel, dt: float, rng: Rng) -> float:
-    """One draw distributed as X_dt."""
-    return float(sample_increments(model, dt, 1, rng)[0])
 
 
 def simulate_paths(model: LevyModel, horizon: float, steps: int, n: int,
                    rng: Rng) -> tuple[np.ndarray, np.ndarray]:
     """(times, values) with values of shape (n, steps+1), cumulative sums of
     exact increments of size horizon/steps."""
-    _check_dt(horizon, "horizon")
+    _positive("horizon", horizon)
     _check_count("steps", steps, 1)
     _check_count("n", n)
     dt = horizon / steps
@@ -155,7 +144,7 @@ def vg_dual_sample(m: float, dt: float, rng: Rng, method: str = "GammaDifference
     an independent gamma clock with mean dt and variance dt/m.
     """
     model = VarianceGamma(m)
-    _check_dt(dt)
+    _positive("dt", dt)
     _check_count("size", size)
     g = rng.generator
     if method == "GammaDifference":
@@ -176,7 +165,7 @@ def nb_dual_sample(m: float, q: float, dt: float, rng: Rng,
     gamma clock with mean dt.
     """
     NegativeBinomial(m, q)  # rejects m and q outside the family's parameter space
-    _check_dt(dt)
+    _positive("dt", dt)
     _check_count("size", size)
     g = rng.generator
     if method == "LogarithmicCompoundPoisson":

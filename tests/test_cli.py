@@ -204,6 +204,17 @@ def test_verify_overflowing_expected_price_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_verify_overflowing_psi_exits_2(tmp_path, capsys):
+    # Poisson psi(800) = e^800 - 1 overflows a float.
+    p = tmp_path / "poisson.json"
+    p.write_text(json.dumps({
+        "family": "Poisson", "params": {"m": 1.0}, "r": 0.02, "lambda": 0.3, "sigma": 800,
+    }))
+    assert main(["verify", "--spec", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bad_spec_exits_2(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({

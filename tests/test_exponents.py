@@ -192,9 +192,22 @@ def test_checked_call_raises_exactly_outside_the_admissible_set(data):
         assert e.interval == dom
         assert str(e) == f"alpha={float(alpha)} outside admissible interval {dom}"
         return
-    except OverflowError:  # the formula, not the check: e.g. expm1 of an admissible 1e300
+    except g.ParamOutOfRange:  # the formula, not the check: e.g. expm1 of an admissible 1e300
         pass
     assert admissible
+
+
+@pytest.mark.parametrize("call, method", [
+    (lambda: g.Gamma(m=1.0).psi_second(-1e200), "psi_second"),
+    (lambda: g.CompoundPoissonNormal(m=1.0, s=1.0).psi(40.0), "psi"),
+    (lambda: g.Brownian().psi(10**400), "psi"),
+    (lambda: g.mirror(g.Poisson(m=1.0)).psi(-800.0), "psi"),
+], ids=["Gamma-psi_second", "CPN-psi", "Brownian-huge-int", "mirrored-Poisson-psi"])
+def test_overflowing_psi_raises_param_out_of_range(call, method):
+    # A formula (or float(alpha)) that raises OverflowError surfaces as a typed error.
+    with pytest.raises(g.ParamOutOfRange, match=f"{method} overflows a float") as info:
+        call()
+    assert info.value.name == "alpha" and info.value.__cause__ is None
 
 
 def test_evaluation_builds_no_interval(family_case, monkeypatch):

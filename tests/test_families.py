@@ -22,6 +22,13 @@ def test_family_owns_its_sampler(cls):
     assert "increments" in vars(cls)
 
 
+@pytest.mark.parametrize("cls", [*FAMILIES.values(), Mirrored])
+def test_family_defines_only_check_free_formulas(cls):
+    # LevyModel alone checks psi's argument; a family only writes the formulas.
+    assert {"_psi", "_psi_prime", "_psi_second"} <= set(vars(cls))
+    assert not {"psi", "psi_prime", "psi_second"} & set(vars(cls))
+
+
 @pytest.mark.parametrize("name", ASYMMETRIC)
 @pytest.mark.parametrize("dt", [1e-4, 0.25, 3.0])
 def test_mirror_samples_the_negated_draws(name, dt):

@@ -389,9 +389,8 @@ def test_domain_violation_is_built_only_in_exponents_and_component():
         visitor.visit(ast.parse(path.read_text()))
         sites += visitor.sites
     assert sorted(sites) == [
-        ("exponents.py", "LevyModel", "_check"),
-        ("exponents.py", "Mirrored", "psi"),
-        ("exponents.py", "Mirrored", "psi_prime"),
-        ("exponents.py", "Mirrored", "psi_second"),
+        ("exponents.py", "LevyModel", "psi"),
+        ("exponents.py", "LevyModel", "psi_prime"),
+        ("exponents.py", "LevyModel", "psi_second"),
         ("pricing.py", "Component", "__post_init__"),
     ]

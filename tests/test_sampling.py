@@ -68,7 +68,7 @@ def test_gamma_path_nondecreasing():
 def test_single_step_matches_increment(family_case):
     model, _, _ = family_case
     path = g.simulate_path(model, horizon=0.5, steps=1, rng=g.Rng(11))
-    x = g.sample_increment(model, 0.5, g.Rng(11))
+    x = g.sample_increments(model, 0.5, 1, g.Rng(11))[0]
     assert path.values[-1] == pytest.approx(x, rel=1e-15, abs=1e-15)
 
 

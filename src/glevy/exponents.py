@@ -8,15 +8,15 @@ form, the law of X_t (`terminal_law`). The jump measure and the law are one
 type, `Measure`: atoms on the integers plus an optional density. Its
 `integrate` serves both the jump-measure premium and the exact call pricer,
 and a mirror reflects both. All model objects are immutable and safe to share
-between threads. A model's admissible interval is fixed at construction
-(built once, on first use, then reused by every evaluation); NaN and +-inf are
+between threads. A model's parameters are checked and its admissible interval
+built at construction, then reused by every evaluation; NaN and +-inf are
 never admissible. `LevyModel` alone checks an argument against it.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
 from typing import Callable
 
@@ -96,6 +96,18 @@ def _finite(name: str, value) -> float:
     if not math.isfinite(value):
         raise ParamOutOfRange(name, value, "must be finite")
     return value
+
+
+def _unit(name: str, value) -> float:
+    value = float(value)
+    if not 0.0 < value < 1.0:
+        raise ParamOutOfRange(name, value, "must lie in (0, 1)")
+    return value
+
+
+def _param(check: Callable[[str, object], float], default=MISSING):
+    """A model parameter that `LevyModel` coerces with check(name, value)."""
+    return field(default=default, metadata={"check": check})
 
 
 def _poisson_log_pmf(n: int, mu: float) -> float:
@@ -195,13 +207,23 @@ class Measure:
 
 @dataclass(frozen=True)
 class LevyModel:
-    """Base class. A family defines its exponent as the check-free formulas
-    `_psi`, `_psi_prime` and `_psi_second` of a float, its exact increment law
-    and, where known, its jump measure and the law of X_t. The public `psi`,
+    """Base class. A family declares each parameter with its check
+    (`m: float = _param(_positive)`), which construction applies in field
+    order before it builds the domain. It defines its exponent as the
+    check-free formulas `_psi`, `_psi_prime` and `_psi_second` of a float, its
+    exact increment law and, where known, its jump measure and the law of X_t.
+    The public `psi`,
     `psi_prime` and `psi_second` live here only: each checks float(alpha)
     against the domain's inclusive limits, inline so a call is two frames,
     raises DomainViolation outside them and ParamOutOfRange where the formula
     overflows a float, and returns the formula's value."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            check = f.metadata.get("check")
+            if check is not None:
+                object.__setattr__(self, f.name, check(f.name, getattr(self, f.name)))
+        self.domain
 
     @property
     def family(self) -> str:
@@ -288,10 +310,7 @@ class Brownian(LevyModel):
 class Poisson(LevyModel):
     """Poisson counting process with jump rate m: psi(a) = m(e^a - 1)."""
 
-    m: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", _positive("m", self.m))
+    m: float = _param(_positive)
 
     domain = _REAL_LINE
 
@@ -323,12 +342,8 @@ class CompoundPoissonNormal(LevyModel):
     psi(a) = m(e^{s^2 a^2 / 2} - 1).
     """
 
-    m: float
-    s: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", _positive("m", self.m))
-        object.__setattr__(self, "s", _positive("s", self.s))
+    m: float = _param(_positive)
+    s: float = _param(_positive, 1.0)
 
     domain = _REAL_LINE
 
@@ -359,10 +374,7 @@ class CompoundPoissonNormal(LevyModel):
 class Gamma(LevyModel):
     """Standard gamma process with growth rate m: psi(a) = -m ln(1 - a), a < 1."""
 
-    m: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", _positive("m", self.m))
+    m: float = _param(_positive)
 
     @cached_property
     def domain(self) -> Interval:
@@ -398,12 +410,8 @@ class Gamma(LevyModel):
 class ScaledGamma(LevyModel):
     """Gamma process scaled by kappa: psi(a) = -m ln(1 - a*kappa), a < 1/kappa."""
 
-    m: float
-    kappa: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", _positive("m", self.m))
-        object.__setattr__(self, "kappa", _positive("kappa", self.kappa))
+    m: float = _param(_positive)
+    kappa: float = _param(_positive)
 
     @cached_property
     def domain(self) -> Interval:
@@ -431,10 +439,7 @@ class ScaledGamma(LevyModel):
 class VarianceGamma(LevyModel):
     """Symmetric variance gamma with rate m: psi(a) = -m ln(1 - a^2/(2m))."""
 
-    m: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", _positive("m", self.m))
+    m: float = _param(_positive)
 
     @cached_property
     def domain(self) -> Interval:
@@ -468,14 +473,9 @@ class AsymmetricVG(LevyModel):
     kappa_{1,2} = (+-mu + sqrt(mu^2 + 2 m s^2)) / (2m).
     """
 
-    m: float
-    mu: float
-    s: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", _positive("m", self.m))
-        object.__setattr__(self, "mu", _finite("mu", self.mu))
-        object.__setattr__(self, "s", _positive("s", self.s))
+    m: float = _param(_positive)
+    mu: float = _param(_finite)
+    s: float = _param(_positive)
 
     @property
     def kappa1(self) -> float:
@@ -517,15 +517,8 @@ class AsymmetricVG(LevyModel):
 class NegativeBinomial(LevyModel):
     """Negative binomial process: psi(a) = m ln((1-q)/(1 - q e^a)), a < ln(1/q)."""
 
-    m: float
-    q: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", _positive("m", self.m))
-        q = float(self.q)
-        if not 0.0 < q < 1.0:
-            raise ParamOutOfRange("q", q, "must lie in (0, 1)")
-        object.__setattr__(self, "q", q)
+    m: float = _param(_positive)
+    q: float = _param(_unit)
 
     @cached_property
     def domain(self) -> Interval:

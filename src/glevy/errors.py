@@ -1,4 +1,5 @@
 """Exception types shared across the library."""
+import sys
 
 
 class GlevyError(Exception):
@@ -12,7 +13,13 @@ class ParamOutOfRange(GlevyError):
         self.name = name
         self.value = value
         self.constraint = constraint
-        super().__init__(f"parameter {name}={value!r} violates: {constraint}")
+        try:
+            shown = repr(value)
+        except ValueError:  # holds an int beyond sys.get_int_max_str_digits()
+            held = "" if isinstance(value, int) else " holding an int"
+            shown = (f"<{type(value).__name__}{held} of more than "
+                     f"{sys.get_int_max_str_digits()} digits>")
+        super().__init__(f"parameter {name}={shown} violates: {constraint}")
 
 
 class DomainViolation(GlevyError):

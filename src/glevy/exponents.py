@@ -477,40 +477,46 @@ class AsymmetricVG(LevyModel):
     mu: float = _param(_finite)
     s: float = _param(_positive)
 
-    @property
-    def kappa1(self) -> float:
-        return (self.mu + math.sqrt(self.mu**2 + 2.0 * self.m * self.s**2)) / (2.0 * self.m)
-
-    @property
-    def kappa2(self) -> float:
-        return (-self.mu + math.sqrt(self.mu**2 + 2.0 * self.m * self.s**2)) / (2.0 * self.m)
+    @cached_property
+    def _coefs(self) -> tuple[float, float, float, float, float]:
+        """(kappa1, kappa2, mu/m, s^2/2m, s^2). The larger kappa is formed with
+        no cancellation and the smaller from kappa1 * kappa2 = s^2/2m."""
+        m, mu, s = self.m, self.mu, self.s
+        try:
+            s2 = s**2
+        except OverflowError:
+            raise ParamOutOfRange("s", s, "s^2 overflows a float") from None
+        c = s2 / (2.0 * m)
+        big = (abs(mu) + math.hypot(mu, s * math.sqrt(2.0 * m))) / (2.0 * m)
+        if not (0.0 < big < math.inf and 0.0 < c / big < math.inf):
+            raise ParamOutOfRange("(m, mu, s)", (m, mu, s),
+                                  "must give finite kappa1, kappa2 > 0")
+        k1, k2 = (big, c / big) if mu >= 0.0 else (c / big, big)
+        return k1, k2, mu / m, c, s2
 
     @cached_property
     def domain(self) -> Interval:
-        return Interval(-1.0 / self.kappa2, 1.0 / self.kappa1)
-
-    @cached_property
-    def _coefs(self) -> tuple[float, float, float]:
-        """(mu/m, s^2/2m, s^2), with psi(a) = -m ln(1 - (mu/m) a - (s^2/2m) a^2)."""
-        return self.mu / self.m, self.s**2 / (2.0 * self.m), self.s**2
+        k1, k2 = self._coefs[:2]
+        return Interval(-1.0 / k2, 1.0 / k1)
 
     def _psi(self, a):
-        b, c, _ = self._coefs
+        _, _, b, c, _ = self._coefs
         return -self.m * math.log(1.0 - b * a - c * a * a)
 
     def _psi_prime(self, a):
-        b, c, s2 = self._coefs
+        _, _, b, c, s2 = self._coefs
         return (self.mu + s2 * a) / (1.0 - b * a - c * a * a)
 
     def _psi_second(self, a):
-        b, c, s2 = self._coefs
+        _, _, b, c, s2 = self._coefs
         u = 1.0 - b * a - c * a * a
         v = self.mu + s2 * a
         return (s2 * u + v * v / self.m) / (u * u)
 
     def increments(self, dt, size, g):
+        k1, k2 = self._coefs[:2]
         shape = self.m * dt
-        return self.kappa1 * g.gamma(shape, 1.0, size) - self.kappa2 * g.gamma(shape, 1.0, size)
+        return k1 * g.gamma(shape, 1.0, size) - k2 * g.gamma(shape, 1.0, size)
 
 
 @dataclass(frozen=True)

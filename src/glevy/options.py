@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
 from .errors import ParamOutOfRange, QuadratureFailure
 from .exponents import _finite, _positive
@@ -86,7 +86,11 @@ def bs_call_price(s0: float, r: float, sig: float, strike: float, expiry: float)
     else:  # sig^2 T, r T or (x + r T)/st overflows: y +- st/2 keep their limits
         y = (x + r * expiry) / st
         d1, d2 = y + 0.5 * st, y - 0.5 * st
-    return s0 * ndtr(d1) - strike * disc * ndtr(d2)
+    cdf2 = ndtr(d2)
+    if cdf2 < sys.float_info.min:  # Phi(d2) underflows or is subnormal: both terms in logs
+        return (np.exp(math.log(s0) + log_ndtr(d1))
+                - np.exp(math.log(strike) - r * expiry + log_ndtr(d2)))
+    return s0 * ndtr(d1) - strike * disc * cdf2
 
 
 def exact_call(glm: GlmSpec, opt: OptionSpec) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -197,9 +198,17 @@ def spec_to_dict(spec: GlmSpec) -> dict:
     return d
 
 
+def _json_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParamOutOfRange("integer", f"<{len(digits)} characters>",
+                              f"must have at most {sys.get_int_max_str_digits()} digits") from None
+
+
 def load_spec(path) -> GlmSpec:
     try:
         with open(path, encoding="utf-8") as fh:
-            return spec_from_dict(json.load(fh))
+            return spec_from_dict(json.load(fh, parse_int=_json_int))
     except UnicodeDecodeError:
         raise ParamOutOfRange("spec", str(path), "must be UTF-8 text") from None

@@ -306,24 +306,38 @@ def _assert_one_error_line(capsys):
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("spec", [
-    {**_GOOD_SPEC, "params": {"m": 1, "x": 2}},
-    {**_GOOD_SPEC, "params": {"m": "abc"}},
-    {**_GOOD_SPEC, "r": "abc"},
-    {**_GOOD_SPEC, "s0": "x"},
-    {**_GOOD_SPEC, "f": "q"},
-    {**_GOOD_SPEC, "r": None},
-    {**_GOOD_SPEC, "params": [1]},
-    [_GOOD_SPEC],
-    {**_GOOD_SPEC, "family": ["Gamma"]},
-    {**_GOOD_SPEC, "r": 10**400},             # an integer no float can hold
-    {**_GOOD_SPEC, "params": {"m": 10**400}},
+def _asymmetric_vg_spec(mu):
+    return {**_GOOD_SPEC, "family": "AsymmetricVG", "params": {"m": 1.0, "mu": mu, "s": 1.0},
+            "lambda": 0.3, "sigma": 0.5}
+
+
+@pytest.mark.parametrize("spec, error", [
+    ({**_GOOD_SPEC, "params": {"m": 1, "x": 2}}, g.ParamOutOfRange),
+    ({**_GOOD_SPEC, "params": {"m": "abc"}}, g.ParamOutOfRange),
+    ({**_GOOD_SPEC, "r": "abc"}, g.ParamOutOfRange),
+    ({**_GOOD_SPEC, "s0": "x"}, g.ParamOutOfRange),
+    ({**_GOOD_SPEC, "f": "q"}, g.ParamOutOfRange),
+    ({**_GOOD_SPEC, "r": None}, g.ParamOutOfRange),
+    ({**_GOOD_SPEC, "params": [1]}, g.ParamOutOfRange),
+    ([_GOOD_SPEC], g.ParamOutOfRange),
+    ({**_GOOD_SPEC, "family": ["Gamma"]}, g.ParamOutOfRange),
+    ({**_GOOD_SPEC, "r": 10**400}, g.ParamOutOfRange),  # an integer no float can hold
+    ({**_GOOD_SPEC, "params": {"m": 10**400}}, g.ParamOutOfRange),
+    # json reads no integer beyond sys.get_int_max_str_digits(); json.dumps
+    # cannot write one either, so the spec is given as text.
+    ('{"family": "Poisson", "params": {"m": 1' + "0" * 4999 + '}, "r": 0.02, '
+     '"lambda": 0.5, "sigma": 0.4}', g.ParamOutOfRange),
+    # sigma = 0.5 lies above each of these domains' upper ends, 1/mu.
+    (_asymmetric_vg_spec(1e8), g.DomainViolation),
+    (_asymmetric_vg_spec(1e20), g.DomainViolation),
+    (_asymmetric_vg_spec(1e200), g.DomainViolation),
 ], ids=["unknown-param", "param-abc", "r-abc", "s0-x", "f-q", "r-null", "params-list",
-        "top-level-array", "family-list", "r-huge-int", "param-huge-int"])
-def test_malformed_spec_exits_2(tmp_path, capsys, spec):
+        "top-level-array", "family-list", "r-huge-int", "param-huge-int",
+        "int-beyond-str-digits", "avg-mu-1e8", "avg-mu-1e20", "avg-mu-1e200"])
+def test_malformed_spec_exits_2(tmp_path, capsys, spec, error):
     p = tmp_path / "s.json"
-    p.write_text(json.dumps(spec))
-    with pytest.raises(g.ParamOutOfRange):
+    p.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+    with pytest.raises(error):
         g.load_spec(p)
     assert main(["verify", "--spec", str(p)]) == 2
     _assert_one_error_line(capsys)

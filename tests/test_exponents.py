@@ -210,6 +210,28 @@ def test_overflowing_psi_raises_param_out_of_range(call, method):
     assert info.value.name == "alpha" and info.value.__cause__ is None
 
 
+@pytest.mark.parametrize("call", [
+    lambda: g.make_model("Poisson", {"m": 10**5000}),
+    lambda: g.Brownian().psi(10**5000),
+], ids=["make_model-param", "Brownian-psi"])
+def test_int_beyond_the_str_digit_limit_raises_param_out_of_range(call):
+    # The message describes such an int; repr of it would raise ValueError.
+    with pytest.raises(g.ParamOutOfRange, match=r"<\w+( holding an int)? of more than \d+ digits>"):
+        call()
+
+
+def test_domain_is_built_at_construction(family_case):
+    model, _, _ = family_case
+    for m in (dataclasses.replace(model), g.mirror(dataclasses.replace(model))):
+        assert "domain" in vars(m) or isinstance(vars(type(m)).get("domain"), g.Interval)
+
+
+def test_unbuildable_domain_fails_at_construction():
+    # kappa1 = (mu + hypot(mu, s sqrt(2m)))/2m overflows a float.
+    with pytest.raises(g.ParamOutOfRange):
+        g.AsymmetricVG(m=1.0, mu=1e308, s=1.0)
+
+
 def test_evaluation_builds_no_interval(family_case, monkeypatch):
     model, lam, sig = family_case
     models = (model, g.mirror(model))
@@ -271,6 +293,25 @@ def test_asymmetric_vg_values_are_the_reference_bit_for_bit(m, mu, s, frac):
     psi, d1, d2 = _asymmetric_vg_reference(m, mu, s, a)
     assert _bits(_values(model, [a])[0]) == _bits((psi, d1, d2))
     assert _bits(_values(g.mirror(model), [-a])[0]) == _bits((psi, -d1, d2))
+
+
+_LOG_UNIFORM = st.floats(-2.0, 2.0).map(lambda u: 10.0**u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=_LOG_UNIFORM, s=_LOG_UNIFORM, sign=st.sampled_from([1.0, -1.0]),
+       u=st.floats(-3.0, 308.0))
+def test_asymmetric_vg_builds_a_domain_with_finite_ends(m, s, sign, u):
+    mu = sign * 10.0**u
+    try:
+        model = g.AsymmetricVG(m=m, mu=mu, s=s)
+    except g.ParamOutOfRange:
+        assert abs(mu) > 1e15 * s * math.sqrt(m)
+        return
+    if abs(mu) <= 1e15 * s * math.sqrt(m):
+        for a in (model.domain._lo, model.domain._hi):
+            for v in _values(model, [a])[0]:
+                assert math.isfinite(v), (a, v)
 
 
 def test_replace_rebuilds_domain():

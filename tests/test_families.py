@@ -2,6 +2,7 @@
 one entry in `conftest.DEFAULT_MODELS`."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -27,6 +28,18 @@ def test_family_defines_only_check_free_formulas(cls):
     # LevyModel alone checks psi's argument; a family only writes the formulas.
     assert {"_psi", "_psi_prime", "_psi_second"} <= set(vars(cls))
     assert not {"psi", "psi_prime", "psi_second"} & set(vars(cls))
+
+
+@pytest.mark.parametrize("cls", [*FAMILIES.values(), Mirrored])
+def test_family_leaves_construction_to_levy_model(cls):
+    # LevyModel alone checks the parameters and builds the domain.
+    assert "__post_init__" not in vars(cls)
+
+
+@pytest.mark.parametrize("cls", list(FAMILIES.values()))
+def test_every_float_parameter_declares_its_check(cls):
+    floats = [f for f in dataclasses.fields(cls) if f.type == "float"]
+    assert all(callable(f.metadata.get("check")) for f in floats)
 
 
 @pytest.mark.parametrize("name", ASYMMETRIC)

@@ -87,9 +87,11 @@ def _bs_mpmath(s0, r, sig, strike, expiry):
 
 
 @pytest.mark.parametrize("s0, strike", [(1e-200, 1e200), (1e200, 1e-200), (1e-300, 1e10)])
-@pytest.mark.parametrize("sig", [0.2, 60.0])
+@pytest.mark.parametrize("sig", [0.2, 60.0, 40.0])
 def test_bs_moneyness_beyond_the_float_range_matches_mpmath(s0, strike, sig):
-    # s0/K underflows to 0 or overflows to inf; log s0 - log K does not.
+    # s0/K underflows to 0 or overflows to inf; log s0 - log K does not. At
+    # sig = 40 and s0 < K, Phi(d2) underflows or is subnormal while
+    # K e^{-rT} Phi(d2) is a visible part of the price.
     got = g.bs_call_price(s0, 0.01, sig, strike, 1.0)
     assert got == pytest.approx(_bs_mpmath(s0, 0.01, sig, strike, 1.0), rel=1e-12, abs=0.0)
 

@@ -1,5 +1,4 @@
 """Exception types shared across the library."""
-import sys
 
 
 class GlevyError(Exception):
@@ -16,9 +15,7 @@ class ParamOutOfRange(GlevyError):
         try:
             shown = repr(value)
         except ValueError:  # holds an int beyond sys.get_int_max_str_digits()
-            held = "" if isinstance(value, int) else " holding an int"
-            shown = (f"<{type(value).__name__}{held} of more than "
-                     f"{sys.get_int_max_str_digits()} digits>")
+            shown = f"<{type(value).__name__} too long to print>"
         super().__init__(f"parameter {name}={shown} violates: {constraint}")
 
 

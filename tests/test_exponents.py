@@ -216,7 +216,7 @@ def test_overflowing_psi_raises_param_out_of_range(call, method):
 ], ids=["make_model-param", "Brownian-psi"])
 def test_int_beyond_the_str_digit_limit_raises_param_out_of_range(call):
     # The message describes such an int; repr of it would raise ValueError.
-    with pytest.raises(g.ParamOutOfRange, match=r"<\w+( holding an int)? of more than \d+ digits>"):
+    with pytest.raises(g.ParamOutOfRange, match=r"=<(dict|int) too long to print> "):
         call()
 
 

@@ -78,8 +78,7 @@ def cmd_premium(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.paths < 0:
-        raise ParamOutOfRange("paths", args.paths, "must be >= 0")
+    _check_count("paths", args.paths)
     spec = load_spec(args.spec)
     print(f"seed={args.seed}")
     paths = [simulate_path(spec.model, args.horizon, args.steps, Rng(args.seed, i))

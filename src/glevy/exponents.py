@@ -50,6 +50,14 @@ _MAX_TERMS = 1_000_000  # hard cap on the terms of an atom series
 _SERIES_RTOL = 1e-14  # relative tail left behind by an atom series
 
 
+def _inside(e: float) -> float:
+    """The inclusive limit a relative margin inside the finite endpoint e; e/2
+    where the margin reaches |e|/2, so it never crosses 0 (at e = +-5e-324,
+    e/2 rounds to 0 and e stays excluded)."""
+    margin = DOMAIN_MARGIN * max(1.0, abs(e))
+    return e / 2.0 if margin >= abs(e) / 2.0 else e - math.copysign(margin, e)
+
+
 @dataclass(frozen=True)
 class Interval:
     """Open interval of admissible exponent arguments; always contains 0."""
@@ -64,10 +72,8 @@ class Interval:
         # Inclusive limits of the admissible set: a relative margin inside a
         # finite endpoint, every finite float beyond an infinite one.
         lo, hi = self.lower, self.upper
-        object.__setattr__(self, "_lo", -sys.float_info.max if math.isinf(lo)
-                           else lo + DOMAIN_MARGIN * max(1.0, abs(lo)))
-        object.__setattr__(self, "_hi", sys.float_info.max if math.isinf(hi)
-                           else hi - DOMAIN_MARGIN * max(1.0, abs(hi)))
+        object.__setattr__(self, "_lo", -sys.float_info.max if math.isinf(lo) else _inside(lo))
+        object.__setattr__(self, "_hi", sys.float_info.max if math.isinf(hi) else _inside(hi))
 
     def admissible(self, alpha: float) -> bool:
         """Strict interior test with a margin at finite endpoints; `LevyModel.psi`,
@@ -84,30 +90,53 @@ class Interval:
 _REAL_LINE = Interval(-math.inf, math.inf)
 
 
+def _number(name: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):  # not a number, or an int past float
+        raise ParamOutOfRange(name, value, "must be a number") from None
+
+
 def _positive(name: str, value) -> float:
-    value = float(value)
+    value = _number(name, value)
     if not 0.0 < value < math.inf:
         raise ParamOutOfRange(name, value, "must be finite and > 0")
     return value
 
 
+def _nonnegative(name: str, value) -> float:
+    value = _number(name, value)
+    if not 0.0 <= value < math.inf:
+        raise ParamOutOfRange(name, value, "must be finite and >= 0")
+    return value
+
+
 def _finite(name: str, value) -> float:
-    value = float(value)
+    value = _number(name, value)
     if not math.isfinite(value):
         raise ParamOutOfRange(name, value, "must be finite")
     return value
 
 
 def _unit(name: str, value) -> float:
-    value = float(value)
+    value = _number(name, value)
     if not 0.0 < value < 1.0:
         raise ParamOutOfRange(name, value, "must lie in (0, 1)")
     return value
 
 
-def _param(check: Callable[[str, object], float], default=MISSING):
-    """A model parameter that `LevyModel` coerces with check(name, value)."""
-    return field(default=default, metadata={"check": check})
+def _param(check: Callable[[str, object], float], default=MISSING, kw_only=MISSING):
+    """A parameter field of a frozen dataclass that `_check_fields` coerces
+    with check(name, value); one declared with default None may stay None."""
+    return field(default=default, kw_only=kw_only, metadata={"check": check})
+
+
+def _check_fields(obj) -> None:
+    """Apply each declared check to its field of obj, in field order."""
+    for f in fields(obj):
+        check, value = f.metadata.get("check"), getattr(obj, f.name)
+        if check is not None and (value is not None or f.default is not None):
+            object.__setattr__(obj, f.name, check(f.name, value))
 
 
 def _poisson_log_pmf(n: int, mu: float) -> float:
@@ -219,10 +248,7 @@ class LevyModel:
     overflows a float, and returns the formula's value."""
 
     def __post_init__(self):
-        for f in fields(self):
-            check = f.metadata.get("check")
-            if check is not None:
-                object.__setattr__(self, f.name, check(f.name, getattr(self, f.name)))
+        _check_fields(self)
         self.domain
 
     @property
@@ -619,7 +645,7 @@ def make_model(family: str, params: dict | None = None, **kw) -> LevyModel:
         raise Unsupported(family, "family") from None
     try:
         return cls(**dict(params or {}, **kw))
-    except (TypeError, ValueError, OverflowError) as e:  # unknown, non-numeric or huge
+    except (TypeError, ValueError, OverflowError) as e:  # params not a mapping of known names
         raise ParamOutOfRange("params", params, str(e)) from None
 
 

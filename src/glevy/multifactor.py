@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatch, ParamOutOfRange
-from .exponents import Brownian, CompoundPoissonNormal
+from .exponents import (Brownian, CompoundPoissonNormal, _check_fields, _finite, _nonnegative,
+                         _param, _positive)
 from .pricing import Component, log_value
 from .sampling import McResult, _check_count, sample_increments
 
@@ -54,18 +55,15 @@ class VectorGlm:
     """Multi-component pricing model with a scalar short rate."""
 
     components: tuple
-    r: float
-    s0: float = 1.0
+    r: float = _param(_finite)
+    s0: float = _param(_positive, 1.0)
 
     def __post_init__(self):
         comps = tuple(self.components)
         if not comps:
             raise ParamOutOfRange("components", comps, "must be nonempty")
-        if not math.isfinite(self.r):
-            raise ParamOutOfRange("r", self.r, "must be finite")
-        if not 0.0 < self.s0 < math.inf:
-            raise ParamOutOfRange("s0", self.s0, "must be finite and > 0")
         object.__setattr__(self, "components", comps)
+        _check_fields(self)
 
 
 def jump_diffusion(m: float, s: float = 1.0, lam: float = 0.0, sig: float = 0.0,
@@ -185,8 +183,7 @@ def _cells(vglm: VectorGlm, schedule: Schedule) -> list:
 def _integrate_piecewise(schedule: Schedule, values: np.ndarray, t: float) -> float:
     """Exact integral over [0, t] of a piecewise-constant function given by
     per-interval values (extended beyond the last breakpoint)."""
-    if not 0.0 <= t < math.inf:
-        raise ParamOutOfRange("time", t, "must be finite and >= 0")
+    t = _nonnegative("time", t)
     bp = schedule.breakpoints
     total = 0.0
     for k in range(schedule.n_intervals):

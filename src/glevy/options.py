@@ -15,9 +15,9 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 from .errors import ParamOutOfRange, QuadratureFailure
-from .exponents import _finite, _positive
+from .exponents import _check_fields, _finite, _nonnegative, _param, _positive
 from .pricing import GlmSpec, asset_value, kernel_value, log_value
-from .sampling import McResult, Rng, sample_increments
+from .sampling import McResult, Rng, _check_count, sample_increments
 
 __all__ = [
     "OptionSpec",
@@ -32,16 +32,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OptionSpec:
-    """European call with strike K and expiry T (years)."""
+    """European call with a finite strike K >= 0 and a finite expiry T > 0
+    (years); each field declares its check."""
 
-    strike: float
-    expiry: float
+    strike: float = _param(_nonnegative)
+    expiry: float = _param(_positive)
 
-    def __post_init__(self):
-        if not 0.0 <= self.strike < math.inf:
-            raise ParamOutOfRange("strike", self.strike, "must be finite and >= 0")
-        if not 0.0 < self.expiry < math.inf:
-            raise ParamOutOfRange("expiry", self.expiry, "must be finite and > 0")
+    __post_init__ = _check_fields
 
 
 def mc_call_price(glm: GlmSpec, opt: OptionSpec, n: int, rng: Rng) -> McResult:
@@ -50,8 +47,7 @@ def mc_call_price(glm: GlmSpec, opt: OptionSpec, n: int, rng: Rng) -> McResult:
     Kernel and asset share the same driver draws, so the estimator inherits
     the martingale structure of pi*S exactly.
     """
-    if n < 1000:
-        raise ParamOutOfRange("n", n, "must be >= 1e3")
+    _check_count("n", n, 1000)
     t = opt.expiry
     x = sample_increments(glm.model, t, n, rng)
     payoff = kernel_value(glm, x, t) * np.maximum(asset_value(glm, x, t) - opt.strike, 0.0)
@@ -60,10 +56,9 @@ def mc_call_price(glm: GlmSpec, opt: OptionSpec, n: int, rng: Rng) -> McResult:
 
 def bs_call_price(s0: float, r: float, sig: float, strike: float, expiry: float) -> float:
     """Black-Scholes call price; serves as the closed-form lognormal oracle."""
-    OptionSpec(strike, expiry)
-    s0, r = _positive("s0", s0), _finite("r", r)
-    if not 0.0 <= sig < math.inf:
-        raise ParamOutOfRange("sig", sig, "must be finite and >= 0")
+    opt = OptionSpec(strike, expiry)
+    strike, expiry = opt.strike, opt.expiry
+    s0, r, sig = _positive("s0", s0), _finite("r", r), _nonnegative("sig", sig)
     if strike == 0.0:
         return s0
     try:

@@ -23,7 +23,8 @@ from .errors import (
     NonpositiveDividendYield,
     ParamOutOfRange,
 )
-from .exponents import LevyModel, make_model
+from .exponents import (LevyModel, _check_fields, _finite, _nonnegative, _number, _param,
+                         _positive, make_model)
 from .premium import inverse_fx_premium, risk_premium
 
 __all__ = [
@@ -47,10 +48,11 @@ class Component:
     exists only when sig, -lam and sig - lam lie in the exponent's domain."""
 
     model: LevyModel
-    lam: float
-    sig: float
+    lam: float = _param(_finite)
+    sig: float = _param(_finite)
 
     def __post_init__(self):
+        _check_fields(self)
         dom = self.model.domain
         for a in (self.sig, -self.lam, self.sig - self.lam):
             if not dom.admissible(a):
@@ -65,37 +67,24 @@ class Component:
 class GlmSpec(Component):
     """A complete scalar pricing model: a Component with lam >= 0 and sig > 0,
     the interest rate r and initial price s0 > 0; optionally a foreign rate f
-    (FX models) and a dividend stream (growth rate gamma_growth, initial rate d0)."""
+    (FX models) and a dividend stream (growth rate gamma_growth, initial rate
+    d0 > 0). All are finite numbers, each checked by its field's declaration."""
 
-    r: float
-    s0: float = 1.0
-    f: float | None = None
-    gamma_growth: float | None = None
-    d0: float | None = None
-
-    def __post_init__(self):
-        for name in ("r", "lam", "sig", "s0", "f", "gamma_growth", "d0"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ParamOutOfRange(name, value, "must be finite")
-        # lam = 0 is admitted so the option identifiability experiments can
-        # probe the zero-risk-aversion boundary; positivity of the premium
-        # requires lam > 0.
-        if not self.lam >= 0.0:
-            raise ParamOutOfRange("lam", self.lam, "must be >= 0")
-        if not self.sig > 0.0:
-            raise ParamOutOfRange("sig", self.sig, "must be > 0")
-        if not self.s0 > 0.0:
-            raise ParamOutOfRange("s0", self.s0, "must be > 0")
-        if self.d0 is not None and not self.d0 > 0.0:
-            raise ParamOutOfRange("d0", self.d0, "must be > 0")
-        super().__post_init__()
+    # lam = 0 is admitted so the option identifiability experiments can
+    # probe the zero-risk-aversion boundary; positivity of the premium
+    # requires lam > 0.
+    lam: float = _param(_nonnegative, kw_only=False)
+    sig: float = _param(_positive, kw_only=False)
+    r: float = _param(_finite)
+    s0: float = _param(_positive, 1.0)
+    f: float | None = _param(_finite, None)
+    gamma_growth: float | None = _param(_finite, None)
+    d0: float | None = _param(_positive, None)
 
 
 def log_value(log0, rate, model: LevyModel, a: float, x, t: float):
     """log v0 + rate t + a x - t psi(a), the log of v0 e^{rate t} e^{a x - t psi(a)}."""
-    if not 0.0 <= t < math.inf:
-        raise ParamOutOfRange("t", t, "must be finite and >= 0")
+    t = _nonnegative("t", t)
     return log0 + rate * t + a * x - t * model.psi(a)
 
 
@@ -157,13 +146,6 @@ def dividend_asset_value(spec: GlmSpec, x, t: float):
     s0_implied, delta = gordon_valuation(spec)
     return np.exp(log_value(math.log(s0_implied), spec.r - delta + spec.premium,
                             spec.model, spec.sig, np.asarray(x, dtype=float), t))[()]
-
-
-def _number(key: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParamOutOfRange(key, value, "must be a number") from None
 
 
 def spec_from_dict(d: dict) -> GlmSpec:

@@ -113,7 +113,10 @@ def sample_increments(model: LevyModel, dt: float, size: int, rng: Rng) -> np.nd
     """size iid draws of X_dt for the model's exact increment law."""
     _positive("dt", dt)
     _check_count("size", size)
-    return model.increments(dt, size, rng.generator)
+    try:
+        return model.increments(dt, size, rng.generator)
+    except ValueError as e:  # numpy's samplers reject rates beyond about 9.2e18
+        raise ParamOutOfRange("dt", dt, f"{model.family} sampler: {e}") from None
 
 
 def simulate_paths(model: LevyModel, horizon: float, steps: int, n: int,

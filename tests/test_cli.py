@@ -459,6 +459,23 @@ def test_simulate_degenerate_sample_exits_2(tmp_path, capsys, spec, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family, params", [
+    ("Poisson", {"m": 1e300}),
+    ("CompoundPoissonNormal", {"m": 1e300}),
+    ("NegativeBinomial", {"m": 1e300, "q": 0.5}),
+])
+def test_simulate_rate_beyond_the_sampler_exits_2(tmp_path, capsys, family, params):
+    # numpy's Poisson and negative binomial samplers reject a rate m dt above
+    # about 9.2e18 with a ValueError.
+    path, out = tmp_path / "s.json", tmp_path / "sim"
+    path.write_text(json.dumps({**_GOOD_SPEC, "family": family, "params": params,
+                                "lambda": 0.3, "sigma": 0.5}))
+    assert main(["simulate", "--spec", str(path), "--out", str(out)]) == 2
+    cap = capsys.readouterr()
+    assert cap.err.startswith("error: parameter dt=") and cap.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cold_start_loads_no_scipy_stats(gamma_spec):
     # Other test modules import scipy.stats, so only a fresh interpreter shows
     # what importing glevy and running a command load.

@@ -154,6 +154,22 @@ def test_admissible_matches_four_branch_reference(data):
     assert interval.admissible(alpha) == _four_branch_admissible(interval, alpha)
 
 
+@pytest.mark.parametrize("model", [g.AsymmetricVG(m=1.0, mu=1e20, s=1.0),
+                                   g.NegativeBinomial(m=1.0, q=1.0 - 1e-12)],
+                         ids=["AsymmetricVG-mu-1e20", "NegativeBinomial-q-near-1"])
+def test_endpoint_nearer_zero_than_the_margin_admits_zero(model):
+    # The upper endpoint, about 1e-20 or 1e-12, lies within DOMAIN_MARGIN of 0.
+    for m in (model, g.mirror(model)):
+        assert m.psi(0.0) == 0.0
+
+
+@pytest.mark.parametrize("e", [5e-324, 1e-300, 1e-12, 1.5e-9, 2e-9])
+def test_inclusive_limits_of_a_tiny_interval_admit_only_its_interior(e):
+    interval = g.Interval(-e, e)
+    assert interval.admissible(0.0)
+    assert not interval.admissible(e) and not interval.admissible(-e)
+
+
 _DISTINCT_MODELS = list(dict.fromkeys(_MODELS))  # 8 families and 5 distinct mirrors
 
 

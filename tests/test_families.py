@@ -11,6 +11,9 @@ import pytest
 
 import glevy as g
 from glevy.exponents import FAMILIES, LevyModel, Mirrored
+from glevy.multifactor import VectorGlm
+from glevy.options import OptionSpec
+from glevy.pricing import Component, GlmSpec
 from conftest import ASYMMETRIC, DEFAULT_MODELS
 
 
@@ -36,9 +39,9 @@ def test_family_leaves_construction_to_levy_model(cls):
     assert "__post_init__" not in vars(cls)
 
 
-@pytest.mark.parametrize("cls", list(FAMILIES.values()))
+@pytest.mark.parametrize("cls", [*FAMILIES.values(), Component, GlmSpec, VectorGlm, OptionSpec])
 def test_every_float_parameter_declares_its_check(cls):
-    floats = [f for f in dataclasses.fields(cls) if f.type == "float"]
+    floats = [f for f in dataclasses.fields(cls) if f.type in ("float", "float | None")]
     assert all(callable(f.metadata.get("check")) for f in floats)
 
 

@@ -246,13 +246,30 @@ def test_schedule_non_finite_rejected(field, value):
         g.Schedule(**kw)
 
 
+_NON_NUMBERS = [pytest.param("x", id="str"), pytest.param([1.0], id="list"),
+                pytest.param(None, id="None"), pytest.param(10**400, id="huge-int")]
+
+
 @pytest.mark.parametrize("field,value", [
-    ("r", math.inf), ("r", math.nan), ("s0", math.inf)])
+    ("r", math.inf), ("r", math.nan), ("s0", math.inf),
+    *(pytest.param(field, *p.values, id=f"{field}-{p.id}")
+      for field in ("r", "s0") for p in _NON_NUMBERS)])
 def test_vector_glm_non_finite_rejected(field, value):
     kw = dict(components=(g.Component(g.Gamma(m=1.0), 0.4, 0.3),), r=0.02, s0=1.0)
     kw[field] = value
-    with pytest.raises(g.ParamOutOfRange):
+    with pytest.raises(g.ParamOutOfRange) as exc:
         g.VectorGlm(**kw)
+    assert exc.value.name == field
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, *_NON_NUMBERS])
+@pytest.mark.parametrize("field", ["lam", "sig"])
+def test_component_rejects_non_finite(field, value):
+    kw = dict(model=g.Gamma(m=1.0), lam=0.4, sig=0.3)
+    kw[field] = value
+    with pytest.raises(g.ParamOutOfRange) as exc:
+        g.Component(**kw)
+    assert exc.value.name == field
 
 
 def test_schedule_domain_validation():

@@ -118,6 +118,15 @@ def test_bs_overflowing_discount_raises(sig):
     (1.0, 0.05, math.nan, 1.0, 1.0, "sig"),
     (1.0, 0.05, math.inf, 1.0, 1.0, "sig"),
     (1.0, 0.05, -0.2, 1.0, 1.0, "sig"),
+    pytest.param("x", 0.05, 0.2, 1.0, 1.0, "s0", id="str-s0"),
+    pytest.param(None, 0.05, 0.2, 1.0, 1.0, "s0", id="None-s0"),
+    pytest.param(1.0, None, 0.2, 1.0, 1.0, "r", id="None-r"),
+    pytest.param(1.0, 10**400, 0.2, 1.0, 1.0, "r", id="huge-int-r"),
+    pytest.param(1.0, 0.05, "x", 1.0, 1.0, "sig", id="str-sig"),
+    pytest.param(1.0, 0.05, [0.2], 1.0, 1.0, "sig", id="list-sig"),
+    pytest.param(1.0, 0.05, 0.2, "x", 1.0, "strike", id="str-strike"),
+    pytest.param(1.0, 0.05, 0.2, 1.0, None, "expiry", id="None-expiry"),
+    pytest.param(1.0, 0.05, 0.2, 1.0, 10**400, "expiry", id="huge-int-expiry"),
 ])
 def test_bs_rejects_bad_input(s0, r, sig, strike, expiry, name):
     with pytest.raises(g.ParamOutOfRange) as exc:
@@ -385,10 +394,18 @@ def test_option_spec_validation():
     with pytest.raises(g.ParamOutOfRange):
         g.mc_call_price(brownian_spec(), g.OptionSpec(strike=1.0, expiry=1.0),
                         n=10, rng=g.Rng(1))
+    with pytest.raises(g.ParamOutOfRange) as exc:
+        g.mc_call_price(brownian_spec(), g.OptionSpec(strike=1.0, expiry=1.0),
+                        n="x", rng=g.Rng(1))
+    assert exc.value.name == "n"
 
 
 @pytest.mark.parametrize("strike,expiry", [
-    (math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)])
+    (math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan),
+    pytest.param("x", 1.0, id="str-1.0"), pytest.param([1.0], 1.0, id="list-1.0"),
+    pytest.param(None, 1.0, id="None-1.0"), pytest.param(1.0, None, id="1.0-None"),
+    pytest.param(1.0, 10**400, id="1.0-huge-int")])
 def test_option_spec_rejects_non_finite(strike, expiry):
-    with pytest.raises(g.ParamOutOfRange):
+    with pytest.raises(g.ParamOutOfRange) as exc:
         g.OptionSpec(strike=strike, expiry=expiry)
+    assert exc.value.name == ("strike" if expiry == 1.0 else "expiry")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import glevy as g
-from glevy import multifactor, pricing
+from glevy import exponents, multifactor, pricing
 from conftest import ASYMMETRIC, DEFAULT_MODELS, random_risk_params
 
 
@@ -187,14 +187,30 @@ def test_spec_validation():
         g.GlmSpec(model=g.Gamma(m=1.0), r=0.0, lam=0.1, sig=1.2)
 
 
-@pytest.mark.parametrize("field", ["r", "lam", "sig", "s0", "f", "gamma_growth", "d0"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+_SPEC_FIELDS = ["r", "lam", "sig", "s0", "f", "gamma_growth", "d0"]
+# Values no float field takes; None only where the field has no None default.
+_NON_NUMBERS = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "str": "x",
+                "list": [1.0], "huge-int": 10**400}
+
+
+@pytest.mark.parametrize("field, value", [
+    *(pytest.param(field, value, id=f"{key}-{field}")
+      for key, value in _NON_NUMBERS.items() for field in _SPEC_FIELDS),
+    *(pytest.param(field, None, id=f"None-{field}") for field in ["r", "lam", "sig", "s0"]),
+])
 def test_spec_rejects_non_finite(field, value):
     kw = dict(model=g.Brownian(), r=0.02, lam=0.2, sig=0.5, s0=1.0,
               f=0.01, gamma_growth=0.01, d0=1.0)
     kw[field] = value
-    with pytest.raises(g.ParamOutOfRange):
+    with pytest.raises(g.ParamOutOfRange) as exc:
         g.GlmSpec(**kw)
+    assert exc.value.name == field
+
+
+def test_parameter_records_check_only_through_their_fields():
+    # GlmSpec's checks are its field declarations, which Component applies.
+    assert "__post_init__" not in vars(g.GlmSpec)
+    assert g.OptionSpec.__post_init__ is exponents._check_fields
 
 
 @pytest.mark.parametrize("key", ["family", "r", "lambda", "sigma"])
@@ -361,6 +377,9 @@ def test_glm_spec_rejects_positional_market_fields():
         g.GlmSpec(g.Brownian(), 0.02, 0.3, 0.5)
     with pytest.raises(TypeError):
         g.GlmSpec(g.Brownian(), 0.02, 0.3)
+    # The Component fields stay positional.
+    assert (g.GlmSpec(g.Brownian(), 0.3, 0.5, r=0.02)
+            == g.GlmSpec(model=g.Brownian(), lam=0.3, sig=0.5, r=0.02))
 
 
 class _Constructions(ast.NodeVisitor):

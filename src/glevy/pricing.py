@@ -44,8 +44,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Component:
-    """One Levy driver with risk aversion lam and volatility sig; its premium
-    exists only when sig, -lam and sig - lam lie in the exponent's domain."""
+    """One Levy driver with finite risk aversion lam and volatility sig; its
+    premium exists only when sig, -lam and sig - lam lie in the exponent's domain."""
 
     model: LevyModel
     lam: float = _param(_finite)

@@ -5,12 +5,13 @@ and its first two analytic derivatives as check-free formulas, the open
 interval of admissible arguments, the exact law of its increments
 (`increments`), its jump measure (`levy_measure`) and, where it has a closed
 form, the law of X_t (`terminal_law`). The jump measure and the law are one
-type, `Measure`: atoms on the integers plus an optional density. Its
-`integrate` serves both the jump-measure premium and the exact call pricer,
-and a mirror reflects both. All model objects are immutable and safe to share
-between threads. A model's parameters are checked and its admissible interval
-built at construction, then reused by every evaluation; NaN and +-inf are
-never admissible. `LevyModel` alone checks an argument against it.
+type, `Measure`: atoms on the integers plus an optional density, whose
+`integrate` serves the jump-measure premium and the exact call pricer alike.
+`ScaledGamma` and `Mirrored` are c times a root model: their formulas are the
+root's at c*alpha, and their domain, draws and measures the root's scaled by c.
+Models are immutable and thread-safe. Parameters are checked and the interval
+built at construction; NaN and +-inf are never admissible, and `LevyModel`
+alone checks an argument against the interval.
 """
 from __future__ import annotations
 
@@ -80,8 +81,10 @@ class Interval:
         `psi_prime` and `psi_second` inline it."""
         return self._lo <= alpha <= self._hi
 
-    def mirrored(self) -> "Interval":
-        return Interval(-self.upper, -self.lower)
+    def scaled(self, c: float) -> "Interval":
+        """The a with c*a in this interval (c != 0): c*X's domain when this is X's."""
+        lo, hi = self.lower / c, self.upper / c
+        return Interval(lo, hi) if c > 0.0 else Interval(hi, lo)
 
     def __str__(self):
         return f"({self.lower}, {self.upper})"
@@ -166,23 +169,25 @@ class Measure:
     Both a model's jump measure (`levy_measure`, with the Gaussian coefficient
     gaussian_q of its continuous part) and the law of X_t (`terminal_law`,
     gaussian_q = 0) are Measures. The atom of index n, for the integers n in
-    atoms = (first, last) (last may be inf), sits at sign*n with weight
+    atoms = (first, last) (last may be inf), sits at scale*n with weight
     exp(log_weight(n)); there are none when log_weight is None. The density
     exp(log_density(x)) lives on support.
     """
 
     log_weight: Callable[[int], float] | None = None
     atoms: tuple[int, float] = (0, math.inf)
-    sign: int = 1
+    scale: float = 1.0
     log_density: Callable[[float], float] | None = None
     support: tuple[float, float] = (-math.inf, math.inf)
     gaussian_q: float = 0.0
 
-    def reflected(self) -> "Measure":
-        """The image of this measure under x -> -x."""
-        log_f, (lo, hi) = self.log_density, self.support
-        return replace(self, sign=-self.sign, support=(-hi, -lo),
-                       log_density=None if log_f is None else lambda x: log_f(-x))
+    def scaled(self, c: float) -> "Measure":
+        """The image of this measure under x -> c*x, for c != 0: atoms at
+        c*scale*n, density log f(x/c) - log|c| and Gaussian coefficient c^2 q."""
+        log_f, (lo, hi), log_c = self.log_density, self.support, math.log(abs(c))
+        return replace(self, scale=self.scale * c, gaussian_q=c * c * self.gaussian_q,
+                       support=(lo * c, hi * c) if c > 0.0 else (hi * c, lo * c),
+                       log_density=None if log_f is None else lambda x: log_f(x / c) - log_c)
 
     def integrate(self, g: Callable[[float, float], float], lo: float, hi: float,
                   tilt: float, breaks: tuple[float, ...]) -> tuple[float, float]:
@@ -199,15 +204,15 @@ class Measure:
         """
         value = err = 0.0
         if self.log_weight is not None:
-            log_weight, sign = self.log_weight, float(self.sign)
+            log_weight, scale = self.log_weight, self.scale
             first, last = self.atoms
-            a, b = (lo, hi) if sign > 0.0 else (-hi, -lo)
+            a, b = (lo / scale, hi / scale) if scale > 0.0 else (hi / scale, lo / scale)
             start, last = math.ceil(a) if a > first else first, min(last, b)
             prev_w, prev = -math.inf, 0.0
             for n in range(start, start + _MAX_TERMS):
                 if n > last:
                     break
-                x = sign * n
+                x = scale * n
                 log_w = log_weight(n)
                 term = g(x, log_w)
                 value += term
@@ -241,11 +246,10 @@ class LevyModel:
     order before it builds the domain. It defines its exponent as the
     check-free formulas `_psi`, `_psi_prime` and `_psi_second` of a float, its
     exact increment law and, where known, its jump measure and the law of X_t.
-    The public `psi`,
-    `psi_prime` and `psi_second` live here only: each checks float(alpha)
-    against the domain's inclusive limits, inline so a call is two frames,
-    raises DomainViolation outside them and ParamOutOfRange where the formula
-    overflows a float, and returns the formula's value."""
+    The public `psi`, `psi_prime` and `psi_second` live here only: each checks
+    float(alpha) against the domain's inclusive limits, inline so a call is two
+    frames, raises DomainViolation outside them and ParamOutOfRange where the
+    formula overflows a float, and returns the formula's value."""
 
     def __post_init__(self):
         _check_fields(self)
@@ -346,8 +350,7 @@ class Poisson(LevyModel):
     def _psi_prime(self, a):
         return self.m * math.exp(a)
 
-    def _psi_second(self, a):
-        return self.m * math.exp(a)
+    _psi_second = _psi_prime  # both m e^a
 
     def increments(self, dt, size, g):
         return g.poisson(self.m * dt, size).astype(float)
@@ -402,9 +405,7 @@ class Gamma(LevyModel):
 
     m: float = _param(_positive)
 
-    @cached_property
-    def domain(self) -> Interval:
-        return Interval(-math.inf, 1.0)
+    domain = Interval(-math.inf, 1.0)
 
     def _psi(self, a):
         return -self.m * math.log1p(-a)
@@ -429,35 +430,6 @@ class Gamma(LevyModel):
         shape = self.m * _positive("t", t)
         c = -math.lgamma(shape)
         return Measure(log_density=lambda x: c + (shape - 1.0) * math.log(x) - x,
-                       support=(0.0, math.inf))
-
-
-@dataclass(frozen=True)
-class ScaledGamma(LevyModel):
-    """Gamma process scaled by kappa: psi(a) = -m ln(1 - a*kappa), a < 1/kappa."""
-
-    m: float = _param(_positive)
-    kappa: float = _param(_positive)
-
-    @cached_property
-    def domain(self) -> Interval:
-        return Interval(-math.inf, 1.0 / self.kappa)
-
-    def _psi(self, a):
-        return -self.m * math.log1p(-a * self.kappa)
-
-    def _psi_prime(self, a):
-        return self.m * self.kappa / (1.0 - a * self.kappa)
-
-    def _psi_second(self, a):
-        return self.m * self.kappa**2 / (1.0 - a * self.kappa) ** 2
-
-    def increments(self, dt, size, g):
-        return self.kappa * g.gamma(self.m * dt, 1.0, size)
-
-    def levy_measure(self):
-        log_m, kappa = math.log(self.m), self.kappa
-        return Measure(log_density=lambda x: log_m - x / kappa - math.log(x),
                        support=(0.0, math.inf))
 
 
@@ -577,8 +549,55 @@ class NegativeBinomial(LevyModel):
 
 
 @dataclass(frozen=True)
-class Mirrored(LevyModel):
-    """The process -X_t of a base model; psi_mirror(a) = psi_base(-a)."""
+class _Scaled(LevyModel):
+    """c times the root of `_scaling` = (root, c): psi(a) = psi_root(c a), psi' and
+    psi'' gain c and c^2, and the domain, draws, jump measure and law scale by c."""
+
+    @cached_property
+    def domain(self) -> Interval:
+        root, c = self._scaling
+        return root.domain.scaled(c)
+
+    def _psi(self, a):
+        root, c = self._scaling
+        return root._psi(c * a)
+
+    def _psi_prime(self, a):
+        root, c = self._scaling
+        return c * root._psi_prime(c * a)
+
+    def _psi_second(self, a):
+        root, c = self._scaling
+        return c * (c * root._psi_second(c * a))
+
+    def increments(self, dt, size, g):
+        root, c = self._scaling
+        return c * root.increments(dt, size, g)
+
+    def levy_measure(self):
+        root, c = self._scaling
+        return root.levy_measure().scaled(c)
+
+    def terminal_law(self, t):
+        root, c = self._scaling
+        return root.terminal_law(t).scaled(c)
+
+
+@dataclass(frozen=True)
+class ScaledGamma(_Scaled):
+    """Gamma process scaled by kappa: psi(a) = -m ln(1 - a*kappa), a < 1/kappa."""
+
+    m: float = _param(_positive)
+    kappa: float = _param(_positive)
+
+    @cached_property
+    def _scaling(self) -> tuple[LevyModel, float]:
+        return Gamma(self.m), self.kappa
+
+
+@dataclass(frozen=True)
+class Mirrored(_Scaled):
+    """The process -X_t of a base model: its root scaled by minus its factor."""
 
     base: LevyModel
 
@@ -587,41 +606,18 @@ class Mirrored(LevyModel):
         return f"Mirrored[{self.base.family}]"
 
     @cached_property
-    def domain(self) -> Interval:
-        return self.base.domain.mirrored()
-
-    def _psi(self, a):
-        return self.base._psi(-a)
-
-    def _psi_prime(self, a):
-        return -self.base._psi_prime(-a)
-
-    def _psi_second(self, a):
-        return self.base._psi_second(-a)
-
-    def increments(self, dt, size, g):
-        return -self.base.increments(dt, size, g)
-
-    def levy_measure(self):
-        return self.base.levy_measure().reflected()
-
-    def terminal_law(self, t):
-        return self.base.terminal_law(t).reflected()
+    def _scaling(self) -> tuple[LevyModel, float]:
+        root, c = getattr(self.base, "_scaling", (self.base, 1.0))
+        return root, -c
 
     def params(self) -> dict:
         return self.base.params()
 
 
-FAMILIES = {
-    "Brownian": Brownian,
-    "Poisson": Poisson,
-    "CompoundPoissonNormal": CompoundPoissonNormal,
-    "Gamma": Gamma,
-    "ScaledGamma": ScaledGamma,
-    "VarianceGamma": VarianceGamma,
-    "AsymmetricVG": AsymmetricVG,
-    "NegativeBinomial": NegativeBinomial,
-}
+# Each family by the name its models report.
+FAMILIES = {cls.__name__: cls for cls in (Brownian, Poisson, CompoundPoissonNormal, Gamma,
+                                          ScaledGamma, VarianceGamma, AsymmetricVG,
+                                          NegativeBinomial)}
 
 # Families whose exponent is even in alpha; their mirror is themselves.
 _SYMMETRIC = (Brownian, CompoundPoissonNormal, VarianceGamma)

@@ -1,6 +1,6 @@
 """Call option valuation: Monte Carlo via the pricing kernel, one exact
-pricer over the family's terminal law (`exact_call`; the Brownian, Poisson and
-gamma families and the mirrors of the last two have one, and the old pricer
+pricer over the family's terminal law (`exact_call`; Brownian, Poisson, Gamma,
+ScaledGamma and the mirrors of the last three have one, and the old pricer
 names `brownian_exact_call`, `poisson_exact_call` and `gamma_exact_call`
 remain as aliases of it), and the parameter-dependence experiment (which
 parameter combinations option prices actually identify).

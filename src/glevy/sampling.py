@@ -171,17 +171,20 @@ def nb_dual_sample(m: float, q: float, dt: float, rng: Rng,
     _positive("dt", dt)
     _check_count("size", size)
     g = rng.generator
-    if method == "LogarithmicCompoundPoisson":
-        mu = -m * math.log1p(-q)
-        counts = g.poisson(mu * dt, size)
-        # logseries draws one variate at a time, so one draw of every jump
-        # consumes the stream as a draw per increment would; sum per increment.
-        jumps = np.concatenate(([0], np.cumsum(g.logseries(q, counts.sum()))))
-        return np.diff(jumps[np.cumsum(counts)], prepend=0).astype(float)
-    if method == "GammaSubordinatedPoisson":
-        intensity = m * q / (1.0 - q)
-        clock = g.gamma(m * dt, 1.0, size) / m
-        return g.poisson(intensity * clock).astype(float)
+    try:
+        if method == "LogarithmicCompoundPoisson":
+            mu = -m * math.log1p(-q)
+            counts = g.poisson(mu * dt, size)
+            # logseries draws one variate at a time, so one draw of every jump
+            # consumes the stream as a draw per increment would; sum per increment.
+            jumps = np.concatenate(([0], np.cumsum(g.logseries(q, counts.sum()))))
+            return np.diff(jumps[np.cumsum(counts)], prepend=0).astype(float)
+        if method == "GammaSubordinatedPoisson":
+            intensity = m * q / (1.0 - q)
+            clock = g.gamma(m * dt, 1.0, size) / m
+            return g.poisson(intensity * clock).astype(float)
+    except ValueError as e:  # numpy's Poisson sampler rejects rates beyond about 9.2e18
+        raise ParamOutOfRange("(m, dt)", (m, dt), f"{method} sampler: {e}") from None
     raise Unsupported(method, "NB sampling method")
 
 

@@ -118,9 +118,9 @@ def test_price_option_exact_unsupported_family(tmp_path):
     assert rc == 2
 
 
-def test_price_option_exact_mirrored_poisson(tmp_path):
-    spec = g.GlmSpec(model=g.mirror(g.Poisson(m=1.0)), r=0.02, lam=0.3, sig=0.5)
-    p = tmp_path / "mirrored.json"
+def _exact_price_option_prints_exact_call(tmp_path, capsys, model, lam, sig):
+    spec = g.GlmSpec(model=model, r=0.02, lam=lam, sig=sig)
+    p = tmp_path / "model.json"
     p.write_text(json.dumps(g.spec_to_dict(spec)))
     out = tmp_path / "opt.csv"
     rc = main(["price-option", "--spec", str(p), "--out", str(out),
@@ -129,6 +129,19 @@ def test_price_option_exact_mirrored_poisson(tmp_path):
     with open(out) as fh:
         row = next(csv.DictReader(fh))
     assert float(row["price"]) == g.exact_call(spec, g.OptionSpec(strike=1.05, expiry=1.0))
+    assert f"price={row['price']}" in capsys.readouterr().out.splitlines()
+
+
+def test_price_option_exact_mirrored_poisson(tmp_path, capsys):
+    _exact_price_option_prints_exact_call(tmp_path, capsys, g.mirror(g.Poisson(m=1.0)), 0.3, 0.5)
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["ScaledGamma", "mirror-ScaledGamma"])
+def test_price_option_exact_scaled_gamma(tmp_path, capsys, mirrored):
+    # A scaled model prices against its root's law scaled by kappa.
+    model = g.ScaledGamma(m=1.0, kappa=0.5)
+    model = g.mirror(model) if mirrored else model
+    _exact_price_option_prints_exact_call(tmp_path, capsys, model, 0.25, 0.5)
 
 
 @pytest.mark.parametrize("sig", [1e-300, 1e-310])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import glevy as g
-from glevy.exponents import FAMILIES, LevyModel, Mirrored
+from glevy.exponents import FAMILIES, LevyModel, Mirrored, ScaledGamma, _Scaled
 from glevy.multifactor import VectorGlm
 from glevy.options import OptionSpec
 from glevy.pricing import Component, GlmSpec
@@ -21,16 +21,33 @@ def test_every_family_has_a_default_model():
     assert set(DEFAULT_MODELS) == set(FAMILIES)
 
 
+def _owner(cls, name):
+    """The class on cls's MRO that defines name, or None."""
+    return next((k for k in cls.__mro__ if name in vars(k)), None)
+
+
 @pytest.mark.parametrize("cls", [*FAMILIES.values(), Mirrored])
 def test_family_owns_its_sampler(cls):
-    assert "increments" in vars(cls)
+    assert _owner(cls, "increments") not in (None, LevyModel)
 
 
 @pytest.mark.parametrize("cls", [*FAMILIES.values(), Mirrored])
 def test_family_defines_only_check_free_formulas(cls):
-    # LevyModel alone checks psi's argument; a family only writes the formulas.
-    assert {"_psi", "_psi_prime", "_psi_second"} <= set(vars(cls))
+    # LevyModel alone checks psi's argument; a family only writes the formulas,
+    # itself or through the scaling rule.
+    for name in ("_psi", "_psi_prime", "_psi_second"):
+        assert _owner(cls, name) not in (None, LevyModel)
     assert not {"psi", "psi_prime", "psi_second"} & set(vars(cls))
+
+
+SCALING_RULE = ("domain", "_psi", "_psi_prime", "_psi_second", "increments", "levy_measure",
+                "terminal_law")
+
+
+@pytest.mark.parametrize("cls", [ScaledGamma, Mirrored])
+def test_scaled_family_takes_every_member_from_the_scaling_rule(cls):
+    assert not set(SCALING_RULE) & set(vars(cls))
+    assert all(_owner(cls, name) is _Scaled for name in SCALING_RULE)
 
 
 @pytest.mark.parametrize("cls", [*FAMILIES.values(), Mirrored])
@@ -61,6 +78,47 @@ def test_vg_gamma_difference_is_the_family_sampler(m, dt):
     assert np.array_equal(dual, family)
 
 
+# ScaledGamma(m, kappa) at (lam, sig) is Gamma(m) at (kappa lam, kappa sig), and
+# so are their mirrors: c X at (lam, sig) is X at (c lam, c sig).
+SCALING_CASES = [(m, kappa, mirrored) for m in (0.7, 2.0) for kappa in (0.25, 0.5, 3.0)
+                 for mirrored in (False, True)]
+SCALING_IDS = [f"m={m}-kappa={k}" + ("-mirror" if mir else "") for m, k, mir in SCALING_CASES]
+
+
+def _scaled_and_root(m, kappa, mirrored):
+    scaled, root = g.ScaledGamma(m=m, kappa=kappa), g.Gamma(m=m)
+    return (g.mirror(scaled), g.mirror(root)) if mirrored else (scaled, root)
+
+
+@pytest.mark.parametrize("m,kappa,mirrored", SCALING_CASES, ids=SCALING_IDS)
+@pytest.mark.parametrize("lam,sig", [(0.1, 0.2), (0.25, 0.3)])
+def test_scaled_gamma_premium_is_gammas_at_scaled_parameters(m, kappa, mirrored, lam, sig):
+    scaled, root = _scaled_and_root(m, kappa, mirrored)
+    want = g.risk_premium(root, kappa * lam, kappa * sig)
+    assert g.risk_premium(scaled, lam, sig) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("m,kappa,mirrored", SCALING_CASES, ids=SCALING_IDS)
+def test_scaled_gamma_exact_call_is_gammas_at_scaled_parameters(m, kappa, mirrored):
+    scaled, root = _scaled_and_root(m, kappa, mirrored)
+    lam, sig = 0.25, 0.3
+    spec = g.GlmSpec(model=scaled, r=0.02, lam=lam, sig=sig)
+    twin = g.GlmSpec(model=root, r=0.02, lam=kappa * lam, sig=kappa * sig)
+    for strike in (0.8, 1.05, 1.5):
+        for expiry in (0.25, 2.0):
+            opt = g.OptionSpec(strike=strike, expiry=expiry)
+            assert g.exact_call(spec, opt) == pytest.approx(g.exact_call(twin, opt), rel=1e-9)
+
+
+@pytest.mark.parametrize("m,kappa,mirrored", SCALING_CASES, ids=SCALING_IDS)
+@pytest.mark.parametrize("dt", [1e-4, 0.25, 3.0])
+def test_scaled_gamma_draws_are_kappa_times_gammas(m, kappa, mirrored, dt):
+    scaled, _ = _scaled_and_root(m, kappa, mirrored)
+    c = -kappa if mirrored else kappa
+    draws = g.sample_increments(scaled, dt, 1000, g.Rng(17))
+    assert np.array_equal(draws, c * g.sample_increments(g.Gamma(m=m), dt, 1000, g.Rng(17)))
+
+
 def test_mirrored_asymmetric_vg_has_no_levy_measure():
     with pytest.raises(g.Unsupported):
         g.mirror(g.AsymmetricVG(m=1.5, mu=0.2, s=0.8)).levy_measure()
@@ -76,8 +134,9 @@ def test_family_terminal_law_prices_or_is_unsupported(name):
     model, lam, sig = LAW_CASES[name]
     spec = g.GlmSpec(model=model, r=0.02, lam=lam, sig=sig)
     opt = g.OptionSpec(strike=1.05, expiry=1.0)
-    # A mirror has a law exactly when its base does.
-    if "terminal_law" not in vars(type(getattr(model, "base", model))):
+    # A scaled model (ScaledGamma, a mirror) has a law exactly when its root does.
+    root, _ = getattr(model, "_scaling", (model, 1.0))
+    if "terminal_law" not in vars(type(root)):
         with pytest.raises(g.Unsupported):
             g.exact_call(spec, opt)
         return

@@ -215,10 +215,10 @@ def test_jump_decomposition_unsupported():
 
 def test_measure_atoms():
     nu = g.Poisson(m=2.0).levy_measure()
-    assert (nu.atoms, nu.sign) == ((1, 1), 1)
+    assert (nu.atoms, nu.scale) == ((1, 1), 1.0)
     assert math.exp(nu.log_weight(1)) == pytest.approx(2.0, rel=1e-15)
     nb = g.NegativeBinomial(m=1.0, q=0.5).levy_measure()
-    assert (nb.atoms, nb.sign) == ((1, math.inf), 1)
+    assert (nb.atoms, nb.scale) == ((1, math.inf), 1.0)
     assert math.exp(nb.log_weight(1)) == pytest.approx(0.5, rel=1e-15)  # m q^1 / 1
     assert math.exp(nb.log_weight(2)) == pytest.approx(0.125, rel=1e-15)  # m q^2 / 2
 

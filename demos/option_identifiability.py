@@ -48,7 +48,7 @@ def main():
 
     print("\n=== Monte Carlo cross-check (gamma driver) ===")
     spec = g.GlmSpec(model=g.Gamma(m=1.0), r=0.02, lam=0.5, sig=0.6)
-    exact = g.gamma_exact_call(spec, opt)
+    exact = g.exact_call(spec, opt)
     res = g.mc_call_price(spec, opt, n=200_000, rng=g.Rng(20120229))
     print(f"  exact quadrature {exact:.6f}, MC {res.estimate:.6f} "
           f"+/- {res.stderr:.6f}")

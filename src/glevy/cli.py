@@ -68,8 +68,7 @@ def _write_csv(path, header, rows):
         fh.writelines(line % row for row in rows)
 
 
-def cmd_premium(args) -> int:
-    spec = load_spec(args.spec)
+def cmd_premium(spec: GlmSpec, args) -> int:
     grid = _parse_grid(args.grid)
     rows = prem.premium_surface(spec.model, grid, grid)
     _write_csv(args.out, ["lambda", "sigma", "R", "R_tilde"], rows)
@@ -77,9 +76,8 @@ def cmd_premium(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(spec: GlmSpec, args) -> int:
     _check_count("paths", args.paths)
-    spec = load_spec(args.spec)
     print(f"seed={args.seed}")
     paths = [simulate_path(spec.model, args.horizon, args.steps, Rng(args.seed, i))
              for i in range(args.paths)]
@@ -108,8 +106,7 @@ def cmd_simulate(args) -> int:
     return 0 if abs(res.estimate - 1.0) < 4.0 * res.stderr else 1
 
 
-def cmd_price_option(args) -> int:
-    spec = load_spec(args.spec)
+def cmd_price_option(spec: GlmSpec, args) -> int:
     opt = OptionSpec(strike=args.strike, expiry=args.expiry)
     if args.method == "mc":
         print(f"seed={args.seed}")
@@ -127,8 +124,7 @@ def cmd_price_option(args) -> int:
     return 0
 
 
-def cmd_fx_check(args) -> int:
-    spec = load_spec(args.spec)
+def cmd_fx_check(spec: GlmSpec, args) -> int:
     r_tilde = prem.inverse_fx_premium(spec.model, spec.lam, spec.sig)
     verdict = {
         "R": spec.premium,
@@ -145,17 +141,15 @@ def cmd_fx_check(args) -> int:
     return 0 if verdict["siegel_ok"] else 1
 
 
-def cmd_dividend(args) -> int:
-    spec = load_spec(args.spec)
+def cmd_dividend(spec: GlmSpec, args) -> int:
     s0_implied, delta = gordon_valuation(spec)
     print(json.dumps({"s0_implied": s0_implied, "delta": delta,
                       "d0_check": delta * s0_implied}))
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(spec: GlmSpec, args) -> int:
     """Run the invariant suite for one spec; exit 0 iff everything passes."""
-    spec = load_spec(args.spec)
     model, lam, sig = spec.model, spec.lam, spec.sig
     checks = {}
     checks["psi_zero"] = abs(model.psi(0.0)) == 0.0
@@ -180,15 +174,15 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="glevy", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--spec", required=True)
 
-    p = sub.add_parser("premium", help="write the premium surface CSV")
-    p.add_argument("--spec", required=True)
+    p = sub.add_parser("premium", parents=[spec], help="write the premium surface CSV")
     p.add_argument("--out", required=True)
     p.add_argument("--grid", default="0.1:0.5:0.1", help='"a:b:step"')
     p.set_defaults(fn=cmd_premium)
 
-    p = sub.add_parser("simulate", help="simulate paths, write CSV + MC summary")
-    p.add_argument("--spec", required=True)
+    p = sub.add_parser("simulate", parents=[spec], help="simulate paths, write CSV + MC summary")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--n", type=int, default=20_000)
@@ -197,8 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=250)
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("price-option", help="price a European call")
-    p.add_argument("--spec", required=True)
+    p = sub.add_parser("price-option", parents=[spec], help="price a European call")
     p.add_argument("--out", required=True)
     p.add_argument("--strike", type=float, required=True)
     p.add_argument("--expiry", type=float, default=1.0)
@@ -207,16 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100_000)
     p.set_defaults(fn=cmd_price_option)
 
-    p = sub.add_parser("fx-check", help="Siegel sign rule and FX reciprocity")
-    p.add_argument("--spec", required=True)
+    p = sub.add_parser("fx-check", parents=[spec], help="Siegel sign rule and FX reciprocity")
     p.set_defaults(fn=cmd_fx_check)
 
-    p = sub.add_parser("dividend", help="Gordon-growth valuation")
-    p.add_argument("--spec", required=True)
+    p = sub.add_parser("dividend", parents=[spec], help="Gordon-growth valuation")
     p.set_defaults(fn=cmd_dividend)
 
-    p = sub.add_parser("verify", help="run the invariant suite for a spec")
-    p.add_argument("--spec", required=True)
+    p = sub.add_parser("verify", parents=[spec], help="run the invariant suite for a spec")
     p.set_defaults(fn=cmd_verify)
     return ap
 
@@ -228,7 +218,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        return args.fn(load_spec(args.spec), args)
     except (GlevyError, OSError, KeyError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

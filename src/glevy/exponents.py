@@ -499,7 +499,7 @@ class AsymmetricVG(LevyModel):
 
     def _psi(self, a):
         _, _, b, c, _ = self._coefs
-        return -self.m * math.log(1.0 - b * a - c * a * a)
+        return -self.m * math.log1p(-b * a - c * a * a)
 
     def _psi_prime(self, a):
         _, _, b, c, s2 = self._coefs
@@ -516,6 +516,13 @@ class AsymmetricVG(LevyModel):
         shape = self.m * dt
         return k1 * g.gamma(shape, 1.0, size) - k2 * g.gamma(shape, 1.0, size)
 
+    def levy_measure(self):
+        # m e^{-x/kappa1}/x on x > 0 and m e^{-|x|/kappa2}/|x| on x < 0.
+        k1, k2 = self._coefs[:2]
+        log_m = math.log(self.m)
+        return Measure(log_density=lambda x: log_m - x / (k1 if x > 0.0 else -k2)
+                       - math.log(abs(x)))
+
 
 @dataclass(frozen=True)
 class NegativeBinomial(LevyModel):
@@ -529,7 +536,7 @@ class NegativeBinomial(LevyModel):
         return Interval(-math.inf, math.log(1.0 / self.q))
 
     def _psi(self, a):
-        return self.m * (math.log1p(-self.q) - math.log1p(-self.q * math.exp(a)))
+        return -self.m * math.log1p(-self.q * math.expm1(a) / (1.0 - self.q))
 
     def _psi_prime(self, a):
         qe = self.q * math.exp(a)

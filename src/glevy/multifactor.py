@@ -279,18 +279,17 @@ def integrated_premium(vglm: VectorGlm, schedule: Schedule, s: float, t: float) 
 
 
 def submartingale_check(vglm: VectorGlm, schedule: Schedule, s: float, t: float,
-                        n: int, rng, steps_per_year: int = 32) -> dict:
+                        n: int, rng) -> dict:
     """Monte Carlo verification that S/B is a submartingale on [s, t].
 
-    Simulates component paths on a grid refining the breakpoints, compares
-    E[S_t/B_t] against E[S_s/B_s], and checks the predicted ratio
-    exp(integral of R over [s, t]).
+    Simulates component paths on a grid of 32 steps a year (at least 4)
+    refining the breakpoints, compares E[S_t/B_t] against E[S_s/B_s], and
+    checks the predicted ratio exp(integral of R over [s, t]).
     """
     if not 0.0 <= s < t < math.inf:
         raise ParamOutOfRange("(s, t)", (s, t), "need 0 <= s < t < inf")
     _check_count("n", n, 2)
-    _check_count("steps_per_year", steps_per_year, 1)
-    steps = max(int(round(t * steps_per_year)), 4)
+    steps = max(int(round(t * 32)), 4)
     grid = np.unique(np.concatenate([
         np.linspace(0.0, t, steps + 1),
         schedule.breakpoints[schedule.breakpoints <= t + 1e-12], [s, t]]))

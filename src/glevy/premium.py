@@ -6,16 +6,18 @@ foreign-exchange inverse, derivative/sign analysis, and an independent
 evaluation route through the jump-measure representation
 R = q*lam*sig + integral (e^{sig x} - 1)(1 - e^{-lam x}) nu(dx).
 
-Each function evaluates every distinct psi (or psi') argument once and
-combines the values in the order of the per-point formulas (`risk_premium`,
-`inverse_fx_premium`), so its results equal theirs bit for bit.
+`premium_surface`, `premium_identity_check`, `premium_gradient` and
+`premium_hessian_signs` evaluate each distinct psi (or psi', psi'') argument
+once and combine the values in the order of the per-point formulas
+(`risk_premium`, `inverse_fx_premium`), so their results equal theirs bit for bit.
 """
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from typing import Sequence
 
-from .errors import QuadratureFailure, Unsupported
+from .errors import DomainViolation, QuadratureFailure, Unsupported
 from .exponents import LevyModel
 
 __all__ = [
@@ -117,48 +119,36 @@ def curvature_from_premium(model: LevyModel, sig: float) -> float:
     Uses R(0, .) = 0 identically, so the lam-difference is one-sided at
     lam = h (lam must stay nonnegative).
     """
-    psi = model.psi
-    h = k = _FD_SCALE * max(1.0, abs(sig))
-    up, down, at_h = sig + k, sig - k, psi(-h)
-    d_sig_at_h = ((psi(up) + at_h - psi(up - h))
-                  - (psi(down) + at_h - psi(down - h))) / (2.0 * k)
-    return d_sig_at_h / h
+    h = _FD_SCALE * max(1.0, abs(sig))
+    return (risk_premium(model, h, sig + h) - risk_premium(model, h, sig - h)) / (2.0 * h) / h
 
 
 def _mixed_partial(model: LevyModel, lam: float, sig: float, h: float) -> float:
     """4-point stencil for d2R/dlam dsig."""
-    psi = model.psi
-    s_up, s_down, l_up, l_down = sig + h, sig - h, lam + h, lam - h
-    a_up, a_down, b_up, b_down = psi(s_up), psi(s_down), psi(-l_up), psi(-l_down)
-    return ((a_up + b_up - psi(s_up - l_up)) - (a_down + b_up - psi(s_down - l_up))
-            - (a_up + b_down - psi(s_up - l_down))
-            + (a_down + b_down - psi(s_down - l_down))) / (4.0 * h * h)
+    return (risk_premium(model, lam + h, sig + h) - risk_premium(model, lam + h, sig - h)
+            - risk_premium(model, lam - h, sig + h)
+            + risk_premium(model, lam - h, sig - h)) / (4.0 * h * h)
 
 
-_DEFAULT_GRID = (0.1, 0.2, 0.3)
+_DEFAULT_GRID = (0.1, 0.2, 0.3)  # is_bilinear's lam and sig points
+_BILINEAR_TOL = 1e-6  # is_bilinear's bound on the spread of the mixed partial
 
 
-def is_bilinear(model: LevyModel, grid: Sequence[float] = _DEFAULT_GRID,
-                tol: float = 1e-6) -> bool:
+def is_bilinear(model: LevyModel) -> bool:
     """True iff the mixed partial of R is constant over the grid.
 
     Only geometric Brownian motion has a bilinear premium; every jump family
-    fails on the default grid. Grid points are clipped to the feasible region
-    of the model's domain.
+    fails on the grid. Grid points whose stencil leaves the model's domain
+    are skipped.
     """
-    h = 1e-3
-    dom = model.domain
     values = []
-    for lam in grid:
-        for sig in grid:
-            probes = (sig + h, sig - h, -lam - h, -lam + h,
-                      sig - lam + 2 * h, sig - lam - 2 * h)
-            if not all(dom.admissible(p) for p in probes):
-                continue
-            values.append(_mixed_partial(model, lam, sig, h))
+    for lam in _DEFAULT_GRID:
+        for sig in _DEFAULT_GRID:
+            with suppress(DomainViolation):
+                values.append(_mixed_partial(model, lam, sig, 1e-3))
     if len(values) < 2:
         raise Unsupported(model.family, "bilinearity scan (grid infeasible)")
-    return max(values) - min(values) < tol
+    return max(values) - min(values) < _BILINEAR_TOL
 
 
 def premium_surface(model: LevyModel, lams: Sequence[float],

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -88,16 +88,19 @@ def log_value(log0, rate, model: LevyModel, a: float, x, t: float):
     return log0 + rate * t + a * x - t * model.psi(a)
 
 
+def _value(spec: GlmSpec, log0, rate, a: float, x, t: float):
+    """e^{log_value} for the spec's model at X_t = x: a float for scalar x."""
+    return np.exp(log_value(log0, rate, spec.model, a, np.asarray(x, dtype=float), t))[()]
+
+
 def kernel_value(spec: GlmSpec, x, t: float):
     """Pricing kernel pi_t = e^{-rt} e^{-lam x - t psi(-lam)} at X_t = x."""
-    return np.exp(log_value(0.0, -spec.r, spec.model, -spec.lam,
-                            np.asarray(x, dtype=float), t))[()]
+    return _value(spec, 0.0, -spec.r, -spec.lam, x, t)
 
 
 def asset_value(spec: GlmSpec, x, t: float):
     """Asset price S_t = s0 e^{(r+R)t} e^{sig x - t psi(sig)} at X_t = x."""
-    return np.exp(log_value(math.log(spec.s0), spec.r + spec.premium, spec.model,
-                            spec.sig, np.asarray(x, dtype=float), t))[()]
+    return _value(spec, math.log(spec.s0), spec.r + spec.premium, spec.sig, x, t)
 
 
 def expected_asset_price(spec: GlmSpec, t: float) -> float:
@@ -118,16 +121,14 @@ def _require_f(spec: GlmSpec) -> float:
 def fx_value(spec: GlmSpec, x, t: float):
     """Exchange rate S_t = s0 e^{(r-f)t} e^{Rt} e^{sig x - t psi(sig)}."""
     f = _require_f(spec)
-    return np.exp(log_value(math.log(spec.s0), spec.r - f + spec.premium, spec.model,
-                            spec.sig, np.asarray(x, dtype=float), t))[()]
+    return _value(spec, math.log(spec.s0), spec.r - f + spec.premium, spec.sig, x, t)
 
 
 def inverse_fx_value(spec: GlmSpec, x, t: float):
     """Inverse rate with s0_tilde = 1/s0; the product fx * inverse_fx is 1."""
     f = _require_f(spec)
     r_tilde = inverse_fx_premium(spec.model, spec.lam, spec.sig)
-    return np.exp(log_value(-math.log(spec.s0), f - spec.r + r_tilde, spec.model,
-                            -spec.sig, np.asarray(x, dtype=float), t))[()]
+    return _value(spec, -math.log(spec.s0), f - spec.r + r_tilde, -spec.sig, x, t)
 
 
 def gordon_valuation(spec: GlmSpec) -> tuple[float, float]:
@@ -144,40 +145,33 @@ def gordon_valuation(spec: GlmSpec) -> tuple[float, float]:
 def dividend_asset_value(spec: GlmSpec, x, t: float):
     """Price path of the dividend-paying asset; D_t = delta * S_t throughout."""
     s0_implied, delta = gordon_valuation(spec)
-    return np.exp(log_value(math.log(s0_implied), spec.r - delta + spec.premium,
-                            spec.model, spec.sig, np.asarray(x, dtype=float), t))[()]
+    return _value(spec, math.log(s0_implied), spec.r - delta + spec.premium, spec.sig, x, t)
+
+
+# Each JSON key of a spec file and the GlmSpec field it sets, in file order: a key
+# must be given if its field has no default, and may be null if it defaults to None.
+_KEYS = {"r": "r", "lambda": "lam", "sigma": "sig", "s0": "s0", "f": "f",
+         "gamma": "gamma_growth", "d0": "d0"}
+_DEFAULTS = {f.name: f.default for f in fields(GlmSpec)}
 
 
 def spec_from_dict(d: dict) -> GlmSpec:
     """Build a GlmSpec from the JSON schema used by config files and the CLI."""
     if not isinstance(d, dict):
         raise ParamOutOfRange("spec", d, "must be a JSON object")
-    for key in ("family", "r", "lambda", "sigma"):
+    for key in ("family", *(k for k, name in _KEYS.items() if _DEFAULTS[name] is MISSING)):
         if key not in d:
             raise ParamOutOfRange(key, None, "must be given")
     model = make_model(d["family"], d.get("params", {}))
-    return GlmSpec(
-        model=model,
-        r=_number("r", d["r"]),
-        lam=_number("lambda", d["lambda"]),
-        sig=_number("sigma", d["sigma"]),
-        s0=_number("s0", d.get("s0", 1.0)),
-        f=None if d.get("f") is None else _number("f", d["f"]),
-        gamma_growth=None if d.get("gamma") is None else _number("gamma", d["gamma"]),
-        d0=None if d.get("d0") is None else _number("d0", d["d0"]),
-    )
+    return GlmSpec(model=model, **{name: _number(key, d.get(key, _DEFAULTS[name]))
+                                   for key, name in _KEYS.items()
+                                   if d.get(key) is not None or _DEFAULTS[name] is not None})
 
 
 def spec_to_dict(spec: GlmSpec) -> dict:
-    d = {"family": spec.model.family, "params": spec.model.params(),
-         "r": spec.r, "lambda": spec.lam, "sigma": spec.sig, "s0": spec.s0}
-    if spec.f is not None:
-        d["f"] = spec.f
-    if spec.gamma_growth is not None:
-        d["gamma"] = spec.gamma_growth
-    if spec.d0 is not None:
-        d["d0"] = spec.d0
-    return d
+    values = {key: getattr(spec, name) for key, name in _KEYS.items()}
+    return {"family": spec.model.family, "params": spec.model.params(),
+            **{key: v for key, v in values.items() if v is not None}}
 
 
 def _json_int(digits: str) -> int:

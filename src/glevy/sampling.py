@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+# Most jumps one logarithmic compound Poisson draw may take: their 2**27 int64
+# values fill a 1 GiB buffer, and larger totals would allocate gigabytes.
+_MAX_LOGSERIES_JUMPS = 2**27
 
 
 class Rng:
@@ -175,6 +178,9 @@ def nb_dual_sample(m: float, q: float, dt: float, rng: Rng,
         if method == "LogarithmicCompoundPoisson":
             mu = -m * math.log1p(-q)
             counts = g.poisson(mu * dt, size)
+            if counts.sum(dtype=float) > _MAX_LOGSERIES_JUMPS:
+                raise ParamOutOfRange("(m, dt)", (m, dt),
+                                      f"{method} sampler: more than {_MAX_LOGSERIES_JUMPS} jumps")
             # logseries draws one variate at a time, so one draw of every jump
             # consumes the stream as a draw per increment would; sum per increment.
             jumps = np.concatenate(([0], np.cumsum(g.logseries(q, counts.sum()))))

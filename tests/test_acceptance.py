@@ -177,7 +177,7 @@ def test_criterion_8_option_identifiability():
     )
     spec = g.GlmSpec(model=g.Brownian(), r=0.02, lam=0.5, sig=0.25)
     bs_gap = abs(
-        g.brownian_exact_call(spec, opt)
+        g.exact_call(spec, opt)
         - g.bs_call_price(1.0, 0.02, 0.25, 1.05, 1.0)
     )
     ok = (

@@ -79,7 +79,7 @@ def test_price_option_exact_and_mc(gamma_spec, tmp_path, capsys):
     exact = float(row["price"])
     spec = g.load_spec(str(gamma_spec))
     assert exact == pytest.approx(
-        g.gamma_exact_call(spec, g.OptionSpec(strike=1.0, expiry=1.0)), rel=1e-12
+        g.exact_call(spec, g.OptionSpec(strike=1.0, expiry=1.0)), rel=1e-12
     )
 
     rc = main(["price-option", "--spec", str(gamma_spec), "--out", str(out),

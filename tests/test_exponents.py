@@ -286,32 +286,79 @@ def test_domain_cache_keeps_value_semantics(family_case):
         assert back.domain == m.domain and _values(back, alphas) == values
 
 
+_LOG_UNIFORM = st.floats(-2.0, 2.0).map(lambda u: 10.0**u)
+
+
 def _asymmetric_vg_reference(m, mu, s, a):
-    """(psi, psi', psi'') of AsymmetricVG(m, mu, s) at a, with u(a) formed from
+    """(psi', psi'') of AsymmetricVG(m, mu, s) at a, with u(a) formed from
     the parameters at every call: the reference the cached coefficients keep."""
     u = 1.0 - (mu / m) * a - (s**2 / (2.0 * m)) * a * a
     v = mu + s**2 * a
-    return -m * math.log(u), (mu + s**2 * a) / u, (s**2 * u + v * v / m) / (u * u)
+    return (mu + s**2 * a) / u, (s**2 * u + v * v / m) / (u * u)
 
 
 def _bits(values):
     return [float(v).hex() for v in values]
 
 
+def _psi_mpmath(model, a):
+    """(psi(a), error bound) for an AsymmetricVG or NegativeBinomial model.
+
+    psi = -m log1p(u) is evaluated to 60 digits from the model's float
+    parameters, with u = -(mu/m) a - (s^2/2m) a^2 (AVG) or -q expm1(a)/(1-q)
+    (NB). A float evaluation rounds each term of u, an error the log1p
+    magnifies by 1/(1 + u); the bound is 4 ulps of |psi| plus m (sum of
+    |terms|)/(1 + u), a relative 4 ulps wherever the terms do not cancel.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        a, m = mpmath.mpf(a), mpmath.mpf(model.m)
+        if isinstance(model, g.AsymmetricVG):
+            mu, s = mpmath.mpf(model.mu), mpmath.mpf(model.s)
+            terms = (-mu / m * a, -s * s / (2 * m) * a * a)
+        else:
+            q = mpmath.mpf(model.q)
+            terms = (-q * mpmath.expm1(a) / (1 - q),)
+        u = sum(terms)
+        psi = -m * mpmath.log1p(u)
+        scale = abs(psi) + m * sum(abs(t) for t in terms) / (1 + u)
+        return float(psi), float(4 * sys.float_info.epsilon * scale)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(family=st.sampled_from(["AsymmetricVG", "NegativeBinomial"]),
+       m=_LOG_UNIFORM, mu=st.floats(-2.0, 2.0), s=st.floats(0.05, 3.0),
+       q=st.floats(1e-3, 0.999), sign=st.sampled_from([1.0, -1.0]),
+       e=st.floats(-14.0, 0.0))
+def test_log1p_exponents_match_mpmath_near_zero(family, m, mu, s, q, sign, e):
+    # Log-uniform |alpha| in [1e-14, 1]: psi is about psi'(0) alpha there, and
+    # the forms log(1 - b a - c a^2) and log1p(-q) - log1p(-q e^a) lost up to
+    # 5e-2 of it to cancellation.
+    model = (g.AsymmetricVG(m=m, mu=mu, s=s) if family == "AsymmetricVG"
+             else g.NegativeBinomial(m=m, q=q))
+    a = sign * 10.0**e
+    assume(model.domain.admissible(a))
+    want, bound = _psi_mpmath(model, a)
+    assert abs(model.psi(a) - want) <= bound
+    assert g.mirror(model).psi(-a) == model.psi(a)
+
+
 @settings(max_examples=300, deadline=None)
 @given(m=st.floats(0.05, 20.0), mu=st.floats(-2.0, 2.0), s=st.floats(0.05, 3.0),
        frac=st.floats(-1.0, 1.0))
 def test_asymmetric_vg_values_are_the_reference_bit_for_bit(m, mu, s, frac):
+    # psi' and psi'' are the reference's bits; psi, a log1p since the reference
+    # form lost relative accuracy near 0, is within _psi_mpmath's bound.
     model = g.AsymmetricVG(m=m, mu=mu, s=s)
     dom = model.domain
     a = frac * (dom.upper if frac > 0.0 else -dom.lower)
     assume(dom.admissible(a))
-    psi, d1, d2 = _asymmetric_vg_reference(m, mu, s, a)
-    assert _bits(_values(model, [a])[0]) == _bits((psi, d1, d2))
+    d1, d2 = _asymmetric_vg_reference(m, mu, s, a)
+    psi, got_d1, got_d2 = _values(model, [a])[0]
+    assert _bits((got_d1, got_d2)) == _bits((d1, d2))
+    want, bound = _psi_mpmath(model, a)
+    assert abs(psi - want) <= bound
     assert _bits(_values(g.mirror(model), [-a])[0]) == _bits((psi, -d1, d2))
-
-
-_LOG_UNIFORM = st.floats(-2.0, 2.0).map(lambda u: 10.0**u)
 
 
 @settings(max_examples=300, deadline=None)
@@ -351,8 +398,10 @@ def test_replace_rebuilds_asymmetric_vg_coefficients():
         assert other == fresh and other != avg
         assert hash(other) == hash(fresh) and repr(other) == repr(fresh)
         assert other.domain == fresh.domain
-        assert ([_bits(v) for v in _values(other, alphas)]
-                == [_bits(_asymmetric_vg_reference(1.5, -0.2, 0.8, a)) for a in alphas])
+        for a, (psi, d1, d2) in zip(alphas, _values(other, alphas)):
+            assert _bits((d1, d2)) == _bits(_asymmetric_vg_reference(1.5, -0.2, 0.8, a))
+            want, bound = _psi_mpmath(other, a)
+            assert abs(psi - want) <= bound
 
 
 def test_make_model_and_unsupported():

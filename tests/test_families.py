@@ -14,7 +14,7 @@ from glevy.exponents import FAMILIES, LevyModel, Mirrored, ScaledGamma, _Scaled
 from glevy.multifactor import VectorGlm
 from glevy.options import OptionSpec
 from glevy.pricing import Component, GlmSpec
-from conftest import ASYMMETRIC, DEFAULT_MODELS
+from conftest import ASYMMETRIC, DEFAULT_MODELS, assert_close
 
 
 def test_every_family_has_a_default_model():
@@ -119,9 +119,15 @@ def test_scaled_gamma_draws_are_kappa_times_gammas(m, kappa, mirrored, dt):
     assert np.array_equal(draws, c * g.sample_increments(g.Gamma(m=m), dt, 1000, g.Rng(17)))
 
 
-def test_mirrored_asymmetric_vg_has_no_levy_measure():
-    with pytest.raises(g.Unsupported):
-        g.mirror(g.AsymmetricVG(m=1.5, mu=0.2, s=0.8)).levy_measure()
+def test_mirrored_asymmetric_vg_levy_measure_is_the_reflected_root():
+    avg = g.AsymmetricVG(m=1.5, mu=0.2, s=0.8)
+    mirrored = g.mirror(avg)
+    log_f, log_root = mirrored.levy_measure().log_density, avg.levy_measure().log_density
+    for x in (0.7, -0.7, 3.0, -3.0):
+        assert log_f(-x) == log_root(x)
+    for lam, sig in [(0.4, 0.6), (0.1, 0.2), (0.3, 0.05)]:
+        assert_close(g.premium_via_levy_measure(mirrored, lam, sig),
+                     g.risk_premium(mirrored, lam, sig), 1e-8, "mirrored AVG LK oracle")
 
 
 LAW_CASES = {**{name: DEFAULT_MODELS[name] for name in FAMILIES},

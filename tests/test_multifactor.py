@@ -344,10 +344,7 @@ def test_submartingale_check_rejects_bad_input(s, t, n):
 
 @pytest.mark.parametrize("kw", [
     dict(n=2.5),                   # not an integer
-    dict(steps_per_year=math.nan),
-    dict(steps_per_year=-5),       # once ran silently with 4 steps
-    dict(steps_per_year=0),
-], ids=["n=2.5", "steps=nan", "steps=-5", "steps=0"])
+], ids=["n=2.5"])
 def test_submartingale_check_rejects_bad_counts(kw):
     vglm = g.VectorGlm(components=(g.Component(g.Gamma(m=1.0), 0.4, 0.3),), r=0.02)
     kw = {"n": 100, **kw}
@@ -459,11 +456,11 @@ class _RecordingRng(g.Rng):
         return child
 
 
-def _matrix_submartingale_check(vglm, sch, s, t, n, rng, steps_per_year=32):
+def _matrix_submartingale_check(vglm, sch, s, t, n, rng):
     """Reference: the check with every increment, driver value and log value
     held as a (grid x n) matrix, drawn in the same order from the same
     substreams."""
-    steps = max(int(round(t * steps_per_year)), 4)
+    steps = max(int(round(t * 32)), 4)
     grid = np.unique(np.concatenate([np.linspace(0.0, t, steps + 1),
                                      sch.breakpoints[sch.breakpoints <= t + 1e-12], [s, t]]))
     j_s = int(np.argmin(np.abs(grid - s)))
@@ -551,4 +548,4 @@ def test_money_market_overflow_is_typed():
         g.money_market(sch, 200.0)
     vglm = g.VectorGlm(components=(g.Component(g.Gamma(m=1.0), 0.4, 0.3),), r=0.02)
     with pytest.raises(g.ParamOutOfRange):
-        g.submartingale_check(vglm, sch, 0.5, 200.0, n=2, rng=g.Rng(1), steps_per_year=1)
+        g.submartingale_check(vglm, sch, 0.5, 200.0, n=2, rng=g.Rng(1))

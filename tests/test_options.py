@@ -146,7 +146,7 @@ def test_brownian_exact_matches_bs():
         for t in (1e-8, 1e-4, 1e-3, 1e-2, 0.25, 1.5, 4.0):
             for k in (0.0, 0.3, 0.5, 0.9, 1.0, 1.01, 1.1, 1.8, 3.0):
                 opt = g.OptionSpec(strike=k, expiry=t)
-                exact = g.brownian_exact_call(spec, opt)
+                exact = g.exact_call(spec, opt)
                 bs = g.bs_call_price(spec.s0, spec.r, spec.sig, k, t)
                 assert exact == pytest.approx(bs, abs=1e-10), (spec.lam, k, t)
 
@@ -181,7 +181,7 @@ def test_gamma_exact_matches_incomplete_gamma(strike, expiry):
 def test_brownian_price_lambda_independent():
     # The diffusive model's option price carries no risk-aversion dependence.
     opt = g.OptionSpec(strike=1.0, expiry=1.0)
-    prices = [g.brownian_exact_call(brownian_spec(lam=l), opt) for l in (0.0, 0.3, 1.0, 2.5)]
+    prices = [g.exact_call(brownian_spec(lam=l), opt) for l in (0.0, 0.3, 1.0, 2.5)]
     spread = max(prices) - min(prices)
     assert spread < 1e-10
 
@@ -192,7 +192,7 @@ def test_poisson_price_depends_on_product_only():
 
     def price(m, lam):
         spec = g.GlmSpec(model=g.Poisson(m=m), r=0.02, lam=lam, sig=0.3)
-        return g.poisson_exact_call(spec, opt)
+        return g.exact_call(spec, opt)
 
     p1 = price(2.0, math.log(2.0))  # m e^-lam = 1
     p2 = price(1.0, 0.0)
@@ -210,7 +210,7 @@ def test_gamma_price_depends_on_reduced_pair_only():
 
     def price(m, lam, sig):
         spec = g.GlmSpec(model=g.Gamma(m=m), r=0.02, lam=lam, sig=sig)
-        return g.gamma_exact_call(spec, opt)
+        return g.exact_call(spec, opt)
 
     p1 = price(1.0, 0.0, 0.4)
     p2 = price(1.0, 1.0, 0.8)  # 0.8 / 2 = 0.4
@@ -221,18 +221,18 @@ def test_gamma_price_depends_on_reduced_pair_only():
 
 def test_exact_zero_strike_recovers_spot():
     opt = g.OptionSpec(strike=0.0, expiry=1.0)
-    assert g.brownian_exact_call(brownian_spec(s0=1.7), opt) == pytest.approx(1.7, rel=1e-10)
+    assert g.exact_call(brownian_spec(s0=1.7), opt) == pytest.approx(1.7, rel=1e-10)
     spec_p = g.GlmSpec(model=g.Poisson(m=1.0), r=0.02, lam=0.3, sig=0.3, s0=1.7)
-    assert g.poisson_exact_call(spec_p, opt) == pytest.approx(1.7, rel=1e-10)
+    assert g.exact_call(spec_p, opt) == pytest.approx(1.7, rel=1e-10)
     spec_g = g.GlmSpec(model=g.Gamma(m=1.0), r=0.02, lam=0.5, sig=0.4, s0=1.7)
-    assert g.gamma_exact_call(spec_g, opt) == pytest.approx(1.7, rel=1e-8)
+    assert g.exact_call(spec_g, opt) == pytest.approx(1.7, rel=1e-8)
 
 
 def test_deep_out_of_the_money_is_tiny():
     opt = g.OptionSpec(strike=50.0, expiry=0.5)
-    assert g.brownian_exact_call(brownian_spec(), opt) < 1e-8
+    assert g.exact_call(brownian_spec(), opt) < 1e-8
     spec_g = g.GlmSpec(model=g.Gamma(m=1.0), r=0.02, lam=0.5, sig=0.4)
-    assert g.gamma_exact_call(spec_g, opt) < 1e-6
+    assert g.exact_call(spec_g, opt) < 1e-6
 
 
 def _poisson_brute_force(spec, opt, sign=1):

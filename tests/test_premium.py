@@ -24,6 +24,7 @@ LK_FAMILIES = [
     "Gamma",
     "ScaledGamma",
     "VarianceGamma",
+    "AsymmetricVG",
     "NegativeBinomial",
 ]
 
@@ -197,7 +198,7 @@ def test_small_parameter_bilinear_limit(family_case):
 
 LK_MODELS = [DEFAULT_MODELS[name][0] for name in LK_FAMILIES] + [
     g.mirror(DEFAULT_MODELS[name][0])
-    for name in ("Poisson", "Gamma", "ScaledGamma", "NegativeBinomial")]
+    for name in ("Poisson", "Gamma", "ScaledGamma", "AsymmetricVG", "NegativeBinomial")]
 
 
 @pytest.mark.parametrize("model", LK_MODELS, ids=lambda model: model.family)
@@ -208,9 +209,20 @@ def test_jump_decomposition_oracle(model, np_rng):
         assert_close(oracle, direct, 1e-8, f"{model.family} LK oracle")
 
 
-def test_jump_decomposition_unsupported():
-    with pytest.raises(g.Unsupported):
-        g.AsymmetricVG(m=1.5, mu=0.2, s=0.8).levy_measure()
+@pytest.mark.parametrize("m,mu,s", [(1.5, 0.2, 0.8), (0.3, -1.0, 0.5)])
+def test_asymmetric_vg_jump_measure_oracle(m, mu, s):
+    # nu(dx) = m e^{-x/kappa1}/x dx on x > 0 and m e^{-|x|/kappa2}/|x| dx on
+    # x < 0, with the kappas of the class docstring.
+    model = g.AsymmetricVG(m=m, mu=mu, s=s)
+    root = math.sqrt(mu * mu + 2.0 * m * s * s)
+    k1, k2 = (mu + root) / (2.0 * m), (-mu + root) / (2.0 * m)
+    log_f = model.levy_measure().log_density
+    for x in (0.7, -0.7, 3.0, -3.0):
+        want = math.log(m) - abs(x) / (k1 if x > 0.0 else k2) - math.log(abs(x))
+        assert log_f(x) == pytest.approx(want, rel=1e-14)
+    for lam, sig in [(0.1, 0.2), (0.25, 0.05), (0.05, 0.3)]:
+        assert_close(g.premium_via_levy_measure(model, lam, sig),
+                     g.risk_premium(model, lam, sig), 1e-8, "AVG LK oracle")
 
 
 def test_measure_atoms():
@@ -257,8 +269,8 @@ def test_premium_surface_shape():
 
 
 # --------------------------------------------------------------------------
-# Each distinct psi argument is evaluated once, and the results equal the
-# per-point formulas bit for bit.
+# The results equal the per-point formulas bit for bit, and the functions
+# that share psi values evaluate each distinct argument once.
 # --------------------------------------------------------------------------
 
 MIRRORED = ("Poisson", "Gamma", "ScaledGamma", "AsymmetricVG", "NegativeBinomial")
@@ -412,18 +424,6 @@ def test_gradient_evaluates_psi_prime_three_times(monkeypatch):
     calls = _count_calls(monkeypatch, "psi_prime")
     g.premium_gradient(g.Gamma(m=1.0), 1.0, 0.5)
     assert sorted(calls) == [-1.0, -0.5, 0.5]
-
-
-def test_curvature_evaluates_psi_five_times(monkeypatch):
-    calls = _count_calls(monkeypatch, "psi")
-    g.curvature_from_premium(g.Gamma(m=1.0), 0.5)
-    assert len(calls) == 5
-
-
-def test_mixed_partial_evaluates_psi_eight_times(monkeypatch):
-    calls = _count_calls(monkeypatch, "psi")
-    premium._mixed_partial(g.Gamma(m=1.0), 0.2, 0.3, 1e-3)
-    assert len(calls) == 8
 
 
 # --------------------------------------------------------------------------

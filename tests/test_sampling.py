@@ -225,9 +225,12 @@ def test_vg_dual_sample_rejects_bad_input(m, dt, method):
 @pytest.mark.parametrize("method", ["LogarithmicCompoundPoisson", "GammaSubordinatedPoisson"])
 @pytest.mark.parametrize("m,q,dt", [(1.0, 1.5, 1.0), (1.0, 1.0, 1.0), (1.0, 0.0, 1.0),
                                     (-1.0, 0.5, 1.0), (1.0, 0.5, -1.0), (1.0, 0.5, math.inf),
-                                    (1e300, 0.5, 1.0), (1.0, 0.5, 1e300)])
+                                    (1e300, 0.5, 1.0), (1.0, 0.5, 1e300),
+                                    (1.0, 0.999999, 1e16)])
 def test_nb_dual_sample_rejects_bad_input(m, q, dt, method):
     # A huge m or dt is a Poisson rate beyond numpy's sampler: a typed error too.
+    # So is a logarithmic draw of more jumps than its cap (at dt = 1e16 numpy
+    # itself once raised an untyped MemoryError).
     with pytest.raises(g.ParamOutOfRange):
         g.nb_dual_sample(m, q, dt, g.Rng(1), method=method, size=10)
 

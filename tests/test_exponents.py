@@ -307,8 +307,10 @@ def _psi_mpmath(model, a):
     psi = -m log1p(u) is evaluated to 60 digits from the model's float
     parameters, with u = -(mu/m) a - (s^2/2m) a^2 (AVG) or -q expm1(a)/(1-q)
     (NB). A float evaluation rounds each term of u, an error the log1p
-    magnifies by 1/(1 + u); the bound is 4 ulps of |psi| plus m (sum of
-    |terms|)/(1 + u), a relative 4 ulps wherever the terms do not cancel.
+    magnifies by 1/(1 + u). The bound is 4 ulps of |psi| plus m (sum of
+    |terms|)/(1 + u), a relative 4 ulps wherever the terms do not cancel,
+    plus 4 times the smallest normal float: a subnormal psi or term of u is
+    rounded to an absolute, not a relative, precision.
     """
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(60):
@@ -322,7 +324,7 @@ def _psi_mpmath(model, a):
         u = sum(terms)
         psi = -m * mpmath.log1p(u)
         scale = abs(psi) + m * sum(abs(t) for t in terms) / (1 + u)
-        return float(psi), float(4 * sys.float_info.epsilon * scale)
+        return float(psi), float(4 * (sys.float_info.epsilon * scale + sys.float_info.min))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -100,32 +100,21 @@ def _number(name: str, value) -> float:
         raise ParamOutOfRange(name, value, "must be a number") from None
 
 
-def _positive(name: str, value) -> float:
-    value = _number(name, value)
-    if not 0.0 < value < math.inf:
-        raise ParamOutOfRange(name, value, "must be finite and > 0")
-    return value
+def _rule(ok: Callable[[float], bool], constraint: str) -> Callable[[str, object], float]:
+    """A range check: check(name, value) converts value with `_number`, returns
+    it where ok holds and raises ParamOutOfRange(name, value, constraint) where not."""
+    def check(name: str, value) -> float:
+        value = _number(name, value)
+        if not ok(value):
+            raise ParamOutOfRange(name, value, constraint)
+        return value
+    return check
 
 
-def _nonnegative(name: str, value) -> float:
-    value = _number(name, value)
-    if not 0.0 <= value < math.inf:
-        raise ParamOutOfRange(name, value, "must be finite and >= 0")
-    return value
-
-
-def _finite(name: str, value) -> float:
-    value = _number(name, value)
-    if not math.isfinite(value):
-        raise ParamOutOfRange(name, value, "must be finite")
-    return value
-
-
-def _unit(name: str, value) -> float:
-    value = _number(name, value)
-    if not 0.0 < value < 1.0:
-        raise ParamOutOfRange(name, value, "must lie in (0, 1)")
-    return value
+_positive = _rule(lambda v: 0.0 < v < math.inf, "must be finite and > 0")
+_nonnegative = _rule(lambda v: 0.0 <= v < math.inf, "must be finite and >= 0")
+_finite = _rule(math.isfinite, "must be finite")
+_unit = _rule(lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
 
 
 def _param(check: Callable[[str, object], float], default=MISSING, kw_only=MISSING):
@@ -188,6 +177,14 @@ class Measure:
         return replace(self, scale=self.scale * c, gaussian_q=c * c * self.gaussian_q,
                        support=(lo * c, hi * c) if c > 0.0 else (hi * c, lo * c),
                        log_density=None if log_f is None else lambda x: log_f(x / c) - log_c)
+
+    @property
+    def lowest(self) -> float:
+        """The lowest point of the atoms' and density's mass; -inf if unbounded below."""
+        first, last = self.atoms
+        atom = self.scale * (first if self.scale > 0.0 else last)
+        return min(math.inf if self.log_weight is None else atom,
+                   math.inf if self.log_density is None else self.support[0])
 
     def integrate(self, g: Callable[[float, float], float], lo: float, hi: float,
                   tilt: float, breaks: tuple[float, ...]) -> tuple[float, float]:

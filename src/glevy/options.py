@@ -3,7 +3,9 @@ pricer over the family's terminal law (`exact_call`; Brownian, Poisson, Gamma,
 ScaledGamma and the mirrors of the last three have one, and the old pricer
 names `brownian_exact_call`, `poisson_exact_call` and `gamma_exact_call`
 remain as aliases of it), and the parameter-dependence experiment (which
-parameter combinations option prices actually identify).
+parameter combinations option prices actually identify). `exact_call` prices
+a strike at or below S_T's mass as the forward s0 - K e^{-rT}, so K = 0 no
+longer integrates the whole law. `glevy` exports this module's `__all__`.
 """
 from __future__ import annotations
 
@@ -114,6 +116,17 @@ def exact_call(glm: GlmSpec, opt: OptionSpec) -> float:
             return math.exp(log_w) * (math.exp(log_s) - strike)
         return math.exp(log_w + log_s) - strike * math.exp(log_w)
 
+    # S_T(x) exceeds K only beyond the log-moneyness threshold. Where that is
+    # at or below the law's mass, S_T >= K wherever X_T lands and the call is
+    # the forward E[pi_T S_T] - K E[pi_T] = s0 - K e^{-rT}, formed in logs so
+    # that K = 0 gives s0. Past 2^53 no atom series can start (integers stop
+    # being distinct doubles), and the laws here put no mass there: S_T is
+    # deterministic and the call is worth its limit.
+    x_k = (log_k - log_s_c) / sig
+    if x_k <= law.lowest:
+        return glm.s0 - math.exp(log_k - glm.r * t)
+    if strike > 0.0 and not abs(x_k) < 2.0**53:
+        return max(glm.s0 - strike * math.exp(-glm.r * t), 0.0)
     # The law tilted by pi_T S_T, whose weights grow and fall with the terms.
     tilt = sig - lam
     breaks = ()
@@ -127,13 +140,6 @@ def exact_call(glm: GlmSpec, opt: OptionSpec) -> float:
         centre = t * model.psi_prime(tilt)
         width = 8.0 * math.sqrt(t * model.psi_second(tilt))
         breaks = (centre - width, centre + width)
-    # S_T(x) exceeds K only beyond the log-moneyness threshold. Past 2^53 no
-    # atom series can start (integers stop being distinct doubles), and the
-    # laws here put no mass there: S_T is deterministic and the call is worth
-    # its limit.
-    x_k = (log_k - log_s_c) / sig
-    if strike > 0.0 and not abs(x_k) < 2.0**53:
-        return max(glm.s0 - strike * math.exp(-glm.r * t), 0.0)
     value, err = law.integrate(integrand, x_k, math.inf, tilt, breaks)
     if err > min(1e-9 * max(abs(value), 1e-3), 1e-8 * max(abs(value), 1e-6)):
         raise QuadratureFailure(f"call quadrature error {err:.2e}")

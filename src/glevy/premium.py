@@ -68,9 +68,12 @@ def premium_via_levy_measure(model: LevyModel, lam: float, sig: float) -> float:
 
     Independent of the closed-form route: atoms are summed (until the
     estimated tail falls below 1e-14 of the sum), densities integrated by
-    adaptive quadrature.
+    adaptive quadrature. Where sig, -lam or sig - lam leaves the domain the
+    integral diverges, and the checked psi raises DomainViolation.
     """
     nu = model.levy_measure()
+    for a in (sig, -lam, sig - lam):
+        model.psi(a)
 
     def integrand(x: float, log_w: float) -> float:
         a, b = sig * x, -lam * x

@@ -144,6 +144,21 @@ def test_price_option_exact_scaled_gamma(tmp_path, capsys, mirrored):
     _exact_price_option_prints_exact_call(tmp_path, capsys, model, 0.25, 0.5)
 
 
+@pytest.mark.parametrize("model", [g.Gamma(m=1.0), g.Poisson(m=1.0), g.Brownian()],
+                         ids=lambda model: model.family)
+def test_price_option_zero_strike_at_a_huge_negative_rate(tmp_path, capsys, model):
+    # The call at K = 0 is the spot; e^{-rT} alone would overflow a float.
+    p = tmp_path / "negative_rate.json"
+    p.write_text(json.dumps(g.spec_to_dict(g.GlmSpec(model=model, r=-800.0, lam=0.3, sig=0.5))))
+    out = tmp_path / "opt.csv"
+    rc = main(["price-option", "--spec", str(p), "--out", str(out),
+               "--strike", "0", "--expiry", "1.0", "--method", "exact"])
+    assert rc == 0
+    assert "price=1" in capsys.readouterr().out.splitlines()
+    with open(out) as fh:
+        assert float(next(csv.DictReader(fh))["price"]) == 1.0
+
+
 @pytest.mark.parametrize("sig", [1e-300, 1e-310])
 def test_price_option_exact_vanishing_sigma(tmp_path, sig):
     spec = g.GlmSpec(model=g.Poisson(m=1.0), r=0.0, lam=0.3, sig=sig)

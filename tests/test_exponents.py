@@ -103,6 +103,36 @@ def test_non_finite_family_parameter_rejected(build):
         build()
 
 
+_RANGE_RULES = {
+    "_positive": ("must be finite and > 0", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0,
+                                             -5e-324]),
+    "_nonnegative": ("must be finite and >= 0", [math.nan, math.inf, -math.inf, -1.0, -5e-324]),
+    "_finite": ("must be finite", [math.nan, math.inf, -math.inf]),
+    "_unit": ("must lie in (0, 1)", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1, 1.0,
+                                     -5e-324]),
+}
+_NOT_NUMBERS = ["x", None, [1.0], 10**400, -10**400]
+
+
+@pytest.mark.parametrize("rule", list(_RANGE_RULES))
+def test_range_rule_messages(rule):
+    # Each range check converts with float, then names the parameter, the
+    # converted value and the constraint; a non-number names the raw value.
+    from glevy import exponents
+
+    check, (constraint, rejected) = getattr(exponents, rule), _RANGE_RULES[rule]
+    for value in rejected:
+        with pytest.raises(g.ParamOutOfRange) as info:
+            check("p", value)
+        assert str(info.value) == f"parameter p={float(value)!r} violates: {constraint}"
+    for value in _NOT_NUMBERS:
+        with pytest.raises(g.ParamOutOfRange) as info:
+            check("p", value)
+        assert str(info.value) == f"parameter p={value!r} violates: must be a number"
+    for value in (5e-324, 0.5, "0.25"):
+        assert check("p", value) == float(value)
+
+
 def test_domain_violation(family_case):
     model, _, _ = family_case
     up = model.domain.upper

@@ -21,6 +21,22 @@ def test_every_family_has_a_default_model():
     assert set(DEFAULT_MODELS) == set(FAMILIES)
 
 
+def test_package_exports_each_modules_public_names():
+    # Each module's __all__ (every class, for errors) is the one declaration.
+    modules = [importlib.import_module(f"glevy.{name}") for name in
+               ("errors", "exponents", "premium", "pricing", "sampling", "options", "multifactor")]
+    declared = {}
+    for module in modules:
+        names = getattr(module, "__all__", None) or [
+            name for name, obj in vars(module).items()
+            if isinstance(obj, type) and obj.__module__ == module.__name__]
+        declared.update((name, getattr(module, name)) for name in names)
+    public = {name for name, obj in vars(g).items()
+              if not name.startswith("_") and not isinstance(obj, type(g))}
+    assert public == set(declared)
+    assert all(getattr(g, name) is obj for name, obj in declared.items())
+
+
 def _owner(cls, name):
     """The class on cls's MRO that defines name, or None."""
     return next((k for k in cls.__mro__ if name in vars(k)), None)

@@ -169,13 +169,21 @@ def _gamma_closed_form(spec, opt):
             - strike * math.exp(log_pi_c) * tail(-spec.lam))
 
 
-@pytest.mark.parametrize("expiry", [1e-2, 0.1, 1.0, 4.0])
+@pytest.mark.parametrize("expiry", [1e-6, 1e-4, 1e-2, 0.1, 1.0, 4.0])
 @pytest.mark.parametrize("strike", [0.0, 0.5, 0.9, 1.0, 1.05, 1.3, 3.0])
 def test_gamma_exact_matches_incomplete_gamma(strike, expiry):
     spec = g.GlmSpec(model=g.Gamma(m=1.0), r=0.02, lam=0.5, sig=0.4)
     opt = g.OptionSpec(strike=strike, expiry=expiry)
     want = _gamma_closed_form(spec, opt)
     assert g.exact_call(spec, opt) == pytest.approx(want, rel=1e-9, abs=1e-14)
+
+
+@pytest.mark.parametrize("model", [g.Gamma(m=1.0), g.Poisson(m=1.0), g.Brownian()],
+                         ids=lambda model: model.family)
+def test_zero_strike_is_the_spot_at_a_huge_negative_rate(model):
+    # E[pi_T S_T] = s0 without integrating pi_T, whose e^{-rT} overflows a float.
+    spec = g.GlmSpec(model=model, r=-800.0, lam=0.3, sig=0.5, s0=1.25)
+    assert g.exact_call(spec, g.OptionSpec(strike=0.0, expiry=1.0)) == 1.25
 
 
 def test_brownian_price_lambda_independent():

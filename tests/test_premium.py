@@ -209,6 +209,19 @@ def test_jump_decomposition_oracle(model, np_rng):
         assert_close(oracle, direct, 1e-8, f"{model.family} LK oracle")
 
 
+@pytest.mark.parametrize("model,lam,sig", [
+    (g.Gamma(m=1.0), 0.25, 1.5),
+    (g.VarianceGamma(m=2.0), 0.3, 2.5),
+    (g.NegativeBinomial(m=1.0, q=0.5), 0.3, 1.0),
+], ids=lambda v: getattr(v, "family", v))
+def test_levy_measure_premium_outside_the_domain_raises(model, lam, sig):
+    # The jump-measure integral diverges where risk_premium's psi is undefined.
+    with pytest.raises(g.DomainViolation):
+        g.risk_premium(model, lam, sig)
+    with pytest.raises(g.DomainViolation):
+        g.premium_via_levy_measure(model, lam, sig)
+
+
 @pytest.mark.parametrize("m,mu,s", [(1.5, 0.2, 0.8), (0.3, -1.0, 0.5)])
 def test_asymmetric_vg_jump_measure_oracle(m, mu, s):
     # nu(dx) = m e^{-x/kappa1}/x dx on x > 0 and m e^{-|x|/kappa2}/|x| dx on

@@ -158,7 +158,7 @@ def cmd_verify(spec: GlmSpec, args) -> int:
     checks["premium_increasing"] = g[0] > 0.0 and g[1] > 0.0
     checks["identity_residual"] = abs(prem.premium_identity_check(model, lam, sig)) < 1e-12
     r_tilde = prem.inverse_fx_premium(model, lam, sig)
-    checks["siegel_sign"] = (r_tilde > 0.0) == (sig > lam) or (sig == lam and abs(r_tilde) < 1e-12)
+    checks["siegel_sign"] = (r_tilde > 0.0) == (sig > lam)
     psi2 = model.psi_second(sig)
     checks["curvature_recovery"] = (
         abs(prem.curvature_from_premium(model, sig) - psi2) <= 1e-3 * abs(psi2))

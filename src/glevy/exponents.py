@@ -492,7 +492,13 @@ class AsymmetricVG(LevyModel):
     @cached_property
     def domain(self) -> Interval:
         k1, k2 = self._coefs[:2]
-        return Interval(-1.0 / k2, 1.0 / k1)
+        dom = Interval(-1.0 / k2, 1.0 / k1)
+        # Past |mu| ~ 1e154 s sqrt(m), b a and c a^2 overflow to inf - inf at the far limit.
+        if any(math.isnan(f(a)) for f in (self._psi, self._psi_prime, self._psi_second)
+               for a in (dom._lo, dom._hi)):
+            raise ParamOutOfRange("(m, mu, s)", (self.m, self.mu, self.s),
+                                  "must give psi and its derivatives at the domain's limits")
+        return dom
 
     def _psi(self, a):
         _, _, b, c, _ = self._coefs

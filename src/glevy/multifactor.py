@@ -11,7 +11,9 @@ Each component, and each (interval, component) cell of a schedule, is a
 `pricing.Component`. A `Schedule` holds read-only copies of its arrays, so it
 cannot change after it has been checked. The domain check, the grid check and
 the per-step coefficients and drifts are computed once per (model, schedule,
-grid) and kept on the schedule for the next call with the same pair.
+grid) and kept on the schedule for the next call with the same pair. The
+money market, the integral of r up to each grid point and the integral of the
+premium are one exact integral of a piecewise-constant function, `_integral`.
 `submartingale_check` streams its draws: it keeps running sums, O(n) in memory
 for n paths.
 """
@@ -159,15 +161,6 @@ class Schedule:
         k = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
         return min(max(k, 0), self.n_intervals - 1)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Schedule":
-        return cls(breakpoints=d["breakpoints"], r=d["r"],
-                   lam=d["lambda"], sig=d["sigma"])
-
-    def to_dict(self) -> dict:
-        return {"breakpoints": self.breakpoints.tolist(), "r": self.r.tolist(),
-                "lambda": self.lam.tolist(), "sigma": self.sig.tolist()}
-
 
 def _cells(vglm: VectorGlm, schedule: Schedule) -> list:
     """The Component of each (interval, component) cell of the schedule, one
@@ -180,24 +173,22 @@ def _cells(vglm: VectorGlm, schedule: Schedule) -> list:
             for k in range(schedule.n_intervals)]
 
 
-def _integrate_piecewise(schedule: Schedule, values: np.ndarray, t: float) -> float:
-    """Exact integral over [0, t] of a piecewise-constant function given by
-    per-interval values (extended beyond the last breakpoint)."""
-    t = _nonnegative("time", t)
+def _integral(schedule: Schedule, values: np.ndarray, t):
+    """Exact integral over [0, t] of the piecewise-constant function with the
+    given per-interval values (extended beyond the last breakpoint), for a
+    time t >= 0 or an array of times: the integral up to the left end of t's
+    interval plus that interval's value times the time since."""
+    if np.ndim(t) == 0:
+        t = _nonnegative("time", t)
     bp = schedule.breakpoints
-    total = 0.0
-    for k in range(schedule.n_intervals):
-        left = bp[k]
-        right = bp[k + 1] if k < schedule.n_intervals - 1 else math.inf
-        if t <= left:
-            break
-        total += values[k] * (min(t, right) - left)
-    return total
+    k = np.clip(np.searchsorted(bp, t, side="right") - 1, 0, schedule.n_intervals - 1)
+    at_left = np.concatenate(([0.0], np.cumsum(values[:-1] * np.diff(bp)[:-1])))
+    return (at_left[k] + values[k] * (t - bp[k]))[()]
 
 
 def money_market(schedule: Schedule, t: float) -> float:
     """B_t = exp(integral of r over [0, t]); B_0 = 1."""
-    growth = float(_integrate_piecewise(schedule, schedule.r, t))
+    growth = float(_integral(schedule, schedule.r, t))
     try:
         return math.exp(growth)
     except OverflowError:
@@ -230,7 +221,7 @@ def _plan(vglm: VectorGlm, schedule: Schedule, times: np.ndarray) -> dict:
     cells = _cells(vglm, schedule)
     idx = _require_refining_grid(times, schedule)
     dt = np.diff(times)
-    cum_r = np.concatenate(([0.0], np.cumsum(schedule.r[idx] * dt)))
+    cum_r = _integral(schedule, schedule.r, times)
     # Per-interval deterministic rates (interval x component), looked up per grid step.
     asset = np.array([[c.premium - c.model.psi(c.sig) for c in row] for row in cells])
     kernel = np.array([[-c.model.psi(-c.lam) for c in row] for row in cells])
@@ -274,8 +265,7 @@ def schedule_kernel_path(vglm: VectorGlm, schedule: Schedule, driver_paths) -> P
 def integrated_premium(vglm: VectorGlm, schedule: Schedule, s: float, t: float) -> float:
     """Exact integral of the total excess rate of return over [s, t]."""
     per_interval = np.array([sum(c.premium for c in row) for row in _cells(vglm, schedule)])
-    return (_integrate_piecewise(schedule, per_interval, t)
-            - _integrate_piecewise(schedule, per_interval, s))
+    return _integral(schedule, per_interval, t) - _integral(schedule, per_interval, s)
 
 
 def submartingale_check(vglm: VectorGlm, schedule: Schedule, s: float, t: float,
@@ -284,7 +274,9 @@ def submartingale_check(vglm: VectorGlm, schedule: Schedule, s: float, t: float,
 
     Simulates component paths on a grid of 32 steps a year (at least 4)
     refining the breakpoints, compares E[S_t/B_t] against E[S_s/B_s], and
-    checks the predicted ratio exp(integral of R over [s, t]).
+    checks the predicted ratio exp(integral of R over [s, t]). S carries
+    B's factor e^{integral of r}, so S/B is formed from the coefficients and
+    drifts alone and stays finite where B overflows.
     """
     if not 0.0 <= s < t < math.inf:
         raise ParamOutOfRange("(s, t)", (s, t), "need 0 <= s < t < inf")
@@ -295,9 +287,7 @@ def submartingale_check(vglm: VectorGlm, schedule: Schedule, s: float, t: float,
         schedule.breakpoints[schedule.breakpoints <= t + 1e-12], [s, t]]))
 
     j_s = int(np.argmin(np.abs(grid - s)))
-    b_s, b_t = money_market(schedule, s), money_market(schedule, t)
-
-    coef, drift_dt, log0, cum_r = _plan(vglm, schedule, grid)["sigma"]
+    coef, drift_dt, log0, _ = _plan(vglm, schedule, grid)["sigma"]
     log_s, log_t = np.zeros(n), np.zeros(n)
     for i, c in enumerate(vglm.components):
         sub = rng.spawn(i)
@@ -309,8 +299,7 @@ def submartingale_check(vglm: VectorGlm, schedule: Schedule, s: float, t: float,
             if j + 1 == j_s:
                 log_s += acc
         log_t += acc
-    ratios_s = np.exp(log_s + log0 + cum_r[j_s]) / b_s
-    ratios_t = np.exp(log_t + log0 + cum_r[-1]) / b_t
+    ratios_s, ratios_t = np.exp(log_s + log0), np.exp(log_t + log0)
 
     at_s, at_t = McResult.from_samples(ratios_s), McResult.from_samples(ratios_t)
     predicted_ratio = math.exp(integrated_premium(vglm, schedule, s, t))

@@ -5,7 +5,10 @@ names `brownian_exact_call`, `poisson_exact_call` and `gamma_exact_call`
 remain as aliases of it), and the parameter-dependence experiment (which
 parameter combinations option prices actually identify). `exact_call` prices
 a strike at or below S_T's mass as the forward s0 - K e^{-rT}, so K = 0 no
-longer integrates the whole law. `glevy` exports this module's `__all__`.
+longer integrates the whole law, and a law whose density's support has a
+finite top (the mirrored gamma laws) from the put side, as that forward minus
+the integral of pi_T (S_T - K) below the strike's threshold, unless the two
+cancel beyond the error tolerance. `glevy` exports this module's `__all__`.
 """
 from __future__ import annotations
 
@@ -94,10 +97,11 @@ def exact_call(glm: GlmSpec, opt: OptionSpec) -> float:
     """E[pi_T (S_T - K)^+] against the family's terminal law of X_T.
 
     The law's atoms are summed from the first in-the-money one and its density
-    integrated by adaptive quadrature from the log-moneyness threshold. The
-    risk-aversion parameter stays in the integrand, so which parameters the
-    price depends on is an outcome rather than an assumption. Families with
-    no terminal law raise Unsupported.
+    integrated by adaptive quadrature from the log-moneyness threshold, or
+    first up to it, on the put side, where the density's support has a finite
+    top. The risk-aversion parameter stays in the integrand, so which
+    parameters the price depends on is an outcome rather than an assumption.
+    Families with no terminal law raise Unsupported.
     """
     t, strike, model, lam, sig = opt.expiry, opt.strike, glm.model, glm.lam, glm.sig
     law = model.terminal_law(t)
@@ -106,44 +110,56 @@ def exact_call(glm: GlmSpec, opt: OptionSpec) -> float:
     log_s_c = log_value(math.log(glm.s0), glm.r + glm.premium, model, sig, 0.0, t)
 
     def integrand(x: float, log_w: float) -> float:
-        # All factors assembled in log space: the quadrature probes x deep in
-        # the tail where S alone would overflow.
+        # pi_T (S_T - K) on the integrated side of x_k, assembled in log space:
+        # the quadrature probes x deep in the tail where S alone would overflow.
         log_s = log_s_c + sig * x
-        if log_s <= log_k:
+        if (log_s <= log_k) != below:
             return 0.0
         log_w += log_pi_c - lam * x
         if log_s < 600.0:
             return math.exp(log_w) * (math.exp(log_s) - strike)
         return math.exp(log_w + log_s) - strike * math.exp(log_w)
 
-    # S_T(x) exceeds K only beyond the log-moneyness threshold. Where that is
-    # at or below the law's mass, S_T >= K wherever X_T lands and the call is
-    # the forward E[pi_T S_T] - K E[pi_T] = s0 - K e^{-rT}, formed in logs so
-    # that K = 0 gives s0. Past 2^53 no atom series can start (integers stop
-    # being distinct doubles), and the laws here put no mass there: S_T is
-    # deterministic and the call is worth its limit.
+    # S_T(x) exceeds K only beyond the log-moneyness threshold x_k, and since
+    # E[pi_T S_T] = s0 and E[pi_T] = e^{-rT} the call is also the forward
+    # s0 - K e^{-rT} minus the integral of pi_T (S_T - K) below x_k, the put
+    # side. That integral is empty where x_k is at or below the law's mass
+    # (the forward is formed in logs, so K = 0 gives s0). Past 2^53 no atom
+    # series can start (integers stop being distinct doubles), and the laws
+    # here put no mass there: S_T is deterministic and the call is worth its
+    # limit.
     x_k = (log_k - log_s_c) / sig
+    log_k_disc = log_k - glm.r * t
     if x_k <= law.lowest:
-        return glm.s0 - math.exp(log_k - glm.r * t)
+        return glm.s0 - math.exp(log_k_disc)
     if strike > 0.0 and not abs(x_k) < 2.0**53:
         return max(glm.s0 - strike * math.exp(-glm.r * t), 0.0)
-    # The law tilted by pi_T S_T, whose weights grow and fall with the terms.
-    tilt = sig - lam
-    breaks = ()
-    if law.log_density is not None:
-        # Breakpoints 8 standard deviations either side of the centre of the
-        # tilted law put the bulk of the mass in a finite piece whatever its
-        # width: a short expiry leaves it too narrow for quad's first nodes on
-        # a long or infinite piece, which then return 0 with a tiny error.
-        # They also keep an edge singularity (gamma shape below 1) out of the
-        # infinite-range transform.
-        centre = t * model.psi_prime(tilt)
-        width = 8.0 * math.sqrt(t * model.psi_second(tilt))
-        breaks = (centre - width, centre + width)
-    value, err = law.integrate(integrand, x_k, math.inf, tilt, breaks)
-    if err > min(1e-9 * max(abs(value), 1e-3), 1e-8 * max(abs(value), 1e-6)):
-        raise QuadratureFailure(f"call quadrature error {err:.2e}")
-    return value
+    # Below a finite top of the density's support the put side comes first:
+    # it keeps the quadrature off the top's singular edge (the mirrored gamma
+    # laws of small shape), which every piece above x_k would reach. Where the
+    # forward and the put cancel beyond the tolerance, the call side follows.
+    for below in (True, False) if x_k < law.support[1] < math.inf else (False,):
+        # The law tilted by the larger term of the integrand, whose weights
+        # grow and fall with the terms: pi_T S_T above x_k, pi_T K below it.
+        tilt = -lam if below else sig - lam
+        breaks = ()
+        if law.log_density is not None:
+            # Breakpoints 8 standard deviations either side of the centre of
+            # the tilted law put the bulk of the mass in a finite piece
+            # whatever its width: a short expiry leaves it too narrow for
+            # quad's first nodes on a long or infinite piece, which then
+            # return 0 with a tiny error. They also keep an edge singularity
+            # (gamma shape below 1) out of the infinite-range transform.
+            centre = t * model.psi_prime(tilt)
+            width = 8.0 * math.sqrt(t * model.psi_second(tilt))
+            breaks = (centre - width, centre + width)
+        lo, hi = (-math.inf, x_k) if below else (x_k, math.inf)
+        value, err = law.integrate(integrand, lo, hi, tilt, breaks)
+        if below:
+            value = glm.s0 - math.exp(log_k_disc) - value
+        if not err > min(1e-9 * max(abs(value), 1e-3), 1e-8 * max(abs(value), 1e-6)):
+            return value
+    raise QuadratureFailure(f"call quadrature error {err:.2e}")
 
 
 # Names kept for callers of the per-family pricers; each is exact_call.

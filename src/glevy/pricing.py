@@ -17,12 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DomainViolation,
-    MissingForeignRate,
-    NonpositiveDividendYield,
-    ParamOutOfRange,
-)
+from .errors import MissingForeignRate, NonpositiveDividendYield, ParamOutOfRange
 from .exponents import (LevyModel, _check_fields, _finite, _nonnegative, _number, _param,
                          _positive, make_model)
 from .premium import inverse_fx_premium, risk_premium
@@ -45,7 +40,9 @@ __all__ = [
 @dataclass(frozen=True)
 class Component:
     """One Levy driver with finite risk aversion lam and volatility sig; its
-    premium exists only when sig, -lam and sig - lam lie in the exponent's domain."""
+    premium exists only when sig, -lam and sig - lam lie in the exponent's
+    domain, so construction evaluates it and the checked psi raises
+    DomainViolation at the first of them that does not."""
 
     model: LevyModel
     lam: float = _param(_finite)
@@ -53,10 +50,7 @@ class Component:
 
     def __post_init__(self):
         _check_fields(self)
-        dom = self.model.domain
-        for a in (self.sig, -self.lam, self.sig - self.lam):
-            if not dom.admissible(a):
-                raise DomainViolation(a, dom)
+        self.premium
 
     @cached_property
     def premium(self) -> float:

@@ -14,7 +14,7 @@ import pytest
 
 import glevy as g
 from glevy.cli import DEFAULT_SEED, _write_csv, build_parser, main
-from conftest import DEFAULT_MODELS
+from conftest import ASYMMETRIC, DEFAULT_MODELS, FAMILY_NAMES
 
 
 @pytest.fixture
@@ -358,7 +358,8 @@ def _asymmetric_vg_spec(mu):
     # sigma = 0.5 lies above each of these domains' upper ends, 1/mu.
     (_asymmetric_vg_spec(1e8), g.DomainViolation),
     (_asymmetric_vg_spec(1e20), g.DomainViolation),
-    (_asymmetric_vg_spec(1e200), g.DomainViolation),
+    # psi is NaN at this model's lower inclusive limit, so it is not built.
+    (_asymmetric_vg_spec(1e200), g.ParamOutOfRange),
 ], ids=["unknown-param", "param-abc", "r-abc", "s0-x", "f-q", "r-null", "params-list",
         "top-level-array", "family-list", "r-huge-int", "param-huge-int",
         "int-beyond-str-digits", "avg-mu-1e8", "avg-mu-1e20", "avg-mu-1e200"])
@@ -426,6 +427,24 @@ def _write_spec(tmp_path, model, lam, sig):
     spec = g.GlmSpec(model=model, lam=lam, sig=sig, r=0.02)
     p.write_text(json.dumps(g.spec_to_dict(spec)))
     return p
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES + [f"Mirrored[{n}]" for n in ASYMMETRIC])
+def test_sigma_equal_to_lambda_has_zero_inverse_premium(tmp_path, capsys, name):
+    # At sig = lam, R_tilde = psi(-sig) + psi(0) - psi(-sig) is exactly 0, as
+    # psi(0) is +-0: the Siegel rule (R_tilde > 0 exactly when sig > lam) holds.
+    base = name.removeprefix("Mirrored[").removesuffix("]")
+    model, _, sig = DEFAULT_MODELS[base]
+    if base != name:
+        model = g.mirror(model)
+    p = tmp_path / "s.json"
+    spec = g.GlmSpec(model=model, lam=sig, sig=sig, r=0.02, f=0.01)
+    p.write_text(json.dumps(g.spec_to_dict(spec)))
+    assert main(["verify", "--spec", str(p)]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"]["siegel_sign"]
+    assert main(["fx-check", "--spec", str(p)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["R_tilde"] == 0.0 and out["siegel_ok"]
 
 
 @pytest.mark.parametrize("n", [2, 20_000])

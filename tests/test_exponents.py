@@ -278,6 +278,20 @@ def test_unbuildable_domain_fails_at_construction():
         g.AsymmetricVG(m=1.0, mu=1e308, s=1.0)
 
 
+@pytest.mark.parametrize("mu", [1e154, -1e154, 1e200, -1e200])
+def test_asymmetric_vg_with_nan_psi_at_a_limit_fails_at_construction(mu):
+    # b a and c a^2 at the far inclusive limit overflow to inf - inf.
+    with pytest.raises(g.ParamOutOfRange, match=r"\(m, mu, s\)"):
+        g.AsymmetricVG(m=1.0, mu=mu, s=1.0)
+
+
+@pytest.mark.parametrize("mu", [1e150, -1e150])
+def test_asymmetric_vg_with_huge_drift_builds_with_finite_psi_at_its_limits(mu):
+    model = g.AsymmetricVG(m=1.0, mu=mu, s=1.0)
+    for a in (model.domain._lo, model.domain._hi):
+        assert math.isfinite(model.psi(a))
+
+
 def test_evaluation_builds_no_interval(family_case, monkeypatch):
     model, lam, sig = family_case
     models = (model, g.mirror(model))

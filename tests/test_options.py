@@ -178,6 +178,51 @@ def test_gamma_exact_matches_incomplete_gamma(strike, expiry):
     assert g.exact_call(spec, opt) == pytest.approx(want, rel=1e-9, abs=1e-14)
 
 
+def _mirrored_gamma_closed_form(spec, opt, m, kappa):
+    """E[pi_T (S_T - K)^+] for X_T = -kappa G with G ~ Gamma(mT, 1), through the
+    regularized lower incomplete gamma function: S_T > K exactly when G < g, and
+    tilting G by pi_T S_T and by pi_T gives s0 P(mT, (1 + kappa(sig - lam)) g)
+    - K e^{-rT} P(mT, (1 - kappa lam) g)."""
+    from scipy.special import gammainc
+
+    t, strike, shape = opt.expiry, opt.strike, m * opt.expiry
+    log_s_c = (math.log(spec.s0) + (spec.r + spec.premium) * t
+               - t * spec.model.psi(spec.sig))
+    gk = (log_s_c - math.log(strike)) / (kappa * spec.sig)
+    if gk <= 0.0:
+        return 0.0
+    return (spec.s0 * gammainc(shape, (1.0 + kappa * (spec.sig - spec.lam)) * gk)
+            - strike * math.exp(-spec.r * t) * gammainc(shape, (1.0 - kappa * spec.lam) * gk))
+
+
+@pytest.mark.parametrize("model,m,kappa", [
+    (g.mirror(g.Gamma(m=1.0)), 1.0, 1.0),
+    (g.mirror(g.ScaledGamma(m=0.7, kappa=0.5)), 0.7, 0.5),
+], ids=["Gamma", "ScaledGamma"])
+@pytest.mark.parametrize("expiry", [1e-7, 1e-6, 1e-5, 1e-4, 1e-2, 1.0, 3.0])
+@pytest.mark.parametrize("strike", [1e-300, 0.5, 0.9, 0.99, 1.0, 1.02])
+def test_mirrored_gamma_exact_matches_incomplete_gamma(model, m, kappa, strike, expiry):
+    # The singular edge of the law at its top 0 stays out of the quadrature:
+    # the put side below x_k is integrated and the call follows by parity.
+    spec = g.GlmSpec(model=model, r=0.02, lam=0.3, sig=0.5)
+    opt = g.OptionSpec(strike=strike, expiry=expiry)
+    want = _mirrored_gamma_closed_form(spec, opt, m, kappa)
+    assert g.exact_call(spec, opt) == pytest.approx(want, rel=1e-9, abs=1e-14)
+
+
+@pytest.mark.parametrize("lam,sig,expiry,strike", [
+    (0.3, 0.5, 100.0, 1e5),   # K e^{-rT} far above s0: forward + put cancels
+    (0.0, 0.05, 10.0, 1.5),   # a tiny call next to a put of 0.5
+    (0.4, 3.0, 100.0, 0.5),   # pi_T's mass far below that of pi_T S_T
+    (0.4, 3.0, 100.0, 1e5),
+])
+def test_mirrored_gamma_exact_far_from_the_forward(lam, sig, expiry, strike):
+    spec = g.GlmSpec(model=g.mirror(g.Gamma(m=1.0)), r=0.02, lam=lam, sig=sig)
+    opt = g.OptionSpec(strike=strike, expiry=expiry)
+    want = _mirrored_gamma_closed_form(spec, opt, 1.0, 1.0)
+    assert g.exact_call(spec, opt) == pytest.approx(want, rel=1e-9, abs=1e-14)
+
+
 @pytest.mark.parametrize("model", [g.Gamma(m=1.0), g.Poisson(m=1.0), g.Brownian()],
                          ids=lambda model: model.family)
 def test_zero_strike_is_the_spot_at_a_huge_negative_rate(model):

@@ -411,5 +411,4 @@ def test_domain_violation_is_built_only_in_exponents_and_component():
         ("exponents.py", "LevyModel", "psi"),
         ("exponents.py", "LevyModel", "psi_prime"),
         ("exponents.py", "LevyModel", "psi_second"),
-        ("pricing.py", "Component", "__post_init__"),
     ]

@@ -136,9 +136,11 @@ def exact_call(glm: GlmSpec, opt: OptionSpec) -> float:
         return max(glm.s0 - strike * math.exp(-glm.r * t), 0.0)
     # Below a finite top of the density's support the put side comes first:
     # it keeps the quadrature off the top's singular edge (the mirrored gamma
-    # laws of small shape), which every piece above x_k would reach. Where the
-    # forward and the put cancel beyond the tolerance, the call side follows.
-    for below in (True, False) if x_k < law.support[1] < math.inf else (False,):
+    # laws of small shape), which every piece above x_k would reach. Where
+    # K e^{-rT} overflows, or the forward and the put cancel beyond the
+    # tolerance, the call side follows.
+    put_first = x_k < law.support[1] < math.inf and log_k_disc < math.log(sys.float_info.max)
+    for below in (True, False) if put_first else (False,):
         # The law tilted by the larger term of the integrand, whose weights
         # grow and fall with the terms: pi_T S_T above x_k, pi_T K below it.
         tilt = -lam if below else sig - lam

@@ -223,6 +223,13 @@ def test_mirrored_gamma_exact_far_from_the_forward(lam, sig, expiry, strike):
     assert g.exact_call(spec, opt) == pytest.approx(want, rel=1e-9, abs=1e-14)
 
 
+def test_mirrored_gamma_exact_where_the_discounted_strike_overflows():
+    # K e^{-rT} = e^{770} leaves no float forward for the put side; the call
+    # side prices it (about 3.6e-138 by 50-digit mpmath).
+    spec = g.GlmSpec(model=g.mirror(g.Gamma(m=1.0)), r=-5.0, lam=0.99, sig=0.5)
+    assert 0.0 <= g.exact_call(spec, g.OptionSpec(strike=1e-100, expiry=200.0)) < 1e-100
+
+
 @pytest.mark.parametrize("model", [g.Gamma(m=1.0), g.Poisson(m=1.0), g.Brownian()],
                          ids=lambda model: model.family)
 def test_zero_strike_is_the_spot_at_a_huge_negative_rate(model):

@@ -431,46 +431,12 @@ class Gamma(LevyModel):
 
 
 @dataclass(frozen=True)
-class VarianceGamma(LevyModel):
-    """Symmetric variance gamma with rate m: psi(a) = -m ln(1 - a^2/(2m))."""
-
-    m: float = _param(_positive)
-
-    @cached_property
-    def domain(self) -> Interval:
-        b = math.sqrt(2.0 * self.m)
-        return Interval(-b, b)
-
-    def _psi(self, a):
-        return -self.m * math.log1p(-a * a / (2.0 * self.m))
-
-    def _psi_prime(self, a):
-        return a / (1.0 - a * a / (2.0 * self.m))
-
-    def _psi_second(self, a):
-        u = 1.0 - a * a / (2.0 * self.m)
-        return (1.0 + a * a / (2.0 * self.m)) / (u * u)
-
-    def increments(self, dt, size, g):
-        shape = self.m * dt
-        return (g.gamma(shape, 1.0, size) - g.gamma(shape, 1.0, size)) / math.sqrt(2.0 * self.m)
-
-    def levy_measure(self):
-        log_m, b = math.log(self.m), math.sqrt(2.0 * self.m)
-        return Measure(log_density=lambda x: log_m - b * abs(x) - math.log(abs(x)))
-
-
-@dataclass(frozen=True)
-class AsymmetricVG(LevyModel):
+class _BilateralGamma(LevyModel):
     """Drifted variance gamma: psi(a) = -m ln(1 - (mu/m) a - (s^2/2m) a^2).
 
     Equivalently kappa1*gamma1_t - kappa2*gamma2_t with
-    kappa_{1,2} = (+-mu + sqrt(mu^2 + 2 m s^2)) / (2m).
-    """
-
-    m: float = _param(_positive)
-    mu: float = _param(_finite)
-    s: float = _param(_positive)
+    kappa_{1,2} = (+-mu + sqrt(mu^2 + 2 m s^2)) / (2m); m, mu and s are fields
+    or class attributes of the family."""
 
     @cached_property
     def _coefs(self) -> tuple[float, float, float, float, float]:
@@ -484,10 +450,13 @@ class AsymmetricVG(LevyModel):
         c = s2 / (2.0 * m)
         big = (abs(mu) + math.hypot(mu, s * math.sqrt(2.0 * m))) / (2.0 * m)
         if not (0.0 < big < math.inf and 0.0 < c / big < math.inf):
-            raise ParamOutOfRange("(m, mu, s)", (m, mu, s),
-                                  "must give finite kappa1, kappa2 > 0")
+            self._out_of_range("must give finite kappa1, kappa2 > 0")
         k1, k2 = (big, c / big) if mu >= 0.0 else (c / big, big)
         return k1, k2, mu / m, c, s2
+
+    def _out_of_range(self, constraint: str):
+        params = self.params()
+        raise ParamOutOfRange("(" + ", ".join(params) + ")", tuple(params.values()), constraint)
 
     @cached_property
     def domain(self) -> Interval:
@@ -496,8 +465,7 @@ class AsymmetricVG(LevyModel):
         # Past |mu| ~ 1e154 s sqrt(m), b a and c a^2 overflow to inf - inf at the far limit.
         if any(math.isnan(f(a)) for f in (self._psi, self._psi_prime, self._psi_second)
                for a in (dom._lo, dom._hi)):
-            raise ParamOutOfRange("(m, mu, s)", (self.m, self.mu, self.s),
-                                  "must give psi and its derivatives at the domain's limits")
+            self._out_of_range("must give psi and its derivatives at the domain's limits")
         return dom
 
     def _psi(self, a):
@@ -525,6 +493,24 @@ class AsymmetricVG(LevyModel):
         log_m = math.log(self.m)
         return Measure(log_density=lambda x: log_m - x / (k1 if x > 0.0 else -k2)
                        - math.log(abs(x)))
+
+
+@dataclass(frozen=True)
+class VarianceGamma(_BilateralGamma):
+    """Symmetric variance gamma with rate m, AsymmetricVG(m, 0, 1): -m ln(1 - a^2/2m)."""
+
+    m: float = _param(_positive)
+    mu = 0.0
+    s = 1.0
+
+
+@dataclass(frozen=True)
+class AsymmetricVG(_BilateralGamma):
+    """Drifted variance gamma with rate m, drift mu and volatility s."""
+
+    m: float = _param(_positive)
+    mu: float = _param(_finite)
+    s: float = _param(_positive)
 
 
 @dataclass(frozen=True)

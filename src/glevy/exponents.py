@@ -9,6 +9,8 @@ type, `Measure`: atoms on the integers plus an optional density, whose
 `integrate` serves the jump-measure premium and the exact call pricer alike.
 `ScaledGamma` and `Mirrored` are c times a root model: their formulas are the
 root's at c*alpha, and their domain, draws and measures the root's scaled by c.
+`_BilateralGamma` holds the bilateral gamma formulas once: `VarianceGamma` is
+`AsymmetricVG(m, 0, 1)`, declaring only m.
 Models are immutable and thread-safe. Parameters are checked and the interval
 built at construction; NaN and +-inf are never admissible, and `LevyModel`
 alone checks an argument against the interval.
@@ -197,7 +199,8 @@ class Measure:
         estimated as the geometric series of the last ratio of terms (a bound
         when the terms are log-concave), is within 1e-14 of the sum; the
         estimate is the error. The density is integrated by adaptive
-        quadrature over the pieces into which breaks cut [lo, hi].
+        quadrature over the pieces into which breaks cut [lo, hi]; a piece
+        that fails (quad returns a message) makes the error estimate inf.
         """
         value = err = 0.0
         if self.log_weight is not None:
@@ -229,10 +232,10 @@ class Measure:
         if log_f is not None and lo < hi:
             edges = sorted({lo, hi, *(p for p in breaks if lo < p < hi)})
             for a, b in zip(edges, edges[1:]):
-                v, e = integrate.quad(lambda x: g(x, log_f(x)), a, b,
-                                      epsabs=1e-15, epsrel=1e-10, limit=500)
+                v, e, _, *message = integrate.quad(lambda x: g(x, log_f(x)), a, b, full_output=1,
+                                                   epsabs=1e-15, epsrel=1e-10, limit=500)
                 value += v
-                err += e
+                err += math.inf if message else e  # quad's message: the piece failed
         return value, err
 
 

@@ -129,17 +129,17 @@ def exact_call(glm: GlmSpec, opt: OptionSpec) -> float:
     # here put no mass there: S_T is deterministic and the call is worth its
     # limit.
     x_k = (log_k - log_s_c) / sig
-    log_k_disc = log_k - glm.r * t
+    log_k_disc, log_max = log_k - glm.r * t, math.log(sys.float_info.max)
     if x_k <= law.lowest:
         return glm.s0 - math.exp(log_k_disc)
-    if strike > 0.0 and not abs(x_k) < 2.0**53:
-        return max(glm.s0 - strike * math.exp(-glm.r * t), 0.0)
+    if strike > 0.0 and not abs(x_k) < 2.0**53:  # 0 where K e^{-rT} passes the float range
+        return max(glm.s0 - math.exp(min(log_k_disc, log_max)), 0.0)
     # Below a finite top of the density's support the put side comes first:
     # it keeps the quadrature off the top's singular edge (the mirrored gamma
     # laws of small shape), which every piece above x_k would reach. Where
     # K e^{-rT} overflows, or the forward and the put cancel beyond the
     # tolerance, the call side follows.
-    put_first = x_k < law.support[1] < math.inf and log_k_disc < math.log(sys.float_info.max)
+    put_first = x_k < law.support[1] < math.inf and log_k_disc < log_max
     for below in (True, False) if put_first else (False,):
         # The law tilted by the larger term of the integrand, whose weights
         # grow and fall with the terms: pi_T S_T above x_k, pi_T K below it.

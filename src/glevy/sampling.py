@@ -146,8 +146,9 @@ def vg_dual_sample(m: float, dt: float, rng: Rng, method: str = "GammaDifference
                    size: int = 1) -> np.ndarray:
     """Variance gamma increments by either of the two equivalent constructions.
 
-    GammaDifference: (gamma1 - gamma2)/sqrt(2m); SubordinatedBM: W evaluated at
-    an independent gamma clock with mean dt and variance dt/m.
+    GammaDifference: the family's sampler, kappa*gamma1 - kappa*gamma2 with
+    kappa = 1/sqrt(2m); SubordinatedBM: W evaluated at an independent gamma
+    clock with mean dt and variance dt/m.
     """
     model = VarianceGamma(m)
     _positive("dt", dt)

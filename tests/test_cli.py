@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 from pathlib import Path as FsPath
 
@@ -171,6 +172,35 @@ def test_price_option_exact_vanishing_sigma(tmp_path, sig):
     with open(out) as fh:
         row = next(csv.DictReader(fh))
     assert float(row["price"]) == 0.0
+
+
+def test_price_option_exact_deterministic_limit_past_the_float_range(tmp_path, capsys):
+    # K e^{-rT} overflows a float: the call on a deterministic S_T is worth 0.
+    p = tmp_path / "overflow.json"
+    spec = g.GlmSpec(model=g.Brownian(), r=-800.0, lam=0.0, sig=1e-8)
+    p.write_text(json.dumps(g.spec_to_dict(spec)))
+    rc = main(["price-option", "--spec", str(p), "--out", str(tmp_path / "opt.csv"),
+               "--strike", "1e-300", "--expiry", "1e6", "--method", "exact"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == ["price=0"]
+
+
+@pytest.mark.parametrize("strike", ["1", "1e-300"])
+@pytest.mark.parametrize("model", [g.Gamma(m=1e8), g.mirror(g.Gamma(m=1e8))],
+                         ids=lambda model: model.family)
+def test_price_option_exact_failed_quadrature_prints_only_the_error(tmp_path, capsys,
+                                                                     model, strike):
+    # scipy's quad stops at its subdivision limit here; the failed piece is an
+    # infinite error estimate, so no IntegrationWarning reaches stderr.
+    p = tmp_path / "huge_shape.json"
+    spec = g.GlmSpec(model=model, r=-800.0, lam=0.0, sig=0.5)
+    p.write_text(json.dumps(g.spec_to_dict(spec)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["price-option", "--spec", str(p), "--out", str(tmp_path / "opt.csv"),
+                   "--strike", strike, "--expiry", "1e6", "--method", "exact"])
+    assert rc == 2 and not caught
+    _assert_one_error_line(capsys)
 
 
 def test_fx_check_reports_negative_inverse_premium(tmp_path, capsys):

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -547,3 +548,93 @@ def test_mirror_domain_violation_names_the_callers_argument(name, method):
         assert e.interval == dom
         assert e.alpha == alpha or (math.isnan(alpha) and math.isnan(e.alpha))
         assert str(e) == f"alpha={alpha} outside admissible interval {dom}"
+
+
+_VG_RATES = [10.0**k for k in range(-3, 7)]
+
+
+@pytest.mark.parametrize("m", _VG_RATES)
+def test_variance_gamma_is_asymmetric_vg_with_zero_drift_bit_for_bit(m):
+    vg, avg = g.VarianceGamma(m=m), g.AsymmetricVG(m=m, mu=0.0, s=1.0)
+    dom = vg.domain
+    assert dom == avg.domain and (dom._lo, dom._hi) == (avg.domain._lo, avg.domain._hi)
+    alphas = [dom._lo, dom._hi, 0.0, 1e-3, -1e-300,
+              *np.linspace(dom._lo, dom._hi, 41).tolist()]
+    assert _bits(np.ravel(_values(vg, alphas))) == _bits(np.ravel(_values(avg, alphas)))
+    draws = [model.increments(0.25, 64, g.Rng(7, 3).generator) for model in (vg, avg)]
+    assert _bits(draws[0]) == _bits(draws[1])
+    log_nu = [model.levy_measure().log_density for model in (vg, avg)]
+    for x in (-10.0, -1e-3, 1e-300, 0.5, 40.0):
+        assert log_nu[0](x) == log_nu[1](x)
+    assert vg.params() == {"m": m} and g.mirror(vg) is vg
+
+
+def test_variance_gamma_defines_no_formula_of_its_own():
+    moved = {"_coefs", "domain", "_psi", "_psi_prime", "_psi_second", "increments",
+             "levy_measure"}
+    assert not moved & set(vars(g.VarianceGamma))
+    assert [f.name for f in dataclasses.fields(g.VarianceGamma)] == ["m"]
+
+
+@pytest.mark.parametrize("m", [1e308, 1e-309])
+def test_variance_gamma_without_finite_kappas_fails_at_construction(m):
+    # 2m overflows (so psi(1) was 0.0 on a whole-line domain) or 1/2m does.
+    with pytest.raises(g.ParamOutOfRange, match=r"^parameter \(m\)="):
+        g.VarianceGamma(m=m)
+    with pytest.raises(g.ParamOutOfRange, match=r"\(m, mu, s\)"):
+        g.AsymmetricVG(m=m, mu=0.0, s=1.0)
+
+
+def _vg_closed_forms(m, a):
+    """The symmetric VG's own closed forms, -m log1p(-a^2/2m), a/u and
+    (1 + a^2/2m)/u^2 with u = 1 - a^2/2m, in floats and to 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    x = a * a / (2.0 * m)
+    u = 1.0 - x
+    floats = (-m * math.log1p(-x), a / u, (1.0 + x) / (u * u))
+    with mpmath.workdps(50):
+        a, m = mpmath.mpf(a), mpmath.mpf(m)
+        x = a * a / (2 * m)
+        u = 1 - x
+        exact = (-m * mpmath.log1p(-x), a / u, (1 + x) / (u * u))
+    return floats, [float(v) for v in exact]
+
+
+@pytest.mark.parametrize("band", ["near-zero", "interior", "near-end"])
+def test_variance_gamma_is_as_accurate_as_its_closed_forms(band):
+    # Against 50 digits at the same alpha, the worst relative error of psi,
+    # psi' and psi'' over a band is within one bit of the closed forms'
+    # (c a^2 rounds c = 1/2m once more than a^2/2m does). The near-end band
+    # holds the inclusive limits, where the error is largest.
+    rng = np.random.default_rng(20)
+    worst = np.zeros((2, 3))
+    for m in _VG_RATES:
+        vg = g.VarianceGamma(m=m)
+        end = math.sqrt(2.0 * m)
+        if band == "near-zero":
+            alphas = rng.uniform(-1e-3, 1e-3, 50)
+        elif band == "interior":
+            alphas = rng.uniform(-0.9, 0.9, 50) * end
+        else:
+            alphas = np.append(rng.choice([-1.0, 1.0], 50) * rng.uniform(0.9, 1.0, 50) * end,
+                               [vg.domain._lo, vg.domain._hi])
+        for a in alphas.tolist():
+            if not vg.domain.admissible(a):
+                continue
+            floats, exact = _vg_closed_forms(m, a)
+            for row, got in enumerate((_values(vg, [a])[0], floats)):
+                err = [abs(v - w) / abs(w) for v, w in zip(got, exact)]
+                worst[row] = np.maximum(worst[row], err)
+    assert np.all(worst[0] <= 2.0 * worst[1]), worst
+
+
+def test_failed_quadrature_piece_is_an_infinite_error_estimate():
+    # sin(1/x)/x stops quad at its subdivision limit; the piece reports an
+    # infinite error instead of an IntegrationWarning.
+    nu = g.Measure(log_density=lambda x: 0.0, support=(0.0, 1.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, err = nu.integrate(lambda x, log_w: math.sin(1.0 / x) / x, 0.0, 1.0, 0.0, ())
+    assert err == math.inf and not caught
+    assert nu.integrate(lambda x, log_w: x, 0.0, 1.0, 0.0, ()) == pytest.approx((0.5, 0.0),
+                                                                                abs=1e-13)

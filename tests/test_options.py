@@ -446,6 +446,19 @@ def test_vanishing_volatility_prices_the_degenerate_limit(model, strike, sig):
     assert price == pytest.approx(want, rel=1e-12)
 
 
+_EXACT_PRICED = [g.Brownian(), g.Poisson(m=1.0), g.Gamma(m=1.0), g.ScaledGamma(m=1.0, kappa=0.5),
+                 g.mirror(g.Poisson(m=1.0)), g.mirror(g.Gamma(m=1.0)),
+                 g.mirror(g.ScaledGamma(m=1.0, kappa=0.5))]
+
+
+@pytest.mark.parametrize("model", _EXACT_PRICED, ids=lambda model: model.family)
+def test_deterministic_limit_past_the_float_range_is_worth_zero(model):
+    # -rT = 8e8: K e^{-rT} overflows a float even at K = 1e-300, so the call
+    # on a deterministic S_T, max(s0 - K e^{-rT}, 0), is 0.
+    spec = g.GlmSpec(model=model, r=-800.0, lam=0.0, sig=1e-8)
+    assert g.exact_call(spec, g.OptionSpec(strike=1e-300, expiry=1e6)) == 0.0
+
+
 def test_option_spec_validation():
     with pytest.raises(g.ParamOutOfRange):
         g.OptionSpec(strike=-1.0, expiry=1.0)

@@ -17,14 +17,15 @@ alone checks an argument against the interval.
 """
 from __future__ import annotations
 
+import heapq
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
+from operator import mul
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainViolation, ParamOutOfRange, QuadratureFailure, Unsupported
 
@@ -153,6 +154,87 @@ def _poisson_log_pmf(n: int, mu: float) -> float:
     return d - n * math.log1p(d / mu) - stirlerr - 0.5 * math.log(2.0 * math.pi * n)
 
 
+# QUADPACK's qk21 rule on [-1, 1] (Piessens et al., QUADPACK, 1983): the
+# Kronrod nodes x >= 0 from the outermost in, their weights, and the 10-point
+# Gauss weights at every second node. _NODES and _WK hold all 21 nodes, _WG
+# the weights at _NODES[1::2].
+_XK = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+       0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+       0.2943928627014602, 0.14887433898163122, 0.0)
+_WK = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+       0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+       0.14277593857706009, 0.14773910490133849, 0.1494455540029169)
+_WG = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.26926671930999635,
+       0.29552422471475287)
+_NODES = tuple(-x for x in _XK) + _XK[-2::-1]
+_WK, _WG = _WK + _WK[-2::-1], _WG + _WG[::-1]
+_EPS, _TINY = sys.float_info.epsilon, sys.float_info.min
+
+
+def _kronrod(f: Callable[[float, float], list], a: float, b: float) -> tuple[float, float]:
+    """(value, error estimate) of the qk21 rule on the finite [a, b], where
+    f(c, h) is the list of the integrand's values at c + h x for x in _NODES.
+    The error is QUADPACK's: |K21 - G10| raised towards resasc as resasc (200
+    |K21 - G10| / resasc)^1.5, and at least 50 eps resabs."""
+    c, h = 0.5 * a + 0.5 * b, 0.5 * b - 0.5 * a
+    fv = f(c, h)
+    resk = sum(map(mul, _WK, fv))
+    mean = 0.5 * resk
+    resasc = sum([w * abs(v - mean) for w, v in zip(_WK, fv)])
+    err = abs(resk - sum(map(mul, _WG, fv[1::2])))
+    if resasc and err:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if err < 50.0 * _EPS * (resasc + abs(resk)):  # resabs <= resasc + |resk|
+        err = max(err, 50.0 * _EPS * sum(map(mul, _WK, map(abs, fv))))
+    return resk * h, err * h
+
+
+def _adaptive(f: Callable[[float, float], list], a: float, b: float) -> tuple[float, float]:
+    """(value, error estimate) of the integral over the finite [a, b] of the
+    integrand that f gives (see `_kronrod`), as scipy's quad asks it of
+    QUADPACK but without extrapolation: the piece of largest error is
+    bisected next until the summed error is within max(1e-15, 1e-10 |value|).
+    The estimate is inf where that takes more than 500 pieces, a piece is
+    too short to bisect or a value is not finite."""
+    value, err = _kronrod(f, a, b)
+    heap = [(-err, a, b, value)]
+    while not err <= max(1e-15, 1e-10 * abs(value)):  # a nan error never passes
+        e, a, b, v = heapq.heappop(heap)
+        mid = 0.5 * a + 0.5 * b  # qagse's test for a piece too short to bisect:
+        short = max(abs(a), abs(b)) <= (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _TINY)
+        if len(heap) == 499 or not math.isfinite(value) or short:
+            return value, math.inf
+        v1, e1 = _kronrod(f, a, mid)
+        v2, e2 = _kronrod(f, mid, b)
+        heapq.heappush(heap, (-e1, a, mid, v1))
+        heapq.heappush(heap, (-e2, mid, b, v2))
+        value, err = value + (v1 + v2 - v), err + (e1 + e2 + e)
+    return sum(piece[3] for piece in heap), err
+
+
+def _quad(g: Callable[[float, float], float], log_f: Callable[[float], float],
+          a: float, b: float) -> tuple[float, float]:
+    """`_adaptive` on the integral of g(x, log_f(x)) over [a, b]. An infinite
+    [a, b] is mapped onto (0, 1] as QUADPACK's qagi maps it: x = a + (1 - t)/t
+    above a, x = b - (1 - t)/t below b, or g(x) + g(-x) at x = (1 - t)/t on
+    the whole line, each times dx/dt = 1/t^2. (`for x in (v,)` binds x = v.)"""
+    if -math.inf < a and b < math.inf:
+        def f(c, h):
+            return [g(x, log_f(x)) for n in _NODES for x in (c + h * n,)]
+        return _adaptive(f, a, b)
+    if -math.inf < a or b < math.inf:
+        start, sign = (a, 1.0) if b == math.inf else (b, -1.0)
+
+        def f(c, h):
+            return [g(x, log_f(x)) / (t * t) for n in _NODES for t in (c + h * n,)
+                    for x in (start + sign * ((1.0 - t) / t),)]
+    else:
+        def f(c, h):
+            return [(g(x, log_f(x)) + g(-x, log_f(-x))) / (t * t) for n in _NODES
+                    for t in (c + h * n,) for x in ((1.0 - t) / t,)]
+    return _adaptive(f, 0.0, 1.0)
+
+
 @dataclass(frozen=True)
 class Measure:
     """A measure on the real line: atoms on the integers plus an optional density.
@@ -199,8 +281,8 @@ class Measure:
         estimated as the geometric series of the last ratio of terms (a bound
         when the terms are log-concave), is within 1e-14 of the sum; the
         estimate is the error. The density is integrated by adaptive
-        quadrature over the pieces into which breaks cut [lo, hi]; a piece
-        that fails (quad returns a message) makes the error estimate inf.
+        Gauss-Kronrod quadrature (`_quad`) over the pieces into which breaks
+        cut [lo, hi]; a piece that fails makes the error estimate inf.
         """
         value = err = 0.0
         if self.log_weight is not None:
@@ -232,10 +314,9 @@ class Measure:
         if log_f is not None and lo < hi:
             edges = sorted({lo, hi, *(p for p in breaks if lo < p < hi)})
             for a, b in zip(edges, edges[1:]):
-                v, e, _, *message = integrate.quad(lambda x: g(x, log_f(x)), a, b, full_output=1,
-                                                   epsabs=1e-15, epsrel=1e-10, limit=500)
+                v, e = _quad(g, log_f, a, b)
                 value += v
-                err += math.inf if message else e  # quad's message: the piece failed
+                err += e
         return value, err
 
 

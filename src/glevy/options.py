@@ -8,7 +8,8 @@ a strike at or below S_T's mass as the forward s0 - K e^{-rT}, so K = 0 no
 longer integrates the whole law, and a law whose density's support has a
 finite top (the mirrored gamma laws) from the put side, as that forward minus
 the integral of pi_T (S_T - K) below the strike's threshold, unless the two
-cancel beyond the error tolerance. `glevy` exports this module's `__all__`.
+cancel beyond the error tolerance. The Black-Scholes oracle forms the normal
+CDF and its log from `math.erfc`. `glevy` exports this module's `__all__`.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 from .errors import ParamOutOfRange, QuadratureFailure
 from .exponents import _check_fields, _finite, _nonnegative, _param, _positive
@@ -34,6 +34,42 @@ __all__ = [
     "gamma_exact_call",
     "dependence_experiment",
 ]
+
+
+_SQRT1_2 = math.sqrt(0.5)
+# _SQRT1_2 as hi + lo, hi of 26 bits, and its rounding error 1/sqrt(2) - _SQRT1_2
+_SQRT1_2_HI, _SQRT1_2_LO = 0.7071067839860916, -2.7995440410322203e-09
+_SQRT1_2_TAIL = -4.833646656726457e-17
+
+
+def _ndtr(x: float) -> float:
+    """The standard normal CDF Phi(x) = erfc(w)/2 at w = -x/sqrt(2). erfc
+    magnifies an error in w 2 w^2-fold, so the rounding error dx of x/sqrt(2),
+    exact by Dekker's product of Veltkamp's 26-bit halves, enters to first order."""
+    w = -x * _SQRT1_2
+    if not abs(x) < 40.0:  # Phi(x) rounds to 0 or 1
+        return 0.5 * math.erfc(w)
+    u = 134217729.0 * x  # 2^27 + 1
+    hi = u - (u - x)
+    lo = x - hi
+    dx = (((hi * _SQRT1_2_HI + w) + hi * _SQRT1_2_LO + lo * _SQRT1_2_HI) + lo * _SQRT1_2_LO
+          + x * _SQRT1_2_TAIL)
+    return 0.5 * (math.erfc(w) + 2.0 / math.sqrt(math.pi) * math.exp(-w * w) * dx)
+
+
+def _log_ndtr(x: float) -> float:
+    """log Phi(x): log1p(-Phi(-x)) above 0, and below -20, where Phi(x) nears
+    the float range, -x^2/2 - log(-x sqrt(2 pi)) plus the log of the first
+    ten terms of the asymptotic series sum_n (-1)^n (2n - 1)!! / x^{2n}."""
+    if x > 0.0:
+        return math.log1p(-_ndtr(-x))
+    if x > -20.0:
+        return math.log(_ndtr(x))
+    series = 1.0
+    for n in range(10, 0, -1):
+        series = 1.0 - (2 * n - 1) / (x * x) * series
+    return -0.5 * x * x - math.log(-x) - 0.5 * math.log(2.0 * math.pi) + math.log(series)
+
 
 @dataclass(frozen=True)
 class OptionSpec:
@@ -86,11 +122,11 @@ def bs_call_price(s0: float, r: float, sig: float, strike: float, expiry: float)
     else:  # sig^2 T, r T or (x + r T)/st overflows: y +- st/2 keep their limits
         y = (x + r * expiry) / st
         d1, d2 = y + 0.5 * st, y - 0.5 * st
-    cdf2 = ndtr(d2)
+    cdf2 = _ndtr(d2)
     if cdf2 < sys.float_info.min:  # Phi(d2) underflows or is subnormal: both terms in logs
-        return (np.exp(math.log(s0) + log_ndtr(d1))
-                - np.exp(math.log(strike) - r * expiry + log_ndtr(d2)))
-    return s0 * ndtr(d1) - strike * disc * cdf2
+        return (math.exp(math.log(s0) + _log_ndtr(d1))
+                - math.exp(math.log(strike) - r * expiry + _log_ndtr(d2)))
+    return s0 * _ndtr(d1) - strike * disc * cdf2
 
 
 def exact_call(glm: GlmSpec, opt: OptionSpec) -> float:
@@ -149,7 +185,7 @@ def exact_call(glm: GlmSpec, opt: OptionSpec) -> float:
             # Breakpoints 8 standard deviations either side of the centre of
             # the tilted law put the bulk of the mass in a finite piece
             # whatever its width: a short expiry leaves it too narrow for
-            # quad's first nodes on a long or infinite piece, which then
+            # the quadrature's first nodes on a long or infinite piece, which then
             # return 0 with a tiny error. They also keep an edge singularity
             # (gamma shape below 1) out of the infinite-range transform.
             centre = t * model.psi_prime(tilt)

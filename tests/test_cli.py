@@ -190,7 +190,7 @@ def test_price_option_exact_deterministic_limit_past_the_float_range(tmp_path, c
                          ids=lambda model: model.family)
 def test_price_option_exact_failed_quadrature_prints_only_the_error(tmp_path, capsys,
                                                                      model, strike):
-    # scipy's quad stops at its subdivision limit here; the failed piece is an
+    # The quadrature stops at its subdivision limit here; the failed piece is an
     # infinite error estimate, so no IntegrationWarning reaches stderr.
     p = tmp_path / "huge_shape.json"
     spec = g.GlmSpec(model=model, r=-800.0, lam=0.0, sig=0.5)
@@ -553,18 +553,23 @@ def test_simulate_rate_beyond_the_sampler_exits_2(tmp_path, capsys, family, para
     assert not out.exists()
 
 
-def test_cold_start_loads_no_scipy_stats(gamma_spec):
-    # Other test modules import scipy.stats, so only a fresh interpreter shows
-    # what importing glevy and running a command load.
+def test_cold_start_loads_no_scipy(gamma_spec, tmp_path):
+    # Other test modules import scipy, so only a fresh interpreter shows what
+    # importing glevy and running commands load; the exact Gamma price runs
+    # the quadrature.
     code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import glevy, glevy.cli; "
-            "rc = glevy.cli.main(['verify', '--spec', sys.argv[2]]); "
-            "print(json.dumps([rc, 'scipy.stats' in sys.modules, "
-            "'scipy.integrate' in sys.modules]))")
+            "spec, out = sys.argv[2], sys.argv[3]; "
+            "rcs = [glevy.cli.main(['verify', '--spec', spec]), "
+            "glevy.cli.main(['premium', '--spec', spec, '--out', out + '/p.csv']), "
+            "glevy.cli.main(['price-option', '--spec', spec, '--out', out + '/o.csv', "
+            "'--strike', '1.05', '--method', 'exact'])]; "
+            "print(json.dumps([rcs, sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.'))]))")
     src = str(FsPath(g.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code, src, str(gamma_spec)],
+    proc = subprocess.run([sys.executable, "-c", code, src, str(gamma_spec), str(tmp_path)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False, True]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0], []]
 
 
 def test_simulate_bad_horizon_without_paths_names_the_horizon(gamma_spec, tmp_path, capsys):

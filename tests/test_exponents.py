@@ -629,7 +629,7 @@ def test_variance_gamma_is_as_accurate_as_its_closed_forms(band):
 
 
 def test_failed_quadrature_piece_is_an_infinite_error_estimate():
-    # sin(1/x)/x stops quad at its subdivision limit; the piece reports an
+    # sin(1/x)/x stops the quadrature at its subdivision limit; the piece reports an
     # infinite error instead of an IntegrationWarning.
     nu = g.Measure(log_density=lambda x: 0.0, support=(0.0, 1.0))
     with warnings.catch_warnings(record=True) as caught:

@@ -38,12 +38,48 @@ def _bs_norm_cdf(s0, r, sig, strike, expiry):
     return s0 * norm.cdf(d1) - strike * math.exp(-r * expiry) * norm.cdf(d2)
 
 
-def test_bs_is_the_norm_cdf_formula_bit_for_bit():
+def test_bs_is_the_norm_cdf_formula_to_one_ulp():
     grid = itertools.product((0.5, 1.0, 2.0), (-0.01, 0.0, 0.05), (1e-12, 0.05, 0.25, 1.5),
                              (0.0, 0.5, 1.0, 2.0, 10.0), (0.01, 1.0, 10.0))
     for args in grid:
         got, want = g.bs_call_price(*args), _bs_norm_cdf(*args)
-        assert got == want and type(got) is type(want), args
+        assert abs(got - want) <= math.ulp(args[0]) and type(got) is float, args
+
+
+def _ulps(got, want):
+    """|got - want| in units of the last place of want, rounded to a float."""
+    return abs(got - float(want)) / math.ulp(float(want))
+
+
+def test_ndtr_is_as_accurate_as_scipy_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    from scipy.special import ndtr
+
+    from glevy.options import _ndtr
+
+    xs = np.concatenate([np.linspace(-37.0, 8.5, 1821),
+                         np.random.default_rng(11).uniform(-37.0, 8.5, 500)]).tolist()
+    with mpmath.workdps(40):
+        want = [mpmath.ncdf(x) for x in xs]
+    ours = max(_ulps(_ndtr(x), w) for x, w in zip(xs, want))
+    theirs = max(_ulps(float(ndtr(x)), w) for x, w in zip(xs, want))
+    # scipy's error grows as x^2 in the lower tail from rounding x/sqrt(2);
+    # _ndtr carries that rounding error to first order.
+    assert ours <= 4.0 and ours <= theirs, (ours, theirs)
+
+
+def test_log_ndtr_is_within_4_ulps_of_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    from glevy.options import _log_ndtr
+
+    xs = np.concatenate([np.linspace(-1e5, 40.0, 1001), np.linspace(-40.0, 40.0, 1601),
+                         -np.logspace(-3.0, 5.0, 401), np.logspace(-3.0, 1.6, 401)]).tolist()
+    with mpmath.workdps(40):
+        # Above 0, Phi(x) rounds to 1 at 40 digits: log Phi(x) = log1p(-Phi(-x)).
+        want = [mpmath.log1p(-mpmath.ncdf(-x)) if x > 0.0 else mpmath.log(mpmath.ncdf(x))
+                for x in xs]
+    for x, w in zip(xs, want):
+        assert _ulps(_log_ndtr(x), w) <= 4.0, x
 
 
 def test_bs_underflowing_vol_is_the_deterministic_limit():

@@ -1,11 +1,11 @@
 """Levy model families: everything the library knows about one process X.
 
 Each family knows its cumulant function psi (with E[exp(a*X_t)] = exp(t*psi(a)))
-and its first two analytic derivatives as check-free formulas, the open
-interval of admissible arguments, the exact law of its increments
-(`increments`), its jump measure (`levy_measure`) and, where it has a closed
-form, the law of X_t (`terminal_law`). The jump measure and the law are one
-type, `Measure`: atoms on the integers plus an optional density, whose
+and its first two analytic derivatives as check-free formulas of a float or
+array, the open interval of admissible arguments, the exact law of its
+increments (`increments`), its jump measure (`levy_measure`) and, where it has
+a closed form, the law of X_t (`terminal_law`). The jump measure and the law
+are one type, `Measure`: atoms on the integers plus an optional density, whose
 `integrate` serves the jump-measure premium and the exact call pricer alike.
 `ScaledGamma` and `Mirrored` are c times a root model: their formulas are the
 root's at c*alpha, and their domain, draws and measures the root's scaled by c.
@@ -325,12 +325,13 @@ class LevyModel:
     """Base class. A family declares each parameter with its check
     (`m: float = _param(_positive)`), which construction applies in field
     order before it builds the domain. It defines its exponent as the
-    check-free formulas `_psi`, `_psi_prime` and `_psi_second` of a float, its
+    check-free formulas `_psi(a, xp=math)`, `_psi_prime` and `_psi_second`, its
     exact increment law and, where known, its jump measure and the law of X_t.
     The public `psi`, `psi_prime` and `psi_second` live here only: each checks
     float(alpha) against the domain's inclusive limits, inline so a call is two
     frames, raises DomainViolation outside them and ParamOutOfRange where the
-    formula overflows a float, and returns the formula's value."""
+    formula overflows a float, and returns the formula's value; `_on_array`
+    does the same with xp = numpy for an array, where float(alpha) fails."""
 
     def __post_init__(self):
         _check_fields(self)
@@ -353,6 +354,8 @@ class LevyModel:
             return self._psi(a)
         except OverflowError:
             raise ParamOutOfRange("alpha", alpha, "psi overflows a float") from None
+        except (TypeError, ValueError):  # not a float: an array, or not a number
+            return self._on_array(self._psi, alpha, "psi")
 
     def psi_prime(self, alpha):
         dom = self.domain
@@ -363,6 +366,8 @@ class LevyModel:
             return self._psi_prime(a)
         except OverflowError:
             raise ParamOutOfRange("alpha", alpha, "psi_prime overflows a float") from None
+        except (TypeError, ValueError):  # not a float: an array, or not a number
+            return self._on_array(self._psi_prime, alpha, "psi_prime")
 
     def psi_second(self, alpha):
         dom = self.domain
@@ -373,6 +378,22 @@ class LevyModel:
             return self._psi_second(a)
         except OverflowError:
             raise ParamOutOfRange("alpha", alpha, "psi_second overflows a float") from None
+        except (TypeError, ValueError):  # not a float: an array, or not a number
+            return self._on_array(self._psi_second, alpha, "psi_second")
+
+    def _on_array(self, formula, alpha, name: str):
+        """psi's path for an int, float or complex array: one check of its real parts."""
+        if not (isinstance(alpha, np.ndarray) and alpha.dtype.kind in "iufc"):
+            raise ParamOutOfRange("alpha", alpha, "must be a number or a numeric array") from None
+        a, dom = alpha.astype(np.promote_types(alpha.dtype, np.float64), copy=False), self.domain
+        inside = (dom._lo <= a.real) & (a.real <= dom._hi)  # False at NaN
+        if not inside.all():
+            raise DomainViolation(a[~inside][0].item(), dom) from None
+        try:
+            with np.errstate(over="raise"):
+                return formula(a, np)
+        except FloatingPointError:
+            raise ParamOutOfRange("alpha", alpha, f"{name} overflows a float") from None
 
     def increments(self, dt: float, size: int, g: np.random.Generator) -> np.ndarray:
         """size iid draws of X_dt from the exact increment law, drawn from g."""
@@ -396,14 +417,14 @@ class Brownian(LevyModel):
 
     domain = _REAL_LINE
 
-    def _psi(self, a):
+    def _psi(self, a, xp=math):
         return 0.5 * a * a
 
-    def _psi_prime(self, a):
-        return a
+    def _psi_prime(self, a, xp=math):
+        return 1.0 * a  # a new array, not the argument, on the array path
 
-    def _psi_second(self, a):
-        return 1.0
+    def _psi_second(self, a, xp=math):
+        return 0.0 * a + 1.0  # ones of a's shape on the array path
 
     def increments(self, dt, size, g):
         return g.normal(0.0, math.sqrt(dt), size)
@@ -425,11 +446,11 @@ class Poisson(LevyModel):
 
     domain = _REAL_LINE
 
-    def _psi(self, a):
-        return self.m * math.expm1(a)
+    def _psi(self, a, xp=math):
+        return self.m * xp.expm1(a)
 
-    def _psi_prime(self, a):
-        return self.m * math.exp(a)
+    def _psi_prime(self, a, xp=math):
+        return self.m * xp.exp(a)
 
     _psi_second = _psi_prime  # both m e^a
 
@@ -457,16 +478,16 @@ class CompoundPoissonNormal(LevyModel):
 
     domain = _REAL_LINE
 
-    def _psi(self, a):
-        return self.m * math.expm1(0.5 * self.s**2 * a * a)
+    def _psi(self, a, xp=math):
+        return self.m * xp.expm1(0.5 * self.s**2 * a * a)
 
-    def _psi_prime(self, a):
+    def _psi_prime(self, a, xp=math):
         s2 = self.s**2
-        return self.m * s2 * a * math.exp(0.5 * s2 * a * a)
+        return self.m * s2 * a * xp.exp(0.5 * s2 * a * a)
 
-    def _psi_second(self, a):
+    def _psi_second(self, a, xp=math):
         s2 = self.s**2
-        return self.m * s2 * (1.0 + s2 * a * a) * math.exp(0.5 * s2 * a * a)
+        return self.m * s2 * (1.0 + s2 * a * a) * xp.exp(0.5 * s2 * a * a)
 
     def increments(self, dt, size, g):
         # Sum of N(0, s^2) jumps, count Poisson(m dt): conditionally normal
@@ -488,13 +509,13 @@ class Gamma(LevyModel):
 
     domain = Interval(-math.inf, 1.0)
 
-    def _psi(self, a):
-        return -self.m * math.log1p(-a)
+    def _psi(self, a, xp=math):
+        return -self.m * xp.log1p(-a)
 
-    def _psi_prime(self, a):
+    def _psi_prime(self, a, xp=math):
         return self.m / (1.0 - a)
 
-    def _psi_second(self, a):
+    def _psi_second(self, a, xp=math):
         return self.m / (1.0 - a) ** 2
 
     def increments(self, dt, size, g):
@@ -552,15 +573,15 @@ class _BilateralGamma(LevyModel):
             self._out_of_range("must give psi and its derivatives at the domain's limits")
         return dom
 
-    def _psi(self, a):
+    def _psi(self, a, xp=math):
         _, _, b, c, _ = self._coefs
-        return -self.m * math.log1p(-b * a - c * a * a)
+        return -self.m * xp.log1p(-b * a - c * a * a)
 
-    def _psi_prime(self, a):
+    def _psi_prime(self, a, xp=math):
         _, _, b, c, s2 = self._coefs
         return (self.mu + s2 * a) / (1.0 - b * a - c * a * a)
 
-    def _psi_second(self, a):
+    def _psi_second(self, a, xp=math):
         _, _, b, c, s2 = self._coefs
         u = 1.0 - b * a - c * a * a
         v = self.mu + s2 * a
@@ -608,15 +629,15 @@ class NegativeBinomial(LevyModel):
     def domain(self) -> Interval:
         return Interval(-math.inf, math.log(1.0 / self.q))
 
-    def _psi(self, a):
-        return -self.m * math.log1p(-self.q * math.expm1(a) / (1.0 - self.q))
+    def _psi(self, a, xp=math):
+        return -self.m * xp.log1p(-self.q * xp.expm1(a) / (1.0 - self.q))
 
-    def _psi_prime(self, a):
-        qe = self.q * math.exp(a)
+    def _psi_prime(self, a, xp=math):
+        qe = self.q * xp.exp(a)
         return self.m * qe / (1.0 - qe)
 
-    def _psi_second(self, a):
-        qe = self.q * math.exp(a)
+    def _psi_second(self, a, xp=math):
+        qe = self.q * xp.exp(a)
         return self.m * qe / (1.0 - qe) ** 2
 
     def increments(self, dt, size, g):
@@ -638,17 +659,17 @@ class _Scaled(LevyModel):
         root, c = self._scaling
         return root.domain.scaled(c)
 
-    def _psi(self, a):
+    def _psi(self, a, xp=math):
         root, c = self._scaling
-        return root._psi(c * a)
+        return root._psi(c * a, xp)
 
-    def _psi_prime(self, a):
+    def _psi_prime(self, a, xp=math):
         root, c = self._scaling
-        return c * root._psi_prime(c * a)
+        return c * root._psi_prime(c * a, xp)
 
-    def _psi_second(self, a):
+    def _psi_second(self, a, xp=math):
         root, c = self._scaling
-        return c * (c * root._psi_second(c * a))
+        return c * (c * root._psi_second(c * a, xp))
 
     def increments(self, dt, size, g):
         root, c = self._scaling

@@ -9,13 +9,16 @@ R = q*lam*sig + integral (e^{sig x} - 1)(1 - e^{-lam x}) nu(dx).
 `premium_surface`, `premium_identity_check`, `premium_gradient` and
 `premium_hessian_signs` evaluate each distinct psi (or psi', psi'') argument
 once and combine the values in the order of the per-point formulas
-(`risk_premium`, `inverse_fx_premium`), so their results equal theirs bit for bit.
+(`risk_premium`, `inverse_fx_premium`). The last three equal them bit for bit;
+the surface evaluates psi on arrays, so it is within 8 ulps of their largest term.
 """
 from __future__ import annotations
 
 import math
 from contextlib import suppress
 from typing import Sequence
+
+import numpy as np
 
 from .errors import DomainViolation, QuadratureFailure, Unsupported
 from .exponents import LevyModel
@@ -107,13 +110,9 @@ def premium_hessian_signs(model: LevyModel, lam: float, sig: float) -> tuple[int
     at_sig, at_diff = model.psi_second(sig), model.psi_second(sig - lam)
     d2_sig = at_sig - at_diff
     d2_lam = model.psi_second(-lam) - at_diff
-    tol = 1e-12 * max(1.0, abs(at_sig))
-    return _sign(d2_sig, tol), _sign(d2_lam, tol)
-
-
-def _sign(x: float, tol: float) -> int:
-    """0 when |x| < tol, else the sign of x."""
-    return 0 if abs(x) < tol else (1 if x > 0 else -1)
+    tol = 1e-12 * max(1.0, abs(at_sig))  # each sign is 0 where |d2| < tol
+    return (0 if -tol < d2_sig < tol else (1 if d2_sig > 0 else -1),
+            0 if -tol < d2_lam < tol else (1 if d2_lam > 0 else -1))
 
 
 def curvature_from_premium(model: LevyModel, sig: float) -> float:
@@ -156,15 +155,14 @@ def is_bilinear(model: LevyModel) -> bool:
 
 def premium_surface(model: LevyModel, lams: Sequence[float],
                     sigs: Sequence[float]) -> list[tuple[float, float, float, float]]:
-    """Row-major (lam, sig, R, R_tilde) rows over the grid."""
-    lams, sigs, psi = list(lams), list(sigs), model.psi
-    if not lams or not sigs:
+    """Row-major (lam, sig, R, R_tilde) float rows over the grid, from psi on sig,
+    -sig, -lam and the lam x sig matrix of sig - lam, formed in the inputs' dtype as
+    the per-point formulas form it; it raises where they do, maybe naming another point."""
+    lams, sigs, psi = np.asarray(lams), np.asarray(sigs), model.psi
+    if not lams.size or not sigs.size:
         return []
-    per_sig = [(sig, float(sig), psi(sig), psi(-sig)) for sig in sigs]
-    rows = []
-    for lam in lams:
-        b, lam_f = psi(-lam), float(lam)
-        for sig, sig_f, a, d in per_sig:
-            c = psi(sig - lam)
-            rows.append((lam_f, sig_f, a + b - c, d + c - b))
-    return rows
+    a, d, b, c = psi(sigs), psi(-sigs), psi(-lams)[:, None], psi(sigs - lams[:, None])
+    sig_fs = sigs.astype(float).tolist()
+    return [(lam, sig, r, r_tilde) for lam, rs, r_tildes in
+            zip(lams.astype(float).tolist(), (a + b - c).tolist(), (d + c - b).tolist())
+            for sig, r, r_tilde in zip(sig_fs, rs, r_tildes)]

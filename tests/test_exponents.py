@@ -638,3 +638,118 @@ def test_failed_quadrature_piece_is_an_infinite_error_estimate():
     assert err == math.inf and not caught
     assert nu.integrate(lambda x, log_w: x, 0.0, 1.0, 0.0, ()) == pytest.approx((0.5, 0.0),
                                                                                 abs=1e-13)
+
+
+# --------------------------------------------------------------------------
+# psi, psi' and psi'' on arrays: the same formulas with xp = numpy.
+# --------------------------------------------------------------------------
+
+_METHODS = ["psi", "psi_prime", "psi_second"]
+# numpy's exp, expm1, log1p and squaring round differently from math's: the
+# array values of the 13 models were at most 2 ulps from the scalar ones on
+# [max(lo, -3), min(hi, 3)] (psi: 0 for Brownian, 1 for the other families but
+# AsymmetricVG and NegativeBinomial, 2 for AsymmetricVG), except NB's.
+_ARRAY_ULPS = 4
+# NB's formulas take q e^a from 1, which magnifies e^a's rounding by 1/(1 - q e^a)
+# near the upper limit (to 5e7 ulps there), so its bound adds how much the scalar
+# value moves within 2 ulps(max(1, |a|)) of a, e^a's own rounding (measured: at
+# most 1 ulp beyond that).
+_CANCELLING = ("NegativeBinomial", "Mirrored[NegativeBinomial]")
+
+
+@pytest.mark.parametrize("model", _DISTINCT_MODELS, ids=lambda model: model.family)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_array_values_are_the_scalar_values_within_a_few_ulps(model, data):
+    lo, hi = max(model.domain._lo, -3.0), min(model.domain._hi, 3.0)
+    alphas = data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=16))
+    for method in _METHODS:
+        f = getattr(model, method)
+        got = f(np.array(alphas))
+        assert got.shape == (len(alphas),) and got.dtype == np.float64
+        for a, value in zip(alphas, got.tolist()):
+            want, slack = f(a), 0.0
+            if model.family in _CANCELLING:
+                u = math.ulp(max(1.0, abs(a)))
+                slack = max(abs(f(min(max(a + j * u, lo), hi)) - want) for j in (-2, -1, 1, 2))
+            assert abs(value - want) <= _ARRAY_ULPS * math.ulp(want) + slack, (a, method)
+
+
+@pytest.mark.parametrize("method", _METHODS)
+def test_array_values_keep_the_shape_and_take_ints_and_float32(method):
+    model = g.mirror(g.Gamma(m=1.5))
+    f = getattr(model, method)
+    ints, singles = np.array([[0, 1], [3, 7]]), np.array([-0.3, 0.1, 2.5], dtype=np.float32)
+    assert f(ints).shape == (2, 2)
+    for alphas in (ints, singles):  # each as its float64 value, as float(alpha) is
+        for a, value in zip(alphas.ravel().tolist(), f(alphas).ravel().tolist()):
+            assert abs(value - f(a)) <= _ARRAY_ULPS * math.ulp(f(a))
+    assert f(np.array([])).shape == (0,) and f(np.zeros((0, 3))).shape == (0, 3)
+
+
+@pytest.mark.parametrize("method", _METHODS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("model", [g.Brownian(), g.Gamma(m=1.0),
+                                   g.mirror(g.NegativeBinomial(m=1.0, q=0.5))],
+                         ids=lambda model: model.family)
+def test_array_outside_the_domain_names_its_first_bad_element(model, method, bad):
+    dom = model.domain
+    for alpha in (np.array([[0.1, -0.2], [bad, 5.0]]), np.array([0.1j, complex(bad, 1.0)])):
+        with pytest.raises(g.DomainViolation) as info:
+            getattr(model, method)(alpha)
+        want = alpha.ravel()[2 if alpha.ndim == 2 else 1]
+        assert str(info.value) == f"alpha={want.item()} outside admissible interval {dom}"
+        assert info.value.interval == dom
+
+
+def test_complex_array_is_checked_on_its_real_parts():
+    model = g.Gamma(m=1.0)
+    assert np.isfinite(model.psi(np.array([0.9 + 100j, -5.0 - 1e3j]))).all()
+    with pytest.raises(g.DomainViolation, match=r"alpha=\(1\.5\+0j\)"):
+        model.psi(np.array([0.5j, 1.5 + 0j]))
+
+
+@pytest.mark.parametrize("call, method", [
+    (lambda: g.Poisson(m=1.0).psi(np.array([1.0, 800.0])), "psi"),
+    (lambda: g.Poisson(m=1.0).psi_prime(np.array([800.0])), "psi_prime"),
+    (lambda: g.mirror(g.Poisson(m=1.0)).psi_second(np.array([0.0, -800.0])), "psi_second"),
+    (lambda: g.CompoundPoissonNormal(m=1.0, s=1.0).psi(np.array([40.0])), "psi"),
+], ids=["Poisson-psi", "Poisson-psi_prime", "mirrored-Poisson-psi_second", "CPN-psi"])
+def test_overflowing_array_raises_param_out_of_range(call, method):
+    with pytest.raises(g.ParamOutOfRange, match=f"{method} overflows a float") as info:
+        call()
+    assert info.value.name == "alpha"
+
+
+_NON_NUMERIC = ["x", "", None, {}, [0.1], (0.1,), 0.1 + 0j, complex(math.nan, 0.0),
+                np.array(["0.1"]), np.array([0.1], dtype=object), np.array([True])]
+
+
+@pytest.mark.parametrize("method", _METHODS)
+def test_non_numeric_argument_raises_param_out_of_range(method):
+    # A complex scalar is not a number here; only arrays take the complex path.
+    for model in (g.Brownian(), g.Gamma(m=1.0), g.mirror(g.Gamma(m=1.0))):
+        for alpha in _NON_NUMERIC:
+            with pytest.raises(g.ParamOutOfRange, match="must be a number or a numeric array"):
+                getattr(model, method)(alpha)
+
+
+def _characteristic_function(law, u):
+    """E[e^{iuX}] as the cos and sin integrals against law."""
+    def part(trig):
+        value, err = law.integrate(lambda x, log_w: trig(u * x) * math.exp(log_w),
+                                   -math.inf, math.inf, 0.0, (0.0, 1.0, 5.0))
+        assert err < 1e-10
+        return value
+    return complex(part(math.cos), part(math.sin))
+
+
+@pytest.mark.parametrize("model", [g.Brownian(), g.Poisson(m=1.5), g.Gamma(m=1.2)],
+                         ids=lambda model: model.family)
+@pytest.mark.parametrize("t", [0.5, 2.0])
+def test_exponent_at_iu_gives_the_characteristic_function_of_the_law(model, t):
+    u = np.array([0.0, 0.3, 1.0, 2.5, -1.7])
+    phi = np.exp(t * model.psi(1j * u))
+    law = model.terminal_law(t)
+    for ui, want in zip(u.tolist(), phi.tolist()):
+        assert abs(_characteristic_function(law, ui) - want) < 1e-9, ui

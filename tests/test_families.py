@@ -4,6 +4,8 @@ one entry in `conftest.DEFAULT_MODELS`."""
 import ast
 import dataclasses
 import importlib
+import inspect
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +56,18 @@ def test_family_defines_only_check_free_formulas(cls):
     for name in ("_psi", "_psi_prime", "_psi_second"):
         assert _owner(cls, name) not in (None, LevyModel)
     assert not {"psi", "psi_prime", "psi_second"} & set(vars(cls))
+
+
+@pytest.mark.parametrize("cls", [*FAMILIES.values(), Mirrored])
+def test_family_formulas_serve_floats_and_arrays(cls):
+    # One formula per family: it takes xp (math for a float, numpy for an array)
+    # and calls its functions through xp, none through math.
+    for name in ("_psi", "_psi_prime", "_psi_second"):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(getattr(cls, name))))
+        func = tree.body[0]
+        assert [arg.arg for arg in func.args.args] == ["self", "a", "xp"], (cls, name)
+        calls = [node.func for node in ast.walk(func) if isinstance(node, ast.Call)]
+        assert not [f for f in calls if getattr(getattr(f, "value", None), "id", None) == "math"]
 
 
 SCALING_RULE = ("domain", "_psi", "_psi_prime", "_psi_second", "increments", "levy_measure",

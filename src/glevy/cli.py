@@ -90,7 +90,11 @@ def cmd_simulate(spec: GlmSpec, args) -> int:
     # math.exp as a per-path payoff takes it (np.exp can differ by an ulp), fed
     # one float at a time: a list of all n floats raises the peak RSS.
     log_s = log_value(0.0, 0.0, model, sig, x, horizon)
-    res = McResult.from_samples(np.fromiter(map(math.exp, memoryview(log_s)), float, n))
+    try:
+        res = McResult.from_samples(np.fromiter(map(math.exp, memoryview(log_s)), float, n))
+    except OverflowError:
+        raise ParamOutOfRange("sigma", sig,
+                              "e^{sigma X - T psi(sigma)} overflows a float") from None
     if res.stderr == 0.0:  # all samples equal: no evidence either way
         raise ParamOutOfRange("horizon", horizon, f"gives {n} samples with stderr 0")
     summary = {"estimate": res.estimate, "stderr": res.stderr, "n": res.n,

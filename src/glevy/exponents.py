@@ -12,8 +12,8 @@ root's at c*alpha, and their domain, draws and measures the root's scaled by c.
 `_BilateralGamma` holds the bilateral gamma formulas once: `VarianceGamma` is
 `AsymmetricVG(m, 0, 1)`, declaring only m.
 Models are immutable and thread-safe. Parameters are checked and the interval
-built at construction; NaN and +-inf are never admissible, and `LevyModel`
-alone checks an argument against the interval.
+built at construction; NaN and +-inf are never admissible, and one gate,
+`_checked`, alone checks an argument against the interval.
 """
 from __future__ import annotations
 
@@ -80,8 +80,8 @@ class Interval:
         object.__setattr__(self, "_hi", sys.float_info.max if math.isinf(hi) else _inside(hi))
 
     def admissible(self, alpha: float) -> bool:
-        """Strict interior test with a margin at finite endpoints; `LevyModel.psi`,
-        `psi_prime` and `psi_second` inline it."""
+        """Strict interior test with a margin at finite endpoints; the gate
+        `_checked` inlines it."""
         return self._lo <= alpha <= self._hi
 
     def scaled(self, c: float) -> "Interval":
@@ -320,6 +320,26 @@ class Measure:
         return value, err
 
 
+def _checked(formula: Callable, name: str) -> Callable:
+    """The public entry `name` of the check-free formula(self, a, xp=math):
+    float(alpha) inside the domain's inclusive limits (checked inline, so a call
+    is two frames) gives the formula's value, one outside them DomainViolation
+    and an overflow ParamOutOfRange; an array takes `LevyModel._on_array`."""
+    def entry(self, alpha):
+        dom = self.domain
+        try:
+            a = float(alpha)
+            if not dom._lo <= a <= dom._hi:
+                raise DomainViolation(a, dom)
+            return formula(self, a)
+        except OverflowError:
+            raise ParamOutOfRange("alpha", alpha, f"{name} overflows a float") from None
+        except (TypeError, ValueError):  # not a float: an array, or not a number
+            return self._on_array(formula, alpha, name)
+    entry.__name__ = entry.__qualname__ = name
+    return entry
+
+
 @dataclass(frozen=True)
 class LevyModel:
     """Base class. A family declares each parameter with its check
@@ -327,11 +347,15 @@ class LevyModel:
     order before it builds the domain. It defines its exponent as the
     check-free formulas `_psi(a, xp=math)`, `_psi_prime` and `_psi_second`, its
     exact increment law and, where known, its jump measure and the law of X_t.
-    The public `psi`, `psi_prime` and `psi_second` live here only: each checks
-    float(alpha) against the domain's inclusive limits, inline so a call is two
-    frames, raises DomainViolation outside them and ParamOutOfRange where the
-    formula overflows a float, and returns the formula's value; `_on_array`
-    does the same with xp = numpy for an array, where float(alpha) fails."""
+    Its `psi`, `psi_prime` and `psi_second` are the `_checked` gates of the
+    formulas it resolves, set when the class is created."""
+
+    def __init_subclass__(cls, **kw):
+        super().__init_subclass__(**kw)
+        for name in ("psi", "psi_prime", "psi_second"):
+            formula = getattr(cls, "_" + name, None)
+            if formula is not None:
+                setattr(cls, name, _checked(formula, name))
 
     def __post_init__(self):
         _check_fields(self)
@@ -345,44 +369,8 @@ class LevyModel:
     def domain(self) -> Interval:
         raise NotImplementedError
 
-    def psi(self, alpha):
-        dom = self.domain
-        try:
-            a = float(alpha)
-            if not dom._lo <= a <= dom._hi:
-                raise DomainViolation(a, dom)
-            return self._psi(a)
-        except OverflowError:
-            raise ParamOutOfRange("alpha", alpha, "psi overflows a float") from None
-        except (TypeError, ValueError):  # not a float: an array, or not a number
-            return self._on_array(self._psi, alpha, "psi")
-
-    def psi_prime(self, alpha):
-        dom = self.domain
-        try:
-            a = float(alpha)
-            if not dom._lo <= a <= dom._hi:
-                raise DomainViolation(a, dom)
-            return self._psi_prime(a)
-        except OverflowError:
-            raise ParamOutOfRange("alpha", alpha, "psi_prime overflows a float") from None
-        except (TypeError, ValueError):  # not a float: an array, or not a number
-            return self._on_array(self._psi_prime, alpha, "psi_prime")
-
-    def psi_second(self, alpha):
-        dom = self.domain
-        try:
-            a = float(alpha)
-            if not dom._lo <= a <= dom._hi:
-                raise DomainViolation(a, dom)
-            return self._psi_second(a)
-        except OverflowError:
-            raise ParamOutOfRange("alpha", alpha, "psi_second overflows a float") from None
-        except (TypeError, ValueError):  # not a float: an array, or not a number
-            return self._on_array(self._psi_second, alpha, "psi_second")
-
     def _on_array(self, formula, alpha, name: str):
-        """psi's path for an int, float or complex array: one check of its real parts."""
+        """The gate's path for an int, float or complex array: one check of its real parts."""
         if not (isinstance(alpha, np.ndarray) and alpha.dtype.kind in "iufc"):
             raise ParamOutOfRange("alpha", alpha, "must be a number or a numeric array") from None
         a, dom = alpha.astype(np.promote_types(alpha.dtype, np.float64), copy=False), self.domain
@@ -391,7 +379,7 @@ class LevyModel:
             raise DomainViolation(a[~inside][0].item(), dom) from None
         try:
             with np.errstate(over="raise"):
-                return formula(a, np)
+                return formula(self, a, np)
         except FloatingPointError:
             raise ParamOutOfRange("alpha", alpha, f"{name} overflows a float") from None
 

@@ -192,7 +192,10 @@ def exact_call(glm: GlmSpec, opt: OptionSpec) -> float:
             width = 8.0 * math.sqrt(t * model.psi_second(tilt))
             breaks = (centre - width, centre + width)
         lo, hi = (-math.inf, x_k) if below else (x_k, math.inf)
-        value, err = law.integrate(integrand, lo, hi, tilt, breaks)
+        try:
+            value, err = law.integrate(integrand, lo, hi, tilt, breaks)
+        except OverflowError:  # log_s rounds past exp's range where sig x and t psi(sig) cancel
+            raise QuadratureFailure("call integrand overflows a float") from None
         if below:
             value = glm.s0 - math.exp(log_k_disc) - value
         if not err > min(1e-9 * max(abs(value), 1e-3), 1e-8 * max(abs(value), 1e-6)):

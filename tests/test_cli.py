@@ -208,6 +208,22 @@ def test_price_option_exact_failed_quadrature_prints_only_the_error(tmp_path, ca
     _assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("spec, opt", [
+    (g.GlmSpec(model=g.Brownian(), r=0.02, lam=0.0, sig=1e10), ["1e-300", "1"]),
+    (g.GlmSpec(model=g.mirror(g.Gamma(m=1.0)), s0=1e300, r=0.02, lam=0.0, sig=1e10),
+     ["1e300", "1e-6"]),
+], ids=["Brownian", "Mirrored[Gamma]"])
+def test_price_option_exact_overflowing_integrand_exits_2(tmp_path, capsys, spec, opt):
+    # sigma x and T psi(sigma) cancel in log S_T, and the rounding left passes
+    # exp's range: a typed QuadratureFailure, not a traceback.
+    p = tmp_path / "huge_sigma.json"
+    p.write_text(json.dumps(g.spec_to_dict(spec)))
+    rc = main(["price-option", "--spec", str(p), "--out", str(tmp_path / "opt.csv"),
+               "--strike", opt[0], "--expiry", opt[1], "--method", "exact"])
+    assert rc == 2
+    _assert_one_error_line(capsys)
+
+
 def test_fx_check_reports_negative_inverse_premium(tmp_path, capsys):
     # sigma < lambda: the inverse-rate premium must come out negative.
     p = tmp_path / "fx.json"
@@ -555,6 +571,20 @@ def test_simulate_rate_beyond_the_sampler_exits_2(tmp_path, capsys, family, para
     assert main(["simulate", "--spec", str(path), "--out", str(out)]) == 2
     cap = capsys.readouterr()
     assert cap.err.startswith("error: parameter dt=") and cap.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_simulate_overflowing_compensated_exponential_exits_2(tmp_path, capsys):
+    # VG at m = 1e300: every draw of X_T is about 1.8e134, so e^{sigma X - T psi}
+    # overflows a float.
+    path, out = tmp_path / "s.json", tmp_path / "sim"
+    path.write_text(json.dumps({**_GOOD_SPEC, "family": "VarianceGamma",
+                                "params": {"m": 1e300}, "lambda": 0.0, "sigma": 1.0}))
+    assert main(["simulate", "--spec", str(path), "--out", str(out)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == f"seed={DEFAULT_SEED}\n"
+    assert cap.err.startswith("error: parameter sigma=1.0 ") and cap.err.count("\n") == 1
+    assert "overflows a float" in cap.err
     assert not out.exists()
 
 

@@ -5,6 +5,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import math
 import textwrap
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import glevy as g
-from glevy.exponents import FAMILIES, LevyModel, Mirrored, ScaledGamma, _Scaled
+from glevy.exponents import FAMILIES, Gamma, LevyModel, Mirrored, ScaledGamma, _checked, _Scaled
 from glevy.multifactor import VectorGlm
 from glevy.options import OptionSpec
 from glevy.pricing import Component, GlmSpec
@@ -51,11 +52,60 @@ def test_family_owns_its_sampler(cls):
 
 @pytest.mark.parametrize("cls", [*FAMILIES.values(), Mirrored])
 def test_family_defines_only_check_free_formulas(cls):
-    # LevyModel alone checks psi's argument; a family only writes the formulas,
-    # itself or through the scaling rule.
-    for name in ("_psi", "_psi_prime", "_psi_second"):
-        assert _owner(cls, name) not in (None, LevyModel)
-    assert not {"psi", "psi_prime", "psi_second"} & set(vars(cls))
+    # The gate alone checks psi's argument; a family only writes the formulas,
+    # itself or through the scaling rule, and its class statement defines no
+    # psi, psi_prime or psi_second. Each of those is a `_checked` entry bound
+    # to the formula cls resolves, under its own name (Poisson's psi_second
+    # is its psi_prime formula).
+    body = ast.parse(textwrap.dedent(inspect.getsource(cls))).body[0].body
+    defined = {getattr(node, "name", None) for node in body}  # def and class statements
+    defined |= {target.id for node in body
+                for target in [*getattr(node, "targets", ()), getattr(node, "target", None)]
+                if isinstance(target, ast.Name)}  # =, annotated and for-loop bindings
+    assert not {"psi", "psi_prime", "psi_second"} & defined
+    gate = _checked(None, "psi").__code__
+    for name in ("psi", "psi_prime", "psi_second"):
+        assert _owner(cls, "_" + name) not in (None, LevyModel)
+        entry = getattr(cls, name)
+        assert entry.__code__ is gate
+        assert inspect.getclosurevars(entry).nonlocals == {
+            "formula": getattr(cls, "_" + name), "name": name}
+
+
+@dataclasses.dataclass(frozen=True)
+class _GammaMinusPoisson(Gamma):
+    """A family defined outside the library: a gamma process minus an
+    independent unit-rate Poisson process, psi(a) = -m ln(1 - a) + e^{-a} - 1.
+    It overrides only psi's formula and keeps Gamma's domain and derivatives."""
+
+    def _psi(self, a, xp=math):
+        return -self.m * xp.log1p(-a) + xp.expm1(-a)
+
+
+def test_family_subclass_gets_its_own_gate(monkeypatch):
+    model = _GammaMinusPoisson(m=1.5)
+    assert vars(_GammaMinusPoisson)["psi"] is not Gamma.psi
+    assert model.psi(0.5) == -1.5 * math.log1p(-0.5) + math.expm1(-0.5) != Gamma(1.5).psi(0.5)
+    assert model.psi_prime(0.5) == Gamma(1.5).psi_prime(0.5)
+    with pytest.raises(g.DomainViolation):
+        model.psi(1.0)
+    with pytest.raises(g.ParamOutOfRange, match="psi overflows a float"):
+        model.psi(-1000.0)
+    with pytest.raises(g.ParamOutOfRange, match="must be a number or a numeric array"):
+        model.psi("half")
+    arrays = []
+
+    def on_array(self, formula, alpha, name):
+        arrays.append((formula, name))
+        return on_array.original(self, formula, alpha, name)
+
+    on_array.original = LevyModel._on_array
+    monkeypatch.setattr(LevyModel, "_on_array", on_array)
+    alpha = np.array([-1.0, 0.0, 0.5])
+    assert model.psi(alpha).tolist() == _GammaMinusPoisson._psi(model, alpha, np).tolist()
+    assert arrays == [(_GammaMinusPoisson._psi, "psi")]
+    with pytest.raises(g.ParamOutOfRange, match="psi overflows a float"):
+        model.psi(np.array([-1000.0]))
 
 
 @pytest.mark.parametrize("cls", [*FAMILIES.values(), Mirrored])

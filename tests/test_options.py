@@ -266,6 +266,21 @@ def test_mirrored_gamma_exact_where_the_discounted_strike_overflows():
     assert 0.0 <= g.exact_call(spec, g.OptionSpec(strike=1e-100, expiry=200.0)) < 1e-100
 
 
+# At sigma = 1e10, sigma x and T psi(sigma) cancel in log S_T, and the rounding
+# error left (about 1e4) passes exp's range in the integrand.
+CANCELLING_SIGMA = [
+    (g.GlmSpec(model=g.Brownian(), r=0.02, lam=0.0, sig=1e10), g.OptionSpec(1e-300, 1.0)),
+    (g.GlmSpec(model=g.mirror(g.Gamma(m=1.0)), s0=1e300, r=0.02, lam=0.0, sig=1e10),
+     g.OptionSpec(1e300, 1e-6)),
+]
+
+
+@pytest.mark.parametrize("spec, opt", CANCELLING_SIGMA, ids=["Brownian", "Mirrored[Gamma]"])
+def test_exact_call_overflowing_integrand_raises_quadrature_failure(spec, opt):
+    with pytest.raises(g.QuadratureFailure, match="call integrand overflows a float"):
+        g.exact_call(spec, opt)
+
+
 @pytest.mark.parametrize("model", [g.Gamma(m=1.0), g.Poisson(m=1.0), g.Brownian()],
                          ids=lambda model: model.family)
 def test_zero_strike_is_the_spot_at_a_huge_negative_rate(model):

@@ -408,8 +408,6 @@ def test_domain_violation_is_built_only_in_exponents_and_component():
         visitor.visit(ast.parse(path.read_text()))
         sites += visitor.sites
     assert sorted(sites) == [
-        ("exponents.py", "LevyModel", "_on_array"),  # psi's check of an array
-        ("exponents.py", "LevyModel", "psi"),
-        ("exponents.py", "LevyModel", "psi_prime"),
-        ("exponents.py", "LevyModel", "psi_second"),
+        ("exponents.py", "LevyModel", "_on_array"),  # the gate's check of an array
+        ("exponents.py", "_checked", "entry"),  # the gate: every psi, psi_prime and psi_second
     ]

@@ -336,7 +336,7 @@ def _checked(formula: Callable, name: str) -> Callable:
             raise ParamOutOfRange("alpha", alpha, f"{name} overflows a float") from None
         except (TypeError, ValueError):  # not a float: an array, or not a number
             return self._on_array(formula, alpha, name)
-    entry.__name__ = entry.__qualname__ = name
+    entry.__name__ = entry.__qualname__ = name  # a bound method pickles by its name
     return entry
 
 

@@ -329,6 +329,8 @@ def test_domain_cache_keeps_value_semantics(family_case):
         back = pickle.loads(pickle.dumps(m))
         assert back == m and hash(back) == digest and repr(back) == text
         assert back.domain == m.domain and _values(back, alphas) == values
+        bound = pickle.loads(pickle.dumps((m.psi, m.psi_prime, m.psi_second)))
+        assert [tuple(f(a) for f in bound) for a in alphas] == values
 
 
 _LOG_UNIFORM = st.floats(-2.0, 2.0).map(lambda u: 10.0**u)

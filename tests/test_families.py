@@ -93,13 +93,12 @@ def test_family_subclass_gets_its_own_gate(monkeypatch):
         model.psi(-1000.0)
     with pytest.raises(g.ParamOutOfRange, match="must be a number or a numeric array"):
         model.psi("half")
-    arrays = []
+    arrays, original = [], LevyModel._on_array
 
     def on_array(self, formula, alpha, name):
         arrays.append((formula, name))
-        return on_array.original(self, formula, alpha, name)
+        return original(self, formula, alpha, name)
 
-    on_array.original = LevyModel._on_array
     monkeypatch.setattr(LevyModel, "_on_array", on_array)
     alpha = np.array([-1.0, 0.0, 0.5])
     assert model.psi(alpha).tolist() == _GammaMinusPoisson._psi(model, alpha, np).tolist()

@@ -87,14 +87,14 @@ def cmd_simulate(spec: GlmSpec, args) -> int:
     _check_count("n", n, 2)
     _positive("horizon", horizon)
     x = sample_increments(model, horizon, n, Rng(args.seed, 10_000))
-    # math.exp as a per-path payoff takes it (np.exp can differ by an ulp), fed
-    # one float at a time: a list of all n floats raises the peak RSS.
     log_s = log_value(0.0, 0.0, model, sig, x, horizon)
     try:
-        res = McResult.from_samples(np.fromiter(map(math.exp, memoryview(log_s)), float, n))
-    except OverflowError:
+        with np.errstate(over="raise"):
+            samples = np.exp(log_s)
+    except FloatingPointError:
         raise ParamOutOfRange("sigma", sig,
                               "e^{sigma X - T psi(sigma)} overflows a float") from None
+    res = McResult.from_samples(samples)
     if res.stderr == 0.0:  # all samples equal: no evidence either way
         raise ParamOutOfRange("horizon", horizon, f"gives {n} samples with stderr 0")
     summary = {"estimate": res.estimate, "stderr": res.stderr, "n": res.n,

@@ -13,7 +13,7 @@ root's at c*alpha, and their domain, draws and measures the root's scaled by c.
 `AsymmetricVG(m, 0, 1)`, declaring only m.
 Models are immutable and thread-safe. Parameters are checked and the interval
 built at construction; NaN and +-inf are never admissible, and one gate,
-`_checked`, alone checks an argument against the interval.
+`_checked`, alone checks a float or array argument against the interval.
 """
 from __future__ import annotations
 
@@ -214,24 +214,22 @@ def _adaptive(f: Callable[[float, float], list], a: float, b: float) -> tuple[fl
 
 def _quad(g: Callable[[float, float], float], log_f: Callable[[float], float],
           a: float, b: float) -> tuple[float, float]:
-    """`_adaptive` on the integral of g(x, log_f(x)) over [a, b]. An infinite
-    [a, b] is mapped onto (0, 1] as QUADPACK's qagi maps it: x = a + (1 - t)/t
-    above a, x = b - (1 - t)/t below b, or g(x) + g(-x) at x = (1 - t)/t on
-    the whole line, each times dx/dt = 1/t^2. (`for x in (v,)` binds x = v.)"""
+    """`_adaptive` on the integral of g(x, log_f(x)) over [a, b]. A half-line
+    is mapped onto (0, 1] as QUADPACK's qagi maps it: x = a + (1 - t)/t above
+    a or x = b - (1 - t)/t below b, times dx/dt = 1/t^2; the whole line is the
+    sum of its two halves at 0. (`for x in (v,)` binds x = v.)"""
     if -math.inf < a and b < math.inf:
         def f(c, h):
             return [g(x, log_f(x)) for n in _NODES for x in (c + h * n,)]
         return _adaptive(f, a, b)
-    if -math.inf < a or b < math.inf:
-        start, sign = (a, 1.0) if b == math.inf else (b, -1.0)
+    if a == -math.inf and b == math.inf:
+        (v1, e1), (v2, e2) = _quad(g, log_f, a, 0.0), _quad(g, log_f, 0.0, b)
+        return v1 + v2, e1 + e2
+    start, sign = (a, 1.0) if b == math.inf else (b, -1.0)
 
-        def f(c, h):
-            return [g(x, log_f(x)) / (t * t) for n in _NODES for t in (c + h * n,)
-                    for x in (start + sign * ((1.0 - t) / t),)]
-    else:
-        def f(c, h):
-            return [(g(x, log_f(x)) + g(-x, log_f(-x))) / (t * t) for n in _NODES
-                    for t in (c + h * n,) for x in ((1.0 - t) / t,)]
+    def f(c, h):
+        return [g(x, log_f(x)) / (t * t) for n in _NODES for t in (c + h * n,)
+                for x in (start + sign * ((1.0 - t) / t),)]
     return _adaptive(f, 0.0, 1.0)
 
 
@@ -324,7 +322,7 @@ def _checked(formula: Callable, name: str) -> Callable:
     """The public entry `name` of the check-free formula(self, a, xp=math):
     float(alpha) inside the domain's inclusive limits (checked inline, so a call
     is two frames) gives the formula's value, one outside them DomainViolation
-    and an overflow ParamOutOfRange; an array takes `LevyModel._on_array`."""
+    and an overflow ParamOutOfRange; a numeric array likewise, by its real parts."""
     def entry(self, alpha):
         dom = self.domain
         try:
@@ -335,7 +333,18 @@ def _checked(formula: Callable, name: str) -> Callable:
         except OverflowError:
             raise ParamOutOfRange("alpha", alpha, f"{name} overflows a float") from None
         except (TypeError, ValueError):  # not a float: an array, or not a number
-            return self._on_array(formula, alpha, name)
+            if not (isinstance(alpha, np.ndarray) and alpha.dtype.kind in "iufc"):
+                raise ParamOutOfRange("alpha", alpha,
+                                      "must be a number or a numeric array") from None
+        a = alpha.astype(np.promote_types(alpha.dtype, np.float64), copy=False)
+        inside = (dom._lo <= a.real) & (a.real <= dom._hi)  # False at NaN
+        if not inside.all():
+            raise DomainViolation(a[~inside][0].item(), dom)
+        try:
+            with np.errstate(over="raise"):
+                return formula(self, a, np)
+        except FloatingPointError:
+            raise ParamOutOfRange("alpha", alpha, f"{name} overflows a float") from None
     entry.__name__ = entry.__qualname__ = name  # a bound method pickles by its name
     return entry
 
@@ -347,8 +356,8 @@ class LevyModel:
     order before it builds the domain. It defines its exponent as the
     check-free formulas `_psi(a, xp=math)`, `_psi_prime` and `_psi_second`, its
     exact increment law and, where known, its jump measure and the law of X_t.
-    Its `psi`, `psi_prime` and `psi_second` are the `_checked` gates of the
-    formulas it resolves, set when the class is created."""
+    Its `psi`, `psi_prime` and `psi_second` (of a float or a numeric array) are
+    the `_checked` gates of the formulas it resolves, set at class creation."""
 
     def __init_subclass__(cls, **kw):
         super().__init_subclass__(**kw)
@@ -368,20 +377,6 @@ class LevyModel:
     @property
     def domain(self) -> Interval:
         raise NotImplementedError
-
-    def _on_array(self, formula, alpha, name: str):
-        """The gate's path for an int, float or complex array: one check of its real parts."""
-        if not (isinstance(alpha, np.ndarray) and alpha.dtype.kind in "iufc"):
-            raise ParamOutOfRange("alpha", alpha, "must be a number or a numeric array") from None
-        a, dom = alpha.astype(np.promote_types(alpha.dtype, np.float64), copy=False), self.domain
-        inside = (dom._lo <= a.real) & (a.real <= dom._hi)  # False at NaN
-        if not inside.all():
-            raise DomainViolation(a[~inside][0].item(), dom) from None
-        try:
-            with np.errstate(over="raise"):
-                return formula(self, a, np)
-        except FloatingPointError:
-            raise ParamOutOfRange("alpha", alpha, f"{name} overflows a float") from None
 
     def increments(self, dt: float, size: int, g: np.random.Generator) -> np.ndarray:
         """size iid draws of X_dt from the exact increment law, drawn from g."""
@@ -712,7 +707,7 @@ FAMILIES = {cls.__name__: cls for cls in (Brownian, Poisson, CompoundPoissonNorm
 _SYMMETRIC = (Brownian, CompoundPoissonNormal, VarianceGamma)
 
 
-def make_model(family: str, params: dict | None = None, **kw) -> LevyModel:
+def make_model(family: str, params: dict | None = None) -> LevyModel:
     """Build a validated model from a family name and parameter mapping.
 
     "Mirrored[<family>]", the name a mirrored model reports, builds the
@@ -721,7 +716,7 @@ def make_model(family: str, params: dict | None = None, **kw) -> LevyModel:
     if not isinstance(family, str):
         raise ParamOutOfRange("family", family, "must be a family name")
     if family.startswith("Mirrored[") and family.endswith("]"):
-        return mirror(make_model(family[len("Mirrored["):-1], params, **kw))
+        return mirror(make_model(family[len("Mirrored["):-1], params))
     if family == "JumpDiffusion":
         raise Unsupported(family, "scalar construction (use multifactor.jump_diffusion)")
     try:
@@ -729,7 +724,7 @@ def make_model(family: str, params: dict | None = None, **kw) -> LevyModel:
     except KeyError:
         raise Unsupported(family, "family") from None
     try:
-        return cls(**dict(params or {}, **kw))
+        return cls(**dict(params or {}))
     except (TypeError, ValueError, OverflowError) as e:  # params not a mapping of known names
         raise ParamOutOfRange("params", params, str(e)) from None
 

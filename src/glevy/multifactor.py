@@ -263,8 +263,10 @@ def schedule_kernel_path(vglm: VectorGlm, schedule: Schedule, driver_paths) -> P
 
 
 def integrated_premium(vglm: VectorGlm, schedule: Schedule, s: float, t: float) -> float:
-    """Exact integral of the total excess rate of return over [s, t]."""
+    """Exact integral of the total excess rate of return over [s, t], 0 <= s <= t."""
     per_interval = np.array([sum(c.premium for c in row) for row in _cells(vglm, schedule)])
+    if not _nonnegative("s", s) <= _nonnegative("t", t):
+        raise ParamOutOfRange("(s, t)", (s, t), "must satisfy s <= t")
     return _integral(schedule, per_interval, t) - _integral(schedule, per_interval, s)
 
 

@@ -215,6 +215,7 @@ def dependence_experiment(specs, opt: OptionSpec, tol: float) -> dict:
     depend on risk aversion), Poisson specs with equal m e^{-lambda}, or gamma
     specs with equal (m, sigma/(1+lambda)).
     """
+    tol = _nonnegative("tol", tol)
     rows = [{"params": {**glm.model.params(), "lambda": glm.lam, "sigma": glm.sig},
              "price": exact_call(glm, opt)} for glm in specs]
     if not rows:

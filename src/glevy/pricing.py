@@ -99,7 +99,7 @@ def asset_value(spec: GlmSpec, x, t: float):
 
 def expected_asset_price(spec: GlmSpec, t: float) -> float:
     """E[S_t] = s0 e^{(r + R) t} in closed form."""
-    growth = (spec.r + spec.premium) * t
+    growth = (spec.r + spec.premium) * _nonnegative("t", t)
     try:
         return spec.s0 * math.exp(growth)
     except OverflowError:

@@ -200,11 +200,13 @@ def mc_expectation(payoff: Callable[[Path], float], model: LevyModel,
                    streams: int = 1) -> McResult:
     """Monte Carlo estimate of E[payoff(Path)] with its standard error.
 
-    Deterministic for a fixed (seed, stream, n, streams): with streams > 1 the
-    n samples are partitioned in fixed order across substreams rng.spawn(k).
+    Deterministic for a fixed (seed, stream, n, streams): with 1 < streams <= n
+    the n samples are partitioned in fixed order across substreams rng.spawn(k).
     """
     _check_count("n", n, 2)
     _check_count("streams", streams, 1)
+    if streams > n:
+        raise ParamOutOfRange("streams", streams, f"must be <= n = {n}")
     samples = np.empty(n)
     bounds = np.linspace(0, n, streams + 1).astype(int)
     for k in range(streams):

@@ -82,7 +82,7 @@ class _GammaMinusPoisson(Gamma):
         return -self.m * xp.log1p(-a) + xp.expm1(-a)
 
 
-def test_family_subclass_gets_its_own_gate(monkeypatch):
+def test_family_subclass_gets_its_own_gate():
     model = _GammaMinusPoisson(m=1.5)
     assert vars(_GammaMinusPoisson)["psi"] is not Gamma.psi
     assert model.psi(0.5) == -1.5 * math.log1p(-0.5) + math.expm1(-0.5) != Gamma(1.5).psi(0.5)
@@ -93,16 +93,8 @@ def test_family_subclass_gets_its_own_gate(monkeypatch):
         model.psi(-1000.0)
     with pytest.raises(g.ParamOutOfRange, match="must be a number or a numeric array"):
         model.psi("half")
-    arrays, original = [], LevyModel._on_array
-
-    def on_array(self, formula, alpha, name):
-        arrays.append((formula, name))
-        return original(self, formula, alpha, name)
-
-    monkeypatch.setattr(LevyModel, "_on_array", on_array)
     alpha = np.array([-1.0, 0.0, 0.5])
     assert model.psi(alpha).tolist() == _GammaMinusPoisson._psi(model, alpha, np).tolist()
-    assert arrays == [(_GammaMinusPoisson._psi, "psi")]
     with pytest.raises(g.ParamOutOfRange, match="psi overflows a float"):
         model.psi(np.array([-1000.0]))
 

@@ -382,7 +382,7 @@ def test_money_market_rejects_bad_time(t):
 
 
 @pytest.mark.parametrize("s,t", [(math.nan, 1.0), (0.0, math.nan), (-0.5, 1.0),
-                                 (0.0, math.inf)])
+                                 (0.0, math.inf), (2.0, 1.0)])
 def test_integrated_premium_rejects_bad_time(s, t):
     vglm = g.VectorGlm(components=(g.Component(g.Gamma(m=1.0), 0.4, 0.3),), r=0.02)
     with pytest.raises(g.ParamOutOfRange):

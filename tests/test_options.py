@@ -483,6 +483,13 @@ def test_dependence_experiment_rejects_empty_specs():
         g.dependence_experiment([], g.OptionSpec(strike=1.0, expiry=1.0), 1e-10)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0])
+def test_dependence_experiment_rejects_bad_tolerance(tol):
+    spec = g.GlmSpec(model=g.Brownian(), lam=0.3, sig=0.2, r=0.02)
+    with pytest.raises(g.ParamOutOfRange):
+        g.dependence_experiment([spec], g.OptionSpec(strike=1.0, expiry=1.0), tol)
+
+
 @pytest.mark.parametrize("sig", [1e-300, 1e-310])
 @pytest.mark.parametrize("strike", [2.0, 0.5])
 @pytest.mark.parametrize("model", [g.Poisson(m=1.0), g.mirror(g.Poisson(m=1.0)), g.Gamma(m=1.0)],

@@ -338,6 +338,8 @@ def test_value_functions_reject_bad_time(t):
         for fn in _VALUE_FUNCTIONS:
             with pytest.raises(g.ParamOutOfRange):
                 fn(spec, 0.1, t)
+        with pytest.raises(g.ParamOutOfRange):
+            g.expected_asset_price(spec, t)
         for fn in _VECTOR_VALUE_FUNCTIONS:
             with pytest.raises(g.ParamOutOfRange):
                 fn(vglm, [0.1, -0.2], t)
@@ -407,7 +409,6 @@ def test_domain_violation_is_built_only_in_exponents_and_component():
         visitor = _Constructions(path.name)
         visitor.visit(ast.parse(path.read_text()))
         sites += visitor.sites
-    assert sorted(sites) == [
-        ("exponents.py", "LevyModel", "_on_array"),  # the gate's check of an array
-        ("exponents.py", "_checked", "entry"),  # the gate: every psi, psi_prime and psi_second
-    ]
+    # The gate of every psi, psi_prime and psi_second, once for a float and
+    # once for an array.
+    assert sorted(sites) == [("exponents.py", "_checked", "entry")] * 2

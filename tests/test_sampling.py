@@ -202,6 +202,11 @@ def test_mc_rejects_fewer_than_one_stream(streams):
         g.mc_expectation(lambda p: 1.0, g.Brownian(), 1.0, 1, 10, g.Rng(1), streams=streams)
 
 
+def test_mc_rejects_more_streams_than_samples():
+    with pytest.raises(g.ParamOutOfRange, match="must be <= n = 10"):
+        g.mc_expectation(lambda p: 1.0, g.Brownian(), 1.0, 1, 10, g.Rng(1), streams=11)
+
+
 @pytest.mark.parametrize("dt", [math.inf, math.nan])
 def test_sample_increments_rejects_bad_step(dt):
     with pytest.raises(g.ParamOutOfRange):

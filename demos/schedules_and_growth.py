@@ -27,7 +27,8 @@ def main():
         print(f"  B({t}) = {g.money_market(sch, t):.6f}")
 
     print("\n=== One sample path under the schedule ===")
-    driver = g.simulate_path(model, horizon=3.0, steps=12, rng=g.Rng(5))
+    times, values = g.simulate_paths(model, horizon=3.0, steps=12, n=1, rng=g.Rng(5))
+    driver = g.Path(times, values[0])
     spath = g.schedule_asset_path(vglm, sch, [driver])
     kpath = g.schedule_kernel_path(vglm, sch, [driver])
     print(f"{'t':>5} {'X_t':>9} {'S_t':>9} {'pi_t':>9} {'pi_t S_t':>9}")

@@ -30,7 +30,7 @@ from .pricing import (
     log_value,
 )
 from .exponents import _positive
-from .sampling import McResult, Rng, _check_count, sample_increments, simulate_path
+from .sampling import McResult, Rng, _check_count, sample_increments, simulate_paths
 
 DEFAULT_SEED = 20120229  # fixed so published runs reproduce
 MAX_GRID_POINTS = 1000  # per axis; the premium surface has up to 10**6 rows
@@ -79,7 +79,7 @@ def cmd_premium(spec: GlmSpec, args) -> int:
 def cmd_simulate(spec: GlmSpec, args) -> int:
     _check_count("paths", args.paths)
     print(f"seed={args.seed}")
-    paths = [simulate_path(spec.model, args.horizon, args.steps, Rng(args.seed, i))
+    paths = [simulate_paths(spec.model, args.horizon, args.steps, 1, Rng(args.seed, i))
              for i in range(args.paths)]
     # Martingale summary: MC mean of the compensated exponential at sig over
     # exact draws of X_T, the draws mc_expectation makes with one step.
@@ -102,9 +102,8 @@ def cmd_simulate(spec: GlmSpec, args) -> int:
     # Written only once every draw succeeded, so a rejected input leaves no files.
     out = FsPath(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for i, p in enumerate(paths):
-        _write_csv(out / f"path_{i:04d}.csv", ["t", "x"],
-                   zip(p.times.tolist(), p.values.tolist()))
+    for i, (times, values) in enumerate(paths):
+        _write_csv(out / f"path_{i:04d}.csv", ["t", "x"], zip(times.tolist(), values[0].tolist()))
     (out / "mc_summary.json").write_text(json.dumps(summary, indent=2))
     print(json.dumps(summary))
     return 0 if abs(res.estimate - 1.0) < 4.0 * res.stderr else 1

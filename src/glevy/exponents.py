@@ -52,6 +52,7 @@ __all__ = [
 DOMAIN_MARGIN = 1e-9
 _MAX_TERMS = 1_000_000  # hard cap on the terms of an atom series
 _SERIES_RTOL = 1e-14  # relative tail left behind by an atom series
+_MAX_VG_SHAPE = 1e16  # most m*dt: k1*G1 - k2*G2 lies on a grid sqrt(m*dt/2)*eps sd apart
 
 
 def _inside(e: float) -> float:
@@ -97,6 +98,9 @@ _REAL_LINE = Interval(-math.inf, math.inf)
 
 
 def _number(name: str, value) -> float:
+    """float(value) for a real number; ParamOutOfRange for text and complex too."""
+    if type(value) is not float and isinstance(value, (str, bytes, bytearray, np.complexfloating)):
+        raise ParamOutOfRange(name, value, "must be a number")
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):  # not a number, or an int past float
@@ -573,6 +577,8 @@ class _BilateralGamma(LevyModel):
     def increments(self, dt, size, g):
         k1, k2 = self._coefs[:2]
         shape = self.m * dt
+        if not shape <= _MAX_VG_SHAPE:
+            raise ParamOutOfRange("(m, dt)", (self.m, dt), f"m*dt must be <= {_MAX_VG_SHAPE}")
         return k1 * g.gamma(shape, 1.0, size) - k2 * g.gamma(shape, 1.0, size)
 
     def levy_measure(self):

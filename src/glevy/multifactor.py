@@ -95,7 +95,7 @@ def _as_matrix(x, ncomp: int) -> np.ndarray:
 def vector_kernel_value(vglm: VectorGlm, x, t: float):
     """pi_t at component driver values x (last axis indexes components)."""
     x = _as_matrix(x, len(vglm.components))
-    log_pi = -vglm.r * t
+    log_pi = -vglm.r * _nonnegative("t", t)
     for i, c in enumerate(vglm.components):
         log_pi = log_value(log_pi, 0.0, c.model, -c.lam, x[..., i], t)
     return np.exp(log_pi)[()]
@@ -104,7 +104,7 @@ def vector_kernel_value(vglm: VectorGlm, x, t: float):
 def vector_asset_value(vglm: VectorGlm, x, t: float):
     """S_t at component driver values x; product of scalar factors."""
     x = _as_matrix(x, len(vglm.components))
-    log_s = math.log(vglm.s0) + vglm.r * t
+    log_s = math.log(vglm.s0) + vglm.r * _nonnegative("t", t)
     for i, c in enumerate(vglm.components):
         log_s = log_value(log_s, c.premium, c.model, c.sig, x[..., i], t)
     return np.exp(log_s)[()]
@@ -157,9 +157,9 @@ class Schedule:
     def n_intervals(self) -> int:
         return len(self.r)
 
-    def interval_of(self, t: float) -> int:
-        k = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        return min(max(k, 0), self.n_intervals - 1)
+    def interval_of(self, t):
+        """Index of t's interval, or an index array for an array t; clipped to 0..K-1."""
+        return np.clip(np.searchsorted(self.breakpoints, t, "right") - 1, 0, self.n_intervals - 1)
 
 
 def _cells(vglm: VectorGlm, schedule: Schedule) -> list:
@@ -181,7 +181,7 @@ def _integral(schedule: Schedule, values: np.ndarray, t):
     if np.ndim(t) == 0:
         t = _nonnegative("time", t)
     bp = schedule.breakpoints
-    k = np.clip(np.searchsorted(bp, t, side="right") - 1, 0, schedule.n_intervals - 1)
+    k = schedule.interval_of(t)
     at_left = np.concatenate(([0.0], np.cumsum(values[:-1] * np.diff(bp)[:-1])))
     return (at_left[k] + values[k] * (t - bp[k]))[()]
 
@@ -203,7 +203,7 @@ def _require_refining_grid(times: np.ndarray, schedule: Schedule) -> np.ndarray:
     matched = (np.abs(times - b) <= 1e-12 + 1e-5 * np.abs(b)).any(axis=1)
     if not matched.all():
         raise GridMismatch(f"breakpoints {inside[~matched]} not on the grid")
-    return np.clip(np.searchsorted(bp, times[:-1], side="right") - 1, 0, schedule.n_intervals - 1)
+    return schedule.interval_of(times[:-1])
 
 
 def _plan(vglm: VectorGlm, schedule: Schedule, times: np.ndarray) -> dict:
@@ -280,7 +280,7 @@ def submartingale_check(vglm: VectorGlm, schedule: Schedule, s: float, t: float,
     B's factor e^{integral of r}, so S/B is formed from the coefficients and
     drifts alone and stays finite where B overflows.
     """
-    if not 0.0 <= s < t < math.inf:
+    if not _nonnegative("s", s) < _positive("t", t):
         raise ParamOutOfRange("(s, t)", (s, t), "need 0 <= s < t < inf")
     _check_count("n", n, 2)
     steps = max(int(round(t * 32)), 4)

@@ -8,8 +8,8 @@ the same sequence, and distinct streams are statistically independent.
 `Rng.spawn(k)` derives substream k from the whole (seed, stream, k) path, so
 the substreams of one stream never overlap those of another.
 
-A `Path` is an immutable (times, values) pair. `mc_expectation` calls its
-payoff once per simulated path, as payoff(Path) -> float.
+A path is a row of `simulate_paths`' (n, steps+1) matrix, as an immutable
+(times, values) `Path`; `mc_expectation` calls payoff(Path) -> float per path.
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ __all__ = [
     "Path",
     "McResult",
     "sample_increments",
-    "simulate_path",
     "simulate_paths",
     "vg_dual_sample",
     "nb_dual_sample",
@@ -43,17 +42,23 @@ _MASK64 = (1 << 64) - 1
 _MAX_LOGSERIES_JUMPS = 2**27
 
 
-class Rng:
-    """Counter-based random stream identified by (seed, stream) and, for a
-    substream, by the spawn_key of child indices below that stream.
+def _index(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParamOutOfRange(name, value, "must be an integer") from None
 
-    Not shareable between concurrent tasks; give each task its own stream.
-    """
+
+class Rng:
+    """Counter-based random stream identified by the integers (seed, stream)
+    and, for a substream, the spawn_key of child indices below that stream;
+    a float or a string among them raises ParamOutOfRange. Not shareable
+    between concurrent tasks; give each task its own stream."""
 
     def __init__(self, seed: int, stream: int = 0, spawn_key: tuple = ()):
-        self.seed = int(seed)
-        self.stream = int(stream)
-        self.spawn_key = tuple(int(k) for k in spawn_key)
+        self.seed = _index("seed", seed)
+        self.stream = _index("stream", stream)
+        self.spawn_key = tuple(_index("spawn_key", k) for k in spawn_key)
         if self.spawn_key:
             # A substream's key hashes its whole (seed, stream, k, ...) path,
             # so substreams of distinct streams never share draws.
@@ -104,11 +109,7 @@ class McResult:
 
 
 def _check_count(name: str, value, least: int = 0) -> None:
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise ParamOutOfRange(name, value, "must be an integer") from None
-    if count < least:
+    if _index(name, value) < least:
         raise ParamOutOfRange(name, value, f"must be >= {least}")
 
 
@@ -135,11 +136,6 @@ def simulate_paths(model: LevyModel, horizon: float, steps: int, n: int,
     np.cumsum(inc, axis=1, out=values[:, 1:])
     times = np.linspace(0.0, horizon, steps + 1)
     return times, values
-
-
-def simulate_path(model: LevyModel, horizon: float, steps: int, rng: Rng) -> Path:
-    times, values = simulate_paths(model, horizon, steps, 1, rng)
-    return Path(times=times, values=values[0])
 
 
 def vg_dual_sample(m: float, dt: float, rng: Rng, method: str = "GammaDifference",

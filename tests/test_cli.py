@@ -397,6 +397,8 @@ def _asymmetric_vg_spec(mu):
     ({**_GOOD_SPEC, "s0": "x"}, g.ParamOutOfRange),
     ({**_GOOD_SPEC, "f": "q"}, g.ParamOutOfRange),
     ({**_GOOD_SPEC, "r": None}, g.ParamOutOfRange),
+    ({**_GOOD_SPEC, "params": {"m": "1.5"}}, g.ParamOutOfRange),  # once read as 1.5
+    ({**_GOOD_SPEC, "r": "0.02"}, g.ParamOutOfRange),
     ({**_GOOD_SPEC, "params": [1]}, g.ParamOutOfRange),
     ([_GOOD_SPEC], g.ParamOutOfRange),
     ({**_GOOD_SPEC, "family": ["Gamma"]}, g.ParamOutOfRange),
@@ -411,7 +413,8 @@ def _asymmetric_vg_spec(mu):
     (_asymmetric_vg_spec(1e20), g.DomainViolation),
     # psi is NaN at this model's lower inclusive limit, so it is not built.
     (_asymmetric_vg_spec(1e200), g.ParamOutOfRange),
-], ids=["unknown-param", "param-abc", "r-abc", "s0-x", "f-q", "r-null", "params-list",
+], ids=["unknown-param", "param-abc", "r-abc", "s0-x", "f-q", "r-null", "param-numeric-str",
+         "r-numeric-str", "params-list",
         "top-level-array", "family-list", "r-huge-int", "param-huge-int",
         "int-beyond-str-digits", "avg-mu-1e8", "avg-mu-1e20", "avg-mu-1e200"])
 def test_malformed_spec_exits_2(tmp_path, capsys, spec, error):
@@ -581,16 +584,31 @@ def test_simulate_rate_beyond_the_sampler_exits_2(tmp_path, capsys, family, para
 
 
 def test_simulate_overflowing_compensated_exponential_exits_2(tmp_path, capsys):
-    # VG at m = 1e300: every draw of X_T is about 1.8e134, so e^{sigma X - T psi}
-    # overflows a float.
+    # Gamma at m T = 3e40: every draw of X_T is the float nearest 3e40, and
+    # sigma X - T psi(sigma) = 1e-17 X + 3e40 log1p(-1e-17) is 2**25 by rounding,
+    # so e^{sigma X - T psi} overflows a float.
+    path, out = tmp_path / "s.json", tmp_path / "sim"
+    path.write_text(json.dumps({**_GOOD_SPEC, "params": {"m": 1e40}, "lambda": 0.0,
+                                "sigma": 1e-17}))
+    assert main(["simulate", "--spec", str(path), "--out", str(out), "--horizon", "3"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == f"seed={DEFAULT_SEED}\n"
+    assert cap.err.startswith("error: parameter sigma=1e-17 ") and cap.err.count("\n") == 1
+    assert "overflows a float" in cap.err
+    assert not out.exists()
+
+
+def test_simulate_variance_gamma_past_its_sampler_shape_exits_2(tmp_path, capsys):
+    # VG at m = 1e300 once drew X_T of about 1.8e134 every time and reached the
+    # overflow above; its sampler now refuses a gamma shape m dt above 1e16.
     path, out = tmp_path / "s.json", tmp_path / "sim"
     path.write_text(json.dumps({**_GOOD_SPEC, "family": "VarianceGamma",
                                 "params": {"m": 1e300}, "lambda": 0.0, "sigma": 1.0}))
     assert main(["simulate", "--spec", str(path), "--out", str(out)]) == 2
     cap = capsys.readouterr()
     assert cap.out == f"seed={DEFAULT_SEED}\n"
-    assert cap.err.startswith("error: parameter sigma=1.0 ") and cap.err.count("\n") == 1
-    assert "overflows a float" in cap.err
+    assert cap.err.startswith("error: parameter (m, dt)=(1e+300, 0.004) ")
+    assert cap.err.count("\n") == 1 and "m*dt must be <= 1e+16" in cap.err
     assert not out.exists()
 
 
@@ -656,9 +674,9 @@ def test_cli_csv_files_match_the_reference_writer(gamma_spec, tmp_path, capsys):
     assert main(["simulate", "--spec", str(gamma_spec), "--out", str(sim), "--seed", "7",
                  "--n", "100", "--paths", "2", "--steps", "16"]) in (0, 1)
     for i in range(2):
-        p = g.simulate_path(model, 1.0, 16, g.Rng(7, i))
+        times, values = g.simulate_paths(model, 1.0, 16, 1, g.Rng(7, i))
         assert (sim / f"path_{i:04d}.csv").read_bytes() == _reference_csv(
-            ["t", "x"], zip(p.times.tolist(), p.values.tolist()))
+            ["t", "x"], zip(times.tolist(), values[0].tolist()))
 
     header = ["family", "params", "K", "T", "price", "stderr", "method"]
     # NB's params JSON holds a comma and quotes, so csv must quote that field.

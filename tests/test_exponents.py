@@ -97,8 +97,12 @@ def test_param_validation():
     lambda: g.ScaledGamma(m=1.0, kappa=math.inf),
     lambda: g.AsymmetricVG(m=1.0, mu=math.nan, s=0.5),
     lambda: g.AsymmetricVG(m=1.0, mu=-math.inf, s=0.5),
+    # Each once built Gamma(m=1.5), the complex one with a ComplexWarning.
+    lambda: g.Gamma(m="1.5"),
+    lambda: g.Gamma(m=b"1.5"),
+    lambda: g.Gamma(m=np.complex128(1.5)),
 ], ids=["Gamma-m-inf", "Poisson-m-inf", "ScaledGamma-kappa-inf", "AsymmetricVG-mu-nan",
-        "AsymmetricVG-mu-inf"])
+        "AsymmetricVG-mu-inf", "Gamma-m-str", "Gamma-m-bytes", "Gamma-m-numpy-complex"])
 def test_non_finite_family_parameter_rejected(build):
     with pytest.raises(g.ParamOutOfRange):
         build()
@@ -112,7 +116,9 @@ _RANGE_RULES = {
     "_unit": ("must lie in (0, 1)", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1, 1.0,
                                      -5e-324]),
 }
-_NOT_NUMBERS = ["x", None, [1.0], 10**400, -10**400]
+# float() would parse the text and drop the complex scalar's imaginary part.
+_NOT_NUMBERS = ["x", None, [1.0], 10**400, -10**400, "0.25", b"0.25", bytearray(b"0.25"),
+                np.complex128(0.25)]
 
 
 @pytest.mark.parametrize("rule", list(_RANGE_RULES))
@@ -130,7 +136,7 @@ def test_range_rule_messages(rule):
         with pytest.raises(g.ParamOutOfRange) as info:
             check("p", value)
         assert str(info.value) == f"parameter p={value!r} violates: must be a number"
-    for value in (5e-324, 0.5, "0.25"):
+    for value in (5e-324, 0.5, np.float64(0.25), np.float32(0.25)):
         assert check("p", value) == float(value)
 
 
@@ -199,6 +205,12 @@ def test_inclusive_limits_of_a_tiny_interval_admit_only_its_interior(e):
     interval = g.Interval(-e, e)
     assert interval.admissible(0.0)
     assert not interval.admissible(e) and not interval.admissible(-e)
+
+
+@pytest.mark.parametrize("lower,upper", [(0.0, 1.0), (-1.0, 0.0), (1.0, -1.0), (math.nan, 1.0)])
+def test_interval_must_contain_zero(lower, upper):
+    with pytest.raises(g.ParamOutOfRange, match="must satisfy lower < 0 < upper"):
+        g.Interval(lower, upper)
 
 
 _DISTINCT_MODELS = list(dict.fromkeys(_MODELS))  # 8 families and 5 distinct mirrors
@@ -277,6 +289,8 @@ def test_unbuildable_domain_fails_at_construction():
     # kappa1 = (mu + hypot(mu, s sqrt(2m)))/2m overflows a float.
     with pytest.raises(g.ParamOutOfRange):
         g.AsymmetricVG(m=1.0, mu=1e308, s=1.0)
+    with pytest.raises(g.ParamOutOfRange, match=r"s\^2 overflows a float"):
+        g.AsymmetricVG(m=1.0, mu=0.0, s=1e200)
 
 
 @pytest.mark.parametrize("mu", [1e154, -1e154, 1e200, -1e200])

@@ -38,6 +38,7 @@ def test_package_exports_each_modules_public_names():
               if not name.startswith("_") and not isinstance(obj, type(g))}
     assert public == set(declared)
     assert all(getattr(g, name) is obj for name, obj in declared.items())
+    assert "simulate_path" not in public  # paths are drawn one way, by simulate_paths
 
 
 def _owner(cls, name):
@@ -97,6 +98,24 @@ def test_family_subclass_gets_its_own_gate():
     assert model.psi(alpha).tolist() == _GammaMinusPoisson._psi(model, alpha, np).tolist()
     with pytest.raises(g.ParamOutOfRange, match="psi overflows a float"):
         model.psi(np.array([-1000.0]))
+
+
+class _ExponentOnly(LevyModel):
+    """A family that declares its domain and exponent formula and nothing else."""
+
+    domain = g.Interval(-1.0, 1.0)
+
+    def _psi(self, a, xp=math):
+        return 0.5 * a * a
+
+
+def test_family_without_a_sampler_or_jump_measure_is_unsupported():
+    model = _ExponentOnly()
+    assert model.psi(0.5) == 0.125
+    with pytest.raises(g.Unsupported, match="sampling not supported for family _ExponentOnly"):
+        g.sample_increments(model, 1.0, 3, g.Rng(1))
+    with pytest.raises(g.Unsupported, match="Levy measure not supported"):
+        g.premium_via_levy_measure(model, 0.1, 0.2)
 
 
 @pytest.mark.parametrize("cls", [*FAMILIES.values(), Mirrored])

@@ -177,7 +177,8 @@ def test_single_interval_schedule_matches_constant_model():
     lam, sig, r, s0 = 0.5, 0.4, 0.03, 2.0
     vglm = g.VectorGlm(components=(g.Component(model, lam, sig),), r=r, s0=s0)
     sch = g.Schedule(breakpoints=[0.0, 2.0], r=[r], lam=[[lam]], sig=[[sig]])
-    driver = g.simulate_path(model, horizon=2.0, steps=8, rng=g.Rng(3))
+    times, values = g.simulate_paths(model, horizon=2.0, steps=8, n=1, rng=g.Rng(3))
+    driver = g.Path(times, values[0])
     spath = g.schedule_asset_path(vglm, sch, [driver])
     kpath = g.schedule_kernel_path(vglm, sch, [driver])
     assert type(spath) is type(kpath) is g.PricePath
@@ -196,8 +197,9 @@ def test_schedule_paths_start_at_initial_values():
         lam=[[0.4, -0.3]],
         sig=[[0.5, -0.2]],
     )
-    d1 = g.simulate_path(g.Gamma(m=1.0), 1.0, 4, g.Rng(1))
-    d2 = g.simulate_path(g.Gamma(m=1.0), 1.0, 4, g.Rng(2))
+    t1, v1 = g.simulate_paths(g.Gamma(m=1.0), 1.0, 4, 1, g.Rng(1))
+    t2, v2 = g.simulate_paths(g.Gamma(m=1.0), 1.0, 4, 1, g.Rng(2))
+    d1, d2 = g.Path(t1, v1[0]), g.Path(t2, v2[0])
     spath = g.schedule_asset_path(vglm, sch, [d1, d2])
     kpath = g.schedule_kernel_path(vglm, sch, [d1, d2])
     assert spath.values[0] == pytest.approx(vglm.s0)
@@ -209,16 +211,39 @@ def test_grid_mismatch_raises():
     vglm = g.VectorGlm(components=(g.Component(model, 0.4, 0.3),), r=0.02)
     sch = make_schedule()
     # 3 steps over [0, 2] puts no grid point at the t = 1 breakpoint.
-    driver = g.simulate_path(model, horizon=2.0, steps=3, rng=g.Rng(4))
+    times, values = g.simulate_paths(model, horizon=2.0, steps=3, n=1, rng=g.Rng(4))
+    driver = g.Path(times, values[0])
     with pytest.raises(g.GridMismatch):
         g.schedule_asset_path(vglm, sch, [driver])
     # Also right after the schedule has planned paths on a good grid.
-    good = g.simulate_path(model, horizon=2.0, steps=8, rng=g.Rng(4))
+    times, values = g.simulate_paths(model, horizon=2.0, steps=8, n=1, rng=g.Rng(4))
+    good = g.Path(times, values[0])
     g.schedule_asset_path(vglm, sch, [good])
     g.schedule_kernel_path(vglm, sch, [good])
     for fn in (g.schedule_asset_path, g.schedule_kernel_path):
         with pytest.raises(g.GridMismatch):
             fn(vglm, sch, [driver])
+
+
+def test_schedule_paths_reject_drivers_that_do_not_fit_the_model():
+    vglm, _ = two_gamma_fx()
+    sch = g.Schedule(breakpoints=[0.0, 1.0], r=[0.02], lam=[[0.4, -0.3]], sig=[[0.5, -0.2]])
+    t1, v1 = g.simulate_paths(g.Gamma(m=1.0), 1.0, 4, 1, g.Rng(1))
+    t2, v2 = g.simulate_paths(g.Gamma(m=1.0), 1.0, 8, 1, g.Rng(2))
+    d1, d2 = g.Path(t1, v1[0]), g.Path(t2, v2[0])
+    for fn in (g.schedule_asset_path, g.schedule_kernel_path):
+        with pytest.raises(g.ParamOutOfRange, match="need 2 component paths"):
+            fn(vglm, sch, [d1])
+        with pytest.raises(g.GridMismatch, match="share one grid"):
+            fn(vglm, sch, [d1, d2])
+
+
+@pytest.mark.parametrize("fn", [g.vector_kernel_value, g.vector_asset_value])
+def test_vector_values_reject_a_wrong_component_count(fn):
+    vglm, _ = two_gamma_fx()
+    for x in ([0.1], [[0.1, 0.2, 0.3]]):
+        with pytest.raises(g.ParamOutOfRange, match="must have 2 components"):
+            fn(vglm, x, 1.0)
 
 
 @pytest.mark.parametrize("times", [
@@ -256,6 +281,8 @@ def test_schedule_length_validation():
         g.Schedule(breakpoints=[0.0, 1.0, 2.0], r=[0.02], lam=[[0.4]], sig=[[0.3]])
     with pytest.raises(g.ParamOutOfRange):
         g.Schedule(breakpoints=[1.0, 2.0], r=[0.02], lam=[[0.4]], sig=[[0.3]])
+    with pytest.raises(g.ParamOutOfRange, match="lam and sig must have equal shapes"):
+        g.Schedule(breakpoints=[0.0, 1.0], r=[0.02], lam=[[0.4]], sig=[[0.3, 0.2]])
 
 
 @pytest.mark.parametrize("field,value", [
@@ -269,8 +296,9 @@ def test_schedule_non_finite_rejected(field, value):
         g.Schedule(**kw)
 
 
-_NON_NUMBERS = [pytest.param("x", id="str"), pytest.param([1.0], id="list"),
-                pytest.param(None, id="None"), pytest.param(10**400, id="huge-int")]
+_NON_NUMBERS = [pytest.param("x", id="str"), pytest.param("0.5", id="numeric-str"),
+                pytest.param([1.0], id="list"), pytest.param(None, id="None"),
+                pytest.param(10**400, id="huge-int")]
 
 
 @pytest.mark.parametrize("field,value", [
@@ -358,6 +386,7 @@ def test_submartingale_check():
     (0.5, 2.0, 1),          # one sample has no standard error
     (0.5, math.inf, 100),   # infinite horizon
     (math.nan, 2.0, 100),
+    ("0", 2.0, 100),         # a string, once an untyped TypeError
 ])
 def test_submartingale_check_rejects_bad_input(s, t, n):
     vglm = g.VectorGlm(components=(g.Component(g.Gamma(m=1.0), 0.4, 0.3),), r=0.02)
@@ -375,7 +404,7 @@ def test_submartingale_check_rejects_bad_counts(kw):
         g.submartingale_check(vglm, make_schedule(), 0.5, 2.0, rng=g.Rng(1), **kw)
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf, -0.5])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -0.5, "1"])
 def test_money_market_rejects_bad_time(t):
     with pytest.raises(g.ParamOutOfRange):
         g.money_market(make_schedule(), t)
@@ -399,7 +428,8 @@ def test_schedule_equality_compares_arrays_by_value():
     assert a != {"breakpoints": a.breakpoints, "r": a.r, "lam": a.lam, "sig": a.sig}
     # The plan a path leaves on the schedule takes no part in == or repr.
     vglm = g.VectorGlm(components=(g.Component(g.Gamma(m=1.0), 0.4, 0.3),), r=0.02)
-    g.schedule_asset_path(vglm, a, [g.simulate_path(g.Gamma(m=1.0), 2.0, 8, g.Rng(4))])
+    times, values = g.simulate_paths(g.Gamma(m=1.0), 2.0, 8, 1, g.Rng(4))
+    g.schedule_asset_path(vglm, a, [g.Path(times, values[0])])
     assert a == b
     assert repr(a) == repr(b)
 
@@ -423,7 +453,8 @@ def test_schedule_paths_follow_the_model_across_plan_switches():
     sch = make_schedule()
     a = g.VectorGlm(components=(g.Component(g.Gamma(m=1.0), 0.4, 0.3),), r=0.02)
     b = g.VectorGlm(components=(g.Component(g.Gamma(m=2.0), 0.4, 0.3),), r=0.02, s0=2.0)
-    driver = g.simulate_path(g.Gamma(m=1.0), horizon=2.0, steps=8, rng=g.Rng(3))
+    times, values = g.simulate_paths(g.Gamma(m=1.0), horizon=2.0, steps=8, n=1, rng=g.Rng(3))
+    driver = g.Path(times, values[0])
     for fn in (g.schedule_asset_path, g.schedule_kernel_path):
         assert not np.array_equal(fn(a, make_schedule(), [driver]).values,
                                   fn(b, make_schedule(), [driver]).values)
@@ -438,7 +469,8 @@ def test_domain_violation_raises_after_another_model_passed():
     sch = g.Schedule(breakpoints=[0.0, 1.0], r=[0.02], lam=[[0.5]], sig=[[1.2]])
     brownian = g.VectorGlm(components=(g.Component(g.Brownian(), 0.5, 1.2),), r=0.02)
     gamma = g.VectorGlm(components=(g.Component(g.Gamma(m=1.0), 0.4, 0.3),), r=0.02)
-    driver = g.simulate_path(g.Brownian(), horizon=1.0, steps=4, rng=g.Rng(5))
+    times, values = g.simulate_paths(g.Brownian(), horizon=1.0, steps=4, n=1, rng=g.Rng(5))
+    driver = g.Path(times, values[0])
     g.schedule_asset_path(brownian, sch, [driver])
     for fn in (g.schedule_asset_path, g.schedule_kernel_path):
         with pytest.raises(g.DomainViolation):
@@ -451,7 +483,8 @@ def test_repeated_schedule_paths_evaluate_psi_once(monkeypatch):
     model = g.Gamma(m=1.0)
     vglm = g.VectorGlm(components=(g.Component(model, 0.4, 0.3),), r=0.02)
     sch = make_schedule()
-    driver = g.simulate_path(model, horizon=2.0, steps=8, rng=g.Rng(6))
+    times, values = g.simulate_paths(model, horizon=2.0, steps=8, n=1, rng=g.Rng(6))
+    driver = g.Path(times, values[0])
     calls = []
     psi = g.Gamma.psi
 

@@ -208,6 +208,9 @@ def test_bilinearity_detection():
     for name in ("Poisson", "Gamma", "VarianceGamma", "NegativeBinomial"):
         model, _, _ = DEFAULT_MODELS[name]
         assert not g.is_bilinear(model)
+    # Domain upper end -ln 0.95 = 0.051: no point of the scan fits.
+    with pytest.raises(g.Unsupported, match="grid infeasible"):
+        g.is_bilinear(g.NegativeBinomial(m=1.0, q=0.95))
 
 
 def test_small_parameter_bilinear_limit(family_case):
@@ -242,6 +245,19 @@ def test_levy_measure_premium_outside_the_domain_raises(model, lam, sig):
     with pytest.raises(g.DomainViolation):
         g.risk_premium(model, lam, sig)
     with pytest.raises(g.DomainViolation):
+        g.premium_via_levy_measure(model, lam, sig)
+
+
+@pytest.mark.parametrize("model,lam,sig,match", [
+    # At the inclusive limit sig = 1 - 1e-9 the density's tail decays as
+    # e^{-1e-9 x}/x: a quadrature piece fails.
+    (g.Gamma(m=1.0), 0.5, 1.0 - 1e-9, "premium quadrature error inf exceeds tolerance"),
+    # Logarithmic atoms q^n/n with q = 1 - 1e-7 need about 1e8 terms.
+    (g.NegativeBinomial(m=1.0, q=1.0 - 1e-7), 0.5, 5e-8, "not converged in 1000000 terms"),
+], ids=["Gamma", "NegativeBinomial"])
+def test_levy_measure_premium_that_misses_its_tolerance_raises(model, lam, sig, match):
+    assert math.isfinite(g.risk_premium(model, lam, sig))
+    with pytest.raises(g.QuadratureFailure, match=match):
         g.premium_via_levy_measure(model, lam, sig)
 
 

@@ -131,6 +131,16 @@ def test_gordon_nonpositive_yield():
         g.gordon_valuation(spec)
 
 
+def test_spec_without_the_optional_fields_a_value_needs():
+    spec = make_spec(g.Gamma(m=1.0), 0.5, 0.4)
+    for fn in (g.fx_value, g.inverse_fx_value):
+        with pytest.raises(g.MissingForeignRate):
+            fn(spec, 0.1, 1.0)
+    for kw in ({}, {"d0": 1.0}, {"gamma_growth": 0.01}):
+        with pytest.raises(g.ParamOutOfRange, match="d0/gamma_growth"):
+            g.gordon_valuation(make_spec(g.Gamma(m=1.0), 0.5, 0.4, **kw))
+
+
 def test_gordon_price_decreasing_in_lam():
     # Higher risk aversion -> higher yield -> lower initial price.
     model = g.Gamma(m=1.0)
@@ -329,9 +339,11 @@ def _time_check_models():
     return spec, vglm
 
 
-@pytest.mark.parametrize("t", [-1.0, math.inf, math.nan])
+@pytest.mark.parametrize("t", [-1.0, math.inf, math.nan, "1", None])
 def test_value_functions_reject_bad_time(t):
-    # Once t = -1 gave a value and t = inf or nan gave nan with a RuntimeWarning.
+    # Once t = -1 gave a value and t = inf or nan gave nan with a RuntimeWarning;
+    # t = "1" or None was an untyped TypeError from the vector values, and "1"
+    # gave a value from the others.
     spec, vglm = _time_check_models()
     with warnings.catch_warnings():
         warnings.simplefilter("error")

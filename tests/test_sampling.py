@@ -40,9 +40,29 @@ def test_substreams_of_distinct_streams_share_no_draws():
     assert repr(g.Rng(5, 1).spawn(2).spawn(0)) == "Rng(seed=5, stream=1, spawn_key=(2, 0))"
 
 
+@pytest.mark.parametrize("kw, name", [
+    (dict(seed=7.9), "seed"), (dict(seed="7"), "seed"),
+    (dict(seed=7, stream=1.0), "stream"), (dict(seed=7, stream="1"), "stream"),
+    (dict(seed=7, spawn_key=(0.5,)), "spawn_key"), (dict(seed=7, spawn_key=(b"0",)), "spawn_key"),
+])
+def test_rng_rejects_a_field_that_is_not_an_integer(kw, name):
+    # Once Rng(7.9) and Rng("7") both drew Rng(7)'s stream.
+    with pytest.raises(g.ParamOutOfRange, match=f"^parameter {name}=.* must be an integer"):
+        g.Rng(**kw)
+
+
+def test_rng_takes_any_integer_seed():
+    # numpy integers and bools are integers; negative seeds are masked to 64 bits.
+    assert g.Rng(np.int64(7), np.uint8(1), (np.int32(2),)).generator.random(3).tolist() == \
+        g.Rng(7, 1, (2,)).generator.random(3).tolist()
+    assert type(g.Rng(np.int64(7)).seed) is int and g.Rng(True).seed == 1
+    assert g.Rng(-1).generator.random(3).tolist() == g.Rng(2**64 - 1).generator.random(3).tolist()
+
+
 def test_path_structure(family_case):
     model, _, _ = family_case
-    path = g.simulate_path(model, horizon=2.0, steps=64, rng=g.Rng(7))
+    times, values = g.simulate_paths(model, horizon=2.0, steps=64, n=1, rng=g.Rng(7))
+    path = g.Path(times, values[0])
     assert path.values[0] == 0.0
     assert len(path.times) == len(path.values) == 65
     assert path.times[-1] == pytest.approx(2.0)
@@ -50,8 +70,8 @@ def test_path_structure(family_case):
 
 
 def test_poisson_path_counts():
-    path = g.simulate_path(g.Poisson(m=3.0), horizon=1.0, steps=100, rng=g.Rng(5))
-    diffs = np.diff(path.values)
+    _, values = g.simulate_paths(g.Poisson(m=3.0), horizon=1.0, steps=100, n=1, rng=g.Rng(5))
+    diffs = np.diff(values[0])
     assert np.all(diffs >= 0)
     assert np.allclose(diffs, np.round(diffs))
 
@@ -59,17 +79,17 @@ def test_poisson_path_counts():
 def test_gamma_path_nondecreasing():
     # Increments are gamma distributed, hence nonnegative; with shape
     # m*dt = 0.04 some draws underflow to exactly zero in double precision.
-    path = g.simulate_path(g.Gamma(m=2.0), horizon=1.0, steps=50, rng=g.Rng(5))
-    diffs = np.diff(path.values)
+    _, values = g.simulate_paths(g.Gamma(m=2.0), horizon=1.0, steps=50, n=1, rng=g.Rng(5))
+    diffs = np.diff(values[0])
     assert np.all(diffs >= 0)
-    assert path.values[-1] > 0
+    assert values[0, -1] > 0
 
 
 def test_single_step_matches_increment(family_case):
     model, _, _ = family_case
-    path = g.simulate_path(model, horizon=0.5, steps=1, rng=g.Rng(11))
+    _, values = g.simulate_paths(model, horizon=0.5, steps=1, n=1, rng=g.Rng(11))
     x = g.sample_increments(model, 0.5, 1, g.Rng(11))[0]
-    assert path.values[-1] == pytest.approx(x, rel=1e-15, abs=1e-15)
+    assert values[0, -1] == pytest.approx(x, rel=1e-15, abs=1e-15)
 
 
 def test_unit_time_moments(family_case):
@@ -240,6 +260,34 @@ def test_nb_dual_sample_rejects_bad_input(m, q, dt, method):
         g.nb_dual_sample(m, q, dt, g.Rng(1), method=method, size=10)
 
 
+def test_dual_samplers_reject_an_unknown_method():
+    with pytest.raises(g.Unsupported, match="VG sampling method"):
+        g.vg_dual_sample(2.0, 1.0, g.Rng(1), method="Nope")
+    with pytest.raises(g.Unsupported, match="NB sampling method"):
+        g.nb_dual_sample(1.0, 0.5, 1.0, g.Rng(1), method="Nope")
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: g.sample_increments(g.VarianceGamma(m=1e300), 1.0, 5, g.Rng(1)),
+    lambda: g.sample_increments(g.VarianceGamma(m=1.0), 2e16, 5, g.Rng(1)),
+    lambda: g.sample_increments(g.AsymmetricVG(m=1e17, mu=0.1, s=1.0), 1.0, 5, g.Rng(1)),
+    lambda: g.sample_increments(g.mirror(g.AsymmetricVG(m=1e17, mu=0.1, s=1.0)), 1.0, 5,
+                                g.Rng(1)),
+    lambda: g.vg_dual_sample(1e300, 1.0, g.Rng(1), method="GammaDifference", size=5),
+], ids=["VG-m", "VG-dt", "AVG", "Mirrored[AVG]", "vg_dual_sample"])
+def test_bilateral_gamma_sampler_rejects_a_shape_past_float_resolution(draw):
+    # Once VG(m=1e300) drew 1.817e134 five times, where X_1 is near a standard
+    # normal: k1*G1 - k2*G2 kept only the rounding of two equal gamma draws.
+    with pytest.raises(g.ParamOutOfRange, match=r"^parameter \(m, dt\)=.* <= 1e\+16"):
+        draw()
+
+
+def test_bilateral_gamma_sampler_draws_at_its_largest_shape():
+    x = g.sample_increments(g.VarianceGamma(m=1e16), 1.0, 1000, g.Rng(1))
+    assert len(np.unique(x)) == 1000
+    assert 0.9 < x.std() < 1.1
+
+
 _SIZED_CALLS = {
     "sample_increments": lambda k: g.sample_increments(g.Gamma(m=1.0), 1.0, k, g.Rng(1)),
     "simulate_paths-n": lambda k: g.simulate_paths(g.Brownian(), 1.0, 4, k, g.Rng(1)),
@@ -295,7 +343,8 @@ def test_path_keyword_construction_and_immutability():
 def _three_kinds_of_path():
     vglm = g.VectorGlm(components=(g.Component(g.Gamma(m=1.0), 0.4, 0.3),), r=0.02, s0=2.0)
     sch = g.Schedule(breakpoints=[0.0, 1.0], r=[0.02], lam=[[0.4]], sig=[[0.3]])
-    driver = g.simulate_path(g.Gamma(m=1.0), 2.0, 8, g.Rng(3))
+    times, values = g.simulate_paths(g.Gamma(m=1.0), 2.0, 8, 1, g.Rng(3))
+    driver = g.Path(times, values[0])
     return (driver, g.schedule_asset_path(vglm, sch, [driver]),
             g.schedule_kernel_path(vglm, sch, [driver]))
 

@@ -14,6 +14,12 @@ root's at c*alpha, and their domain, draws and measures the root's scaled by c.
 Models are immutable and thread-safe. Parameters are checked and the interval
 built at construction; NaN and +-inf are never admissible, and one gate,
 `_checked`, alone checks a float or array argument against the interval.
+The gate keeps each model's float values of psi, psi' and psi'' in three
+memos of at most `_MEMO_SIZE` (1024) values each, emptied when full, so a
+grid that meets an argument again, in one call or across calls, runs the
+formula once. A memo is not part of the model's value (eq, hash and repr
+ignore it) and only ever holds the formula's own value at its key; a lost
+race between threads costs one more formula call, never a different value.
 """
 from __future__ import annotations
 
@@ -53,6 +59,7 @@ DOMAIN_MARGIN = 1e-9
 _MAX_TERMS = 1_000_000  # hard cap on the terms of an atom series
 _SERIES_RTOL = 1e-14  # relative tail left behind by an atom series
 _MAX_VG_SHAPE = 1e16  # most m*dt: k1*G1 - k2*G2 lies on a grid sqrt(m*dt/2)*eps sd apart
+_MEMO_SIZE = 1024  # most values one memo of a checked entry keeps (see `_checked`)
 
 
 def _inside(e: float) -> float:
@@ -326,20 +333,45 @@ def _checked(formula: Callable, name: str) -> Callable:
     """The public entry `name` of the check-free formula(self, a, xp=math):
     float(alpha) inside the domain's inclusive limits (checked inline, so a call
     is two frames) gives the formula's value, one outside them DomainViolation
-    and an overflow ParamOutOfRange; a numeric array likewise, by its real parts."""
+    and a value that overflows a float (raising, or rounding to inf or NaN)
+    ParamOutOfRange; a numeric array likewise, by its real parts.
+
+    A float's value is kept in the model's memo of `name`, keyed by a =
+    float(alpha), and a later call at that a returns it unchanged: the
+    formula is a pure function of (model, a), so a stored value is the one
+    the formula would give, and only admissible, finite values are stored.
+    Zero is never stored (the dict would take -0.0 and 0.0 for one key, and
+    psi(-0.0) may be -0.0), nor is an array or anything that raises. A memo
+    that holds _MEMO_SIZE values is emptied before it takes the next one.
+    Models stay immutable and thread-safe: each dict operation is atomic, so
+    a thread that races another at worst misses a value and computes it
+    again (or adds one value past the bound), and every value a memo holds
+    is the formula's at its key."""
     def entry(self, alpha):
-        dom = self.domain
         try:
             a = float(alpha)
+            memo = self._memos[name]
+            value = memo.get(a)
+            if value is not None:
+                return value
+            dom = self.domain
             if not dom._lo <= a <= dom._hi:
                 raise DomainViolation(a, dom)
-            return formula(self, a)
+            value = formula(self, a)
+            if not math.isfinite(value):  # rounded to inf, or inf - inf
+                raise OverflowError
+            if a:
+                if len(memo) >= _MEMO_SIZE:
+                    memo.clear()
+                memo[a] = value
+            return value
         except OverflowError:
             raise ParamOutOfRange("alpha", alpha, f"{name} overflows a float") from None
         except (TypeError, ValueError):  # not a float: an array, or not a number
             if not (isinstance(alpha, np.ndarray) and alpha.dtype.kind in "iufc"):
                 raise ParamOutOfRange("alpha", alpha,
                                       "must be a number or a numeric array") from None
+        dom = self.domain
         a = alpha.astype(np.promote_types(alpha.dtype, np.float64), copy=False)
         inside = (dom._lo <= a.real) & (a.real <= dom._hi)  # False at NaN
         if not inside.all():
@@ -373,6 +405,8 @@ class LevyModel:
     def __post_init__(self):
         _check_fields(self)
         self.domain
+        # Not fields, so outside eq, hash and repr; replace() builds fresh ones.
+        object.__setattr__(self, "_memos", {"psi": {}, "psi_prime": {}, "psi_second": {}})
 
     @property
     def family(self) -> str:

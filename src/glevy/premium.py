@@ -11,6 +11,10 @@ R = q*lam*sig + integral (e^{sig x} - 1)(1 - e^{-lam x}) nu(dx).
 once and combine the values in the order of the per-point formulas
 (`risk_premium`, `inverse_fx_premium`). The last three equal them bit for bit;
 the surface evaluates psi on arrays, so it is within 8 ulps of their largest term.
+Across calls on one model this holds too, for float arguments: the model's
+checked psi, psi' and psi'' keep their values (see `exponents._checked`), so a
+grid of per-point calls runs each formula once per distinct nonzero argument
+while the memo of 1024 values holds them.
 """
 from __future__ import annotations
 

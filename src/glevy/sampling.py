@@ -51,14 +51,19 @@ def _index(name: str, value) -> int:
 
 class Rng:
     """Counter-based random stream identified by the integers (seed, stream)
-    and, for a substream, the spawn_key of child indices below that stream;
-    a float or a string among them raises ParamOutOfRange. Not shareable
-    between concurrent tasks; give each task its own stream."""
+    and, for a substream, the spawn_key sequence of child indices below that
+    stream; a float or a string among them, or a spawn_key that is not a
+    sequence, raises ParamOutOfRange. Not shareable between concurrent tasks;
+    give each task its own stream."""
 
     def __init__(self, seed: int, stream: int = 0, spawn_key: tuple = ()):
         self.seed = _index("seed", seed)
         self.stream = _index("stream", stream)
-        self.spawn_key = tuple(_index("spawn_key", k) for k in spawn_key)
+        try:
+            keys = iter(spawn_key)
+        except TypeError:
+            raise ParamOutOfRange("spawn_key", spawn_key, "must be a sequence of integers") from None
+        self.spawn_key = tuple(_index("spawn_key", k) for k in keys)
         if self.spawn_key:
             # A substream's key hashes its whole (seed, stream, k, ...) path,
             # so substreams of distinct streams never share draws.

@@ -294,6 +294,18 @@ def test_verify_overflowing_psi_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_verify_psi_rounding_to_inf_exits_2(tmp_path, capsys):
+    # Brownian psi(1e200) rounds to inf without raising; R would be inf - inf.
+    p = tmp_path / "brownian.json"
+    p.write_text(json.dumps({
+        "family": "Brownian", "params": {}, "r": 0.02, "lambda": 0.5, "sigma": 1e200,
+    }))
+    assert main(["verify", "--spec", str(p)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: parameter alpha=1e+200 violates: psi overflows a float\n"
+
+
 def test_bad_spec_exits_2(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import glevy as g
-from glevy.exponents import DOMAIN_MARGIN
+from glevy.exponents import _MEMO_SIZE, DOMAIN_MARGIN
 from conftest import (
     ASYMMETRIC,
     DEFAULT_MODELS,
@@ -331,6 +332,12 @@ def _values(model, alphas):
     return [(model.psi(a), model.psi_prime(a), model.psi_second(a)) for a in alphas]
 
 
+def _spread(model, n):
+    """n distinct nonzero points inside the model's domain (within +-3)."""
+    lo, hi = max(model.domain.lower, -3.0) * 0.8, min(model.domain.upper, 3.0) * 0.8
+    return [a for a in np.linspace(lo, hi, n + 1).tolist() if a][:n]
+
+
 def test_domain_cache_keeps_value_semantics(family_case):
     model, lam, sig = family_case
     alphas = (0.5 * sig, -0.5 * lam)
@@ -339,12 +346,116 @@ def test_domain_cache_keeps_value_semantics(family_case):
         text, digest = repr(fresh), hash(fresh)
         m.domain
         values = _values(m, alphas)  # fills every cached property of the model
+        _values(m, _spread(m, 2 * _MEMO_SIZE + 7))  # and fills and empties its memos
+        assert all(m._memos.values())
         assert m == fresh and hash(m) == digest and repr(m) == text
         back = pickle.loads(pickle.dumps(m))
         assert back == m and hash(back) == digest and repr(back) == text
         assert back.domain == m.domain and _values(back, alphas) == values
         bound = pickle.loads(pickle.dumps((m.psi, m.psi_prime, m.psi_second)))
         assert [tuple(f(a) for f in bound) for a in alphas] == values
+        again = dataclasses.replace(m)
+        assert again == m and hash(again) == digest and repr(again) == text
+        assert not any(again._memos.values()) and _values(again, alphas) == values
+
+
+# The gate's memo of float values: a repeated call returns what the formula
+# returns, bit for bit, and nothing that raises or is zero is kept.
+
+def _formula(model, method, a):
+    return getattr(type(model), "_" + method)(model, a)
+
+
+@pytest.mark.parametrize("model", _DISTINCT_MODELS, ids=lambda model: model.family)
+def test_repeated_calls_are_the_formula_bit_for_bit(model):
+    m = dataclasses.replace(model)  # empty memos
+    alphas = [0.0, -0.0, *_spread(m, 9), 5e-324, -5e-324, -0.0, 0.0]
+    for method in _METHODS:
+        for a in alphas + alphas[::-1]:
+            assert _bits([getattr(m, method)(a)]) == _bits([_formula(m, method, a)]), (method, a)
+        assert set(m._memos[method]) == {a for a in alphas if a}  # zero is never kept
+
+
+@pytest.mark.parametrize("model", _DISTINCT_MODELS, ids=lambda model: model.family)
+def test_raising_arguments_raise_again_and_are_not_kept(model):
+    m, dom = dataclasses.replace(model), model.domain
+    outside = [math.inf, -math.inf, math.nan, *(2.0 * e for e in (dom.lower, dom.upper)
+                                                if math.isfinite(e))]
+    admissible = [a for a in (1e300, -1e300, 1e200, -1e200, 800.0, -800.0, 40.0, -40.0)
+                  if dom.admissible(a)]
+    for method in _METHODS:
+        for a in outside:
+            for _ in range(2):
+                with pytest.raises(g.DomainViolation):
+                    getattr(m, method)(a)
+        for a in admissible:
+            try:
+                finite = math.isfinite(_formula(m, method, a))
+            except OverflowError:
+                finite = False
+            if not finite:
+                for _ in range(2):
+                    with pytest.raises(g.ParamOutOfRange, match=f"{method} overflows a float"):
+                        getattr(m, method)(a)
+                assert a not in m._memos[method]
+
+
+@pytest.mark.parametrize("model", _DISTINCT_MODELS, ids=lambda model: model.family)
+def test_each_memo_keeps_at_most_its_bound(model):
+    m = dataclasses.replace(model)
+    alphas = _spread(m, 3 * _MEMO_SIZE + 1)
+    values = _values(m, alphas)
+    assert all(0 < len(memo) <= _MEMO_SIZE for memo in m._memos.values())
+    assert _values(m, alphas[::-1]) == values[::-1]
+
+
+def test_threads_sharing_a_model_get_the_formulas_values():
+    # More threads than cores, switching often, each filling and emptying the
+    # same memos: every value must still be the formula's at its argument.
+    model = g.NegativeBinomial(m=1.0, q=0.5)
+    alphas = _spread(model, 3 * _MEMO_SIZE)
+    want = {a: tuple(_formula(model, method, a) for method in _METHODS) for a in alphas}
+    wrong, n_threads = [], 6
+
+    def work(k):
+        for a in alphas[k::2] + alphas[::-1]:
+            if _values(model, [a])[0] != want[a]:
+                wrong.append(a)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k % 2,)) for k in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and wrong == []
+    # check-then-clear is not atomic: each racing thread may add one value
+    assert all(len(memo) <= _MEMO_SIZE + n_threads for memo in model._memos.values())
+
+
+@pytest.mark.parametrize("model", _DISTINCT_MODELS, ids=lambda model: model.family)
+def test_complex_scalar_raises_after_its_real_part_is_kept(model):
+    for method in _METHODS:
+        getattr(model, method)(0.1)
+        assert 0.1 in model._memos[method]
+        with pytest.raises(g.ParamOutOfRange, match="must be a number or a numeric array"):
+            getattr(model, method)(0.1 + 1j)
+
+
+@pytest.mark.parametrize("call, method", [
+    (lambda: g.Brownian().psi(1e200), "psi"),
+    (lambda: g.Brownian().psi(-1e300), "psi"),
+    (lambda: g.ScaledGamma(m=2.0, kappa=1.7e308).psi(-27.0), "psi"),  # -m log1p(inf)
+], ids=["Brownian-psi", "Brownian-psi-negative", "ScaledGamma-huge-kappa-psi"])
+def test_psi_rounding_to_inf_raises_param_out_of_range(call, method):
+    # The formula returns inf without raising; the array path raises here too.
+    with pytest.raises(g.ParamOutOfRange, match=f"{method} overflows a float") as info:
+        call()
+    assert info.value.name == "alpha" and info.value.__cause__ is None
 
 
 _LOG_UNIFORM = st.floats(-2.0, 2.0).map(lambda u: 10.0**u)

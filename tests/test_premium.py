@@ -1,5 +1,7 @@
 """Tests for the excess-rate-of-return calculus."""
 
+import collections
+import dataclasses
 import itertools
 import math
 
@@ -261,6 +263,18 @@ def test_levy_measure_premium_that_misses_its_tolerance_raises(model, lam, sig, 
         g.premium_via_levy_measure(model, lam, sig)
 
 
+@pytest.mark.parametrize("fn, model, lam", [
+    (g.risk_premium, g.Brownian(), 0.5),
+    (g.risk_premium, g.CompoundPoissonNormal(m=1.0, s=1.0), 0.0),
+    (g.premium_via_levy_measure, g.CompoundPoissonNormal(m=1.0, s=1.0), 0.0),
+], ids=["Brownian", "CPN", "CPN-levy-measure"])
+def test_premium_whose_psi_rounds_to_inf_raises(fn, model, lam):
+    # psi(1e200) rounds to inf without an OverflowError: R would be inf - inf,
+    # and the jump-measure integrand would overflow math.exp untyped.
+    with pytest.raises(g.ParamOutOfRange, match="psi overflows a float"):
+        fn(model, lam, 1e200)
+
+
 @pytest.mark.parametrize("m,mu,s", [(1.5, 0.2, 0.8), (0.3, -1.0, 0.5)])
 def test_asymmetric_vg_jump_measure_oracle(m, mu, s):
     # nu(dx) = m e^{-x/kappa1}/x dx on x > 0 and m e^{-|x|/kappa2}/|x| dx on
@@ -511,6 +525,48 @@ def test_gradient_evaluates_psi_prime_three_times(monkeypatch):
     calls = _count_calls(monkeypatch, "psi_prime")
     g.premium_gradient(g.Gamma(m=1.0), 1.0, 0.5)
     assert sorted(calls) == [-1.0, -0.5, 0.5]
+
+
+@dataclasses.dataclass(frozen=True)
+class _CountingGamma(g.Gamma):
+    """A gamma process whose formulas record each float argument they run at,
+    in `calls`, a field outside eq and hash."""
+
+    calls: dict = dataclasses.field(default_factory=lambda: collections.defaultdict(list),
+                                    compare=False)
+
+    def _psi(self, a, xp=math):
+        self.calls["psi"].append(a)
+        return super()._psi(a, xp)
+
+    def _psi_prime(self, a, xp=math):
+        self.calls["psi_prime"].append(a)
+        return super()._psi_prime(a, xp)
+
+    def _psi_second(self, a, xp=math):
+        self.calls["psi_second"].append(a)
+        return super()._psi_second(a, xp)
+
+
+def test_per_point_report_runs_each_formula_once_per_distinct_argument():
+    # perfbench's calculus report: 1600 points, each through the gradient, the
+    # Hessian signs and the identity check, on one model.
+    model = _CountingGamma(m=1.0)
+    grid = np.linspace(0.05, 0.4, 40)
+    pts = [(lam, sig) for lam in grid for sig in grid]
+    for lam, sig in pts:
+        g.premium_gradient(model, lam, sig)
+        g.premium_hessian_signs(model, lam, sig)
+        g.premium_identity_check(model, lam, sig)
+    args = {"psi": lambda lam, sig: (sig, -lam, sig - lam, -sig),
+            "psi_prime": lambda lam, sig: (sig, -lam, sig - lam),
+            "psi_second": lambda lam, sig: (sig, -lam, sig - lam)}
+    for name, at in args.items():
+        distinct = {float(a) for lam, sig in pts for a in at(lam, sig)}
+        counts = collections.Counter(model.calls[name])
+        assert set(counts) == distinct and len(distinct) < 400, name
+        assert counts.pop(0.0) == len(grid)  # zero, at sig == lam, is never kept
+        assert set(counts.values()) == {1}, name
 
 
 # --------------------------------------------------------------------------

@@ -51,6 +51,13 @@ def test_rng_rejects_a_field_that_is_not_an_integer(kw, name):
         g.Rng(**kw)
 
 
+@pytest.mark.parametrize("spawn_key", [5, None, 0.5])
+def test_rng_rejects_a_spawn_key_that_is_not_a_sequence(spawn_key):
+    with pytest.raises(g.ParamOutOfRange,
+                       match=r"^parameter spawn_key=.* must be a sequence of integers"):
+        g.Rng(1, spawn_key=spawn_key)
+
+
 def test_rng_takes_any_integer_seed():
     # numpy integers and bools are integers; negative seeds are masked to 64 bits.
     assert g.Rng(np.int64(7), np.uint8(1), (np.int32(2),)).generator.random(3).tolist() == \

@@ -20,15 +20,8 @@ import numpy as np
 from . import premium as prem
 from .errors import GlevyError, ParamOutOfRange
 from .options import OptionSpec, exact_call, mc_call_price
-from .pricing import (
-    GlmSpec,
-    expected_asset_price,
-    fx_value,
-    gordon_valuation,
-    inverse_fx_value,
-    load_spec,
-    log_value,
-)
+from .pricing import (GlmSpec, _exp, expected_asset_price, fx_value, gordon_valuation,
+                      inverse_fx_value, load_spec, log_value)
 from .exponents import _positive
 from .sampling import McResult, Rng, _check_count, sample_increments, simulate_paths
 
@@ -88,13 +81,7 @@ def cmd_simulate(spec: GlmSpec, args) -> int:
     _positive("horizon", horizon)
     x = sample_increments(model, horizon, n, Rng(args.seed, 10_000))
     log_s = log_value(0.0, 0.0, model, sig, x, horizon)
-    try:
-        with np.errstate(over="raise"):
-            samples = np.exp(log_s)
-    except FloatingPointError:
-        raise ParamOutOfRange("sigma", sig,
-                              "e^{sigma X - T psi(sigma)} overflows a float") from None
-    res = McResult.from_samples(samples)
+    res = McResult.from_samples(_exp(log_s, "sigma", sig, "e^{sigma X - T psi(sigma)}"))
     if res.stderr == 0.0:  # all samples equal: no evidence either way
         raise ParamOutOfRange("horizon", horizon, f"gives {n} samples with stderr 0")
     summary = {"estimate": res.estimate, "stderr": res.stderr, "n": res.n,
@@ -165,9 +152,9 @@ def cmd_verify(spec: GlmSpec, args) -> int:
     psi2 = model.psi_second(sig)
     checks["curvature_recovery"] = (
         abs(prem.curvature_from_premium(model, sig) - psi2) <= 1e-3 * abs(psi2))
-    checks["expected_price"] = (
-        abs(expected_asset_price(spec, 1.0) - spec.s0 * math.exp(spec.r + spec.premium))
-        < 1e-12 * spec.s0)
+    growth = spec.r + spec.premium  # (r + R) t at t = 1
+    reference = _exp(growth, "(r + R) t", growth, "E[S_t]", spec.s0)
+    checks["expected_price"] = abs(expected_asset_price(spec, 1.0) - reference) < 1e-12 * spec.s0
     ok = all(checks.values())
     print(json.dumps({"spec": str(args.spec), "checks": checks, "pass": ok}))
     return 0 if ok else 1

@@ -12,8 +12,8 @@ class ParamOutOfRange(GlevyError):
         self.name = name
         self.value = value
         self.constraint = constraint
-        try:
-            shown = repr(value)
+        try:  # one line, though numpy prints a long or 2-d array on several
+            shown = " ".join(line.strip() for line in repr(value).splitlines())
         except ValueError:  # holds an int beyond sys.get_int_max_str_digits()
             shown = f"<{type(value).__name__} too long to print>"
         super().__init__(f"parameter {name}={shown} violates: {constraint}")

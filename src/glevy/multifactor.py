@@ -28,7 +28,7 @@ import numpy as np
 from .errors import GridMismatch, ParamOutOfRange
 from .exponents import (Brownian, CompoundPoissonNormal, _check_fields, _finite, _nonnegative,
                          _param, _positive)
-from .pricing import Component, log_value
+from .pricing import Component, _exp, log_value
 from .sampling import McResult, _check_count, sample_increments
 
 __all__ = [
@@ -98,7 +98,7 @@ def vector_kernel_value(vglm: VectorGlm, x, t: float):
     log_pi = -vglm.r * _nonnegative("t", t)
     for i, c in enumerate(vglm.components):
         log_pi = log_value(log_pi, 0.0, c.model, -c.lam, x[..., i], t)
-    return np.exp(log_pi)[()]
+    return _exp(log_pi, "(x, t)", (x, t), "pi_t")
 
 
 def vector_asset_value(vglm: VectorGlm, x, t: float):
@@ -107,7 +107,7 @@ def vector_asset_value(vglm: VectorGlm, x, t: float):
     log_s = math.log(vglm.s0) + vglm.r * _nonnegative("t", t)
     for i, c in enumerate(vglm.components):
         log_s = log_value(log_s, c.premium, c.model, c.sig, x[..., i], t)
-    return np.exp(log_s)[()]
+    return _exp(log_s, "(x, t)", (x, t), "S_t")
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,10 +189,7 @@ def _integral(schedule: Schedule, values: np.ndarray, t):
 def money_market(schedule: Schedule, t: float) -> float:
     """B_t = exp(integral of r over [0, t]); B_0 = 1."""
     growth = float(_integral(schedule, schedule.r, t))
-    try:
-        return math.exp(growth)
-    except OverflowError:
-        raise ParamOutOfRange("integral of r", growth, "B_t overflows a float") from None
+    return _exp(growth, "integral of r", growth, "B_t")
 
 
 def _require_refining_grid(times: np.ndarray, schedule: Schedule) -> np.ndarray:
@@ -249,7 +246,7 @@ def _schedule_path(vglm: VectorGlm, schedule: Schedule, driver_paths, which: str
     for i, p in enumerate(driver_paths):
         dx = np.diff(np.asarray(p.values, dtype=float))
         log_vals[1:] += np.cumsum(coef[i] * dx + drift_dt[i])
-    return PricePath(times, np.exp(log_vals + log0 + cum_r))
+    return PricePath(times, _exp(log_vals + log0 + cum_r, "schedule", schedule, "the path"))
 
 
 def schedule_asset_path(vglm: VectorGlm, schedule: Schedule, driver_paths) -> PricePath:
@@ -301,10 +298,10 @@ def submartingale_check(vglm: VectorGlm, schedule: Schedule, s: float, t: float,
             if j + 1 == j_s:
                 log_s += acc
         log_t += acc
-    ratios_s, ratios_t = np.exp(log_s + log0), np.exp(log_t + log0)
-
-    at_s, at_t = McResult.from_samples(ratios_s), McResult.from_samples(ratios_t)
-    predicted_ratio = math.exp(integrated_premium(vglm, schedule, s, t))
+    at_s, at_t = map(McResult.from_samples,
+                     _exp(np.stack((log_s, log_t)) + log0, "(s, t)", (s, t), "S/B"))
+    growth = float(integrated_premium(vglm, schedule, s, t))
+    predicted_ratio = _exp(growth, "integral of R", growth, "the predicted ratio")
     combined_se = math.sqrt(at_s.stderr**2 + at_t.stderr**2)
     return {
         "mean_s": at_s.estimate, "stderr_s": at_s.stderr,

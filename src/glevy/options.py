@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ParamOutOfRange, QuadratureFailure
 from .exponents import _check_fields, _finite, _nonnegative, _param, _positive
-from .pricing import GlmSpec, asset_value, kernel_value, log_value
+from .pricing import GlmSpec, _exp, asset_value, kernel_value, log_value
 from .sampling import McResult, Rng, _check_count, sample_increments
 
 __all__ = [
@@ -102,10 +102,7 @@ def bs_call_price(s0: float, r: float, sig: float, strike: float, expiry: float)
     s0, r, sig = _positive("s0", s0), _finite("r", r), _nonnegative("sig", sig)
     if strike == 0.0:
         return s0
-    try:
-        disc = math.exp(-r * expiry)
-    except OverflowError:
-        raise ParamOutOfRange("-r T", -r * expiry, "e^{-rT} overflows a float") from None
+    disc = _exp(-r * expiry, "-r T", -r * expiry, "e^{-rT}")
     st = sig * math.sqrt(expiry)
     if st == 0.0:  # sig = 0, or sig so small that st underflows
         return max(s0 - strike * disc, 0.0)

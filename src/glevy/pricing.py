@@ -1,11 +1,11 @@
 """Pointwise pricing-kernel and asset-price evaluation.
 
-A `GlmSpec` is a `Component` (model, lam, sig) plus a market, and every kernel
-and price is one compensated exponential, e^{log_value}. Evaluators take the
-realized driver value x as an argument rather than owning any simulation, so
-exact oracles and Monte Carlo share one code path. Time is measured in years
-and all rates are continuously compounded. Every function accepts scalar or
-numpy-array x.
+A `GlmSpec` is a `Component` (model, lam, sig) plus a market. Every kernel,
+price, money market and ratio in glevy is e^{log} by `_exp`, whose one rule
+raises ParamOutOfRange where the value overflows a float. Evaluators take the
+realized driver value x, so exact oracles and Monte Carlo share one code path.
+Time is in years, rates are continuously compounded, and every function
+accepts scalar or numpy-array x.
 """
 from __future__ import annotations
 
@@ -82,9 +82,24 @@ def log_value(log0, rate, model: LevyModel, a: float, x, t: float):
     return log0 + rate * t + a * x - t * model.psi(a)
 
 
+def _exp(log, name: str, value, what: str, scale: float = 1.0):
+    """scale e^log by math.exp for a float log, e^log by np.exp (0-d as a scalar) otherwise,
+    so callers keep their bits; an overflow raises ParamOutOfRange "{what} overflows a float"."""
+    try:
+        if type(log) is not float:
+            with np.errstate(over="raise"):
+                return np.exp(log)[()]
+        if (result := scale * math.exp(log)) != math.inf:
+            return result
+    except (OverflowError, FloatingPointError):
+        pass
+    raise ParamOutOfRange(name, value, f"{what} overflows a float")
+
+
 def _value(spec: GlmSpec, log0, rate, a: float, x, t: float):
     """e^{log_value} for the spec's model at X_t = x: a float for scalar x."""
-    return np.exp(log_value(log0, rate, spec.model, a, np.asarray(x, dtype=float), t))[()]
+    log = log_value(log0, rate, spec.model, a, np.asarray(x, dtype=float), t)
+    return _exp(log, "(x, t)", (x, t), "the value")
 
 
 def kernel_value(spec: GlmSpec, x, t: float):
@@ -100,10 +115,7 @@ def asset_value(spec: GlmSpec, x, t: float):
 def expected_asset_price(spec: GlmSpec, t: float) -> float:
     """E[S_t] = s0 e^{(r + R) t} in closed form."""
     growth = (spec.r + spec.premium) * _nonnegative("t", t)
-    try:
-        return spec.s0 * math.exp(growth)
-    except OverflowError:
-        raise ParamOutOfRange("(r + R) t", growth, "E[S_t] overflows a float") from None
+    return _exp(growth, "(r + R) t", growth, "E[S_t]", spec.s0)
 
 
 def _require_f(spec: GlmSpec) -> float:

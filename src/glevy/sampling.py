@@ -212,8 +212,6 @@ def mc_expectation(payoff: Callable[[Path], float], model: LevyModel,
     bounds = np.linspace(0, n, streams + 1).astype(int)
     for k in range(streams):
         chunk = bounds[k + 1] - bounds[k]
-        if chunk == 0:
-            continue
         sub = rng.spawn(k) if streams > 1 else rng
         times, values = simulate_paths(model, horizon, steps, chunk, sub)
         # Each row a Path built in C without revalidation: the sampler's rows

@@ -248,6 +248,23 @@ def test_fx_check_positive_side(brownian_spec, capsys):
     assert out["R_tilde"] == pytest.approx(0.25 * (0.25 - 0.3), rel=1e-12)
 
 
+def test_fx_check_overflowing_inverse_rate_exits_2(tmp_path, capsys):
+    # R~ = 639760, so the inverse rate at the probe x = 0.7, t = 1.3 overflows
+    # a float; it once printed "fx_product": NaN, exited 1 and warned twice.
+    p = tmp_path / "fx.json"
+    p.write_text(json.dumps({
+        "family": "Brownian", "params": {},
+        "r": 0.02, "lambda": 0.3, "sigma": 800, "s0": 1.0, "f": 0.01,
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fx-check", "--spec", str(p)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: parameter (x, t)=(0.7, 1.3) ")
+    assert out.err.count("\n") == 1 and "overflows a float" in out.err
+
+
 def test_dividend(tmp_path, capsys):
     p = tmp_path / "div.json"
     p.write_text(json.dumps({
@@ -281,6 +298,34 @@ def test_verify_overflowing_expected_price_exits_2(tmp_path, capsys):
     assert main(["verify", "--spec", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_overflowing_s0_times_growth_exits_2(tmp_path, capsys):
+    # e^{r + R} is about 3.3, but s0 e^{r + R} overflows a float: once inf,
+    # which failed the expected_price check with exit 1 on a valid spec.
+    p = tmp_path / "gamma.json"
+    p.write_text(json.dumps({**_GOOD_SPEC, "r": 1.0, "lambda": 0.25, "sigma": 0.5,
+                             "s0": 1e308}))
+    assert main(["verify", "--spec", str(p)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: parameter (r + R) t=") and out.err.count("\n") == 1
+    assert "E[S_t] overflows a float" in out.err
+
+
+def test_price_option_mc_overflowing_asset_value_exits_2_on_one_line(tmp_path, capsys):
+    # S_T = 1e308 e^{...} overflows on some draws; the error names the draws,
+    # an array numpy prints on several lines, on one line.
+    p = tmp_path / "gamma.json"
+    p.write_text(json.dumps({**_GOOD_SPEC, "r": 1.0, "lambda": 0.25, "sigma": 0.5,
+                             "s0": 1e308}))
+    argv = ["price-option", "--spec", str(p), "--out", str(tmp_path / "o.csv"),
+            "--strike", "1.0", "--n", "2000"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parameter (x, t)=(array([") and err.count("\n") == 1
+    assert "the value overflows a float" in err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_verify_overflowing_psi_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for vector models, coefficient schedules, and the money market."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -387,11 +388,25 @@ def test_submartingale_check():
     (0.5, math.inf, 100),   # infinite horizon
     (math.nan, 2.0, 100),
     ("0", 2.0, 100),         # a string, once an untyped TypeError
+    (1.0, 1.0, 100),         # s = t
+    (2.0, 1.0, 100),         # s > t
 ])
 def test_submartingale_check_rejects_bad_input(s, t, n):
     vglm = g.VectorGlm(components=(g.Component(g.Gamma(m=1.0), 0.4, 0.3),), r=0.02)
     with pytest.raises(g.ParamOutOfRange):
         g.submartingale_check(vglm, make_schedule(), s, t, n=n, rng=g.Rng(1))
+
+
+def test_submartingale_check_overflowing_predicted_ratio_raises():
+    # The integral of R over [0.5, 1] is 3.3e7: e^{it} once raised an untyped
+    # OverflowError from math.exp. Every S/B draw underflows to 0 here.
+    vglm = g.VectorGlm(components=(g.Component(g.CompoundPoissonNormal(1.0, 3.0), 0.3, 2.0),),
+                       r=0.0)
+    schedule = g.Schedule(breakpoints=[0.0, 1.0], r=[0.0], lam=[[0.3]], sig=[[2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(g.ParamOutOfRange, match="integral of R=.* overflows a float"):
+            g.submartingale_check(vglm, schedule, 0.5, 1.0, n=100, rng=g.Rng(1))
 
 
 @pytest.mark.parametrize("kw", [

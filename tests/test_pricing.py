@@ -1,8 +1,10 @@
 """Tests for pricing-kernel, asset, FX, and dividend valuation."""
 
+import argparse
 import ast
 import json
 import math
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import glevy as g
-from glevy import exponents, multifactor, pricing
+from glevy import cli, exponents, multifactor, pricing
 from conftest import ASYMMETRIC, DEFAULT_MODELS, random_risk_params
 
 
@@ -424,3 +426,198 @@ def test_domain_violation_is_built_only_in_exponents_and_component():
     # The gate of every psi, psi_prime and psi_second, once for a float and
     # once for an array.
     assert sorted(sites) == [("exponents.py", "_checked", "entry")] * 2
+
+
+# --- the one exponential: pricing._exp ------------------------------------
+
+_GAMMA = make_spec(g.Gamma(m=1.0), 0.25, 0.5, r=0.02, s0=1.3, f=0.01)
+# R is about 6.5e7 here, so E[S_1] = s0 e^{r + R} overflows a float.
+_CPN = make_spec(g.CompoundPoissonNormal(m=1.0, s=3.0), 0.3, 2.0, r=0.02)
+# R~ = 639760, so the inverse FX value at x = 0.7, t = 1.3 overflows a float.
+_FX = make_spec(g.Brownian(), 0.3, 800.0, r=0.02, f=0.01)
+_JD = g.jump_diffusion(m=0.5, s=0.2, lam=0.3, sig=0.4, beta=0.1, theta=0.2, r=0.03, s0=1.2)
+_XS = np.array([[0.1, -0.2], [0.3, 0.05]])
+
+
+def _one_interval(r, lam, sig):
+    return g.Schedule(breakpoints=[0.0, 1.0], r=[r], lam=[[lam]], sig=[[sig]])
+
+
+def _vector_value_reference(which, x, t):
+    """vector_kernel_value ("lambda") or vector_asset_value ("sigma") by np.exp."""
+    log = -_JD.r * t if which == "lambda" else math.log(_JD.s0) + _JD.r * t
+    for i, c in enumerate(_JD.components):
+        a, rate = (-c.lam, 0.0) if which == "lambda" else (c.sig, c.premium)
+        log = pricing.log_value(log, rate, c.model, a, x[..., i], t)
+    return np.exp(log)[()]
+
+
+_BROWNIAN = g.VectorGlm(components=(g.Component(g.Brownian(), 0.0, 1.0),), r=0.0)
+
+
+def _driver(values):
+    return [g.Path([0.0, 0.5, 1.0], values)]
+
+
+def _schedule_path_reference(schedule, values):
+    coef, drift_dt, log0, cum_r = multifactor._plan(_BROWNIAN, schedule,
+                                                    np.array([0.0, 0.5, 1.0]))["sigma"]
+    log = np.zeros(3)
+    log[1:] += np.cumsum(coef[0] * np.diff(values) + drift_dt[0])
+    return np.exp(log + log0 + cum_r)
+
+
+_GAMMA_VGLM = g.VectorGlm(components=(g.Component(g.Gamma(m=1.0), 0.4, 0.3),), r=0.02)
+_GAMMA_SCHEDULE = _one_interval(0.02, 0.4, 0.3)
+
+
+def _submartingale(vglm, schedule, s=0.25, t=0.5):
+    return g.submartingale_check(vglm, schedule, s, t, n=6, rng=g.Rng(3))
+
+
+def _ratio_means_reference():
+    """mean_s and mean_t of _submartingale on the Gamma schedule, by np.exp:
+    its grid is 16 steps of 1/32 and s is grid point 8."""
+    coef, drift_dt, log0, _ = multifactor._plan(_GAMMA_VGLM, _GAMMA_SCHEDULE,
+                                                np.linspace(0.0, 0.5, 17))["sigma"]
+    sub, acc = g.Rng(3).spawn(0), np.zeros(6)
+    for j in range(16):
+        acc += coef[0, j] * g.sample_increments(g.Gamma(m=1.0), 1 / 32, 6, sub) + drift_dt[0, j]
+        if j == 7:
+            log_s = acc.copy()
+    return tuple(g.McResult.from_samples(np.exp(v + log0)).estimate for v in (log_s, acc))
+
+
+def _simulate(spec, horizon):
+    """cmd_simulate's summary estimate, from the file it writes."""
+    with tempfile.TemporaryDirectory() as out:
+        args = argparse.Namespace(out=out, seed=7, n=50, paths=1, horizon=horizon, steps=2)
+        cli.cmd_simulate(spec, args)
+        return json.loads((Path(out) / "mc_summary.json").read_text())["estimate"]
+
+
+def _simulate_reference():
+    x = g.sample_increments(_GAMMA.model, 1.0, 50, g.Rng(7, 10_000))
+    samples = np.exp(pricing.log_value(0.0, 0.0, _GAMMA.model, _GAMMA.sig, x, 1.0))
+    return g.McResult.from_samples(samples).estimate
+
+
+def _verify(spec):
+    return cli.cmd_verify(spec, argparse.Namespace(spec="spec.json"))
+
+
+# Each site that turns a log into a value: (a call whose value overflows a
+# float, a call with a finite value, that value by the np.exp or math.exp the
+# site called before it went through pricing._exp).
+_EXP_SITES = {
+    "pricing._value": (
+        lambda: g.inverse_fx_value(_FX, 0.7, 1.3),
+        lambda: (g.kernel_value(_GAMMA, _XS[:, 0], 1.5), g.asset_value(_GAMMA, 0.8, 2.0)),
+        lambda: (np.exp(pricing.log_value(0.0, -_GAMMA.r, _GAMMA.model, -_GAMMA.lam,
+                                          _XS[:, 0], 1.5))[()],
+                 np.exp(pricing.log_value(math.log(1.3), _GAMMA.r + _GAMMA.premium,
+                                          _GAMMA.model, 0.5, np.asarray(0.8), 2.0))[()])),
+    "pricing.expected_asset_price": (
+        lambda: g.expected_asset_price(_CPN, 1.0),
+        lambda: g.expected_asset_price(_GAMMA, 2.0),
+        lambda: 1.3 * math.exp((_GAMMA.r + _GAMMA.premium) * 2.0)),
+    "multifactor.vector_kernel_value": (
+        lambda: g.vector_kernel_value(_JD, [-3000.0, 0.0], 1.0),
+        lambda: g.vector_kernel_value(_JD, _XS, 0.7),
+        lambda: _vector_value_reference("lambda", _XS, 0.7)),
+    "multifactor.vector_asset_value": (
+        lambda: g.vector_asset_value(_JD, [3000.0, 0.0], 1.0),
+        lambda: g.vector_asset_value(_JD, _XS, 0.7),
+        lambda: _vector_value_reference("sigma", _XS, 0.7)),
+    "multifactor.money_market": (
+        lambda: g.money_market(_one_interval(800.0, 0.0, 1.0), 1.0),
+        lambda: g.money_market(_GAMMA_SCHEDULE, 1.5),
+        lambda: math.exp(float(multifactor._integral(_GAMMA_SCHEDULE, _GAMMA_SCHEDULE.r, 1.5)))),
+    "multifactor._schedule_path": (
+        lambda: g.schedule_asset_path(_BROWNIAN, _one_interval(0.0, 0.0, 1.0),
+                                      _driver([0.0, 800.0, 800.0])),
+        lambda: g.schedule_asset_path(_BROWNIAN, _one_interval(0.01, 0.0, 1.0),
+                                      _driver([0.0, 0.2, -0.1])).values,
+        lambda: _schedule_path_reference(_one_interval(0.01, 0.0, 1.0), [0.0, 0.2, -0.1])),
+    "multifactor.submartingale_check S/B": (
+        # R = lam sig = 3000 for a Brownian component, so S_s/B_s overflows.
+        lambda: _submartingale(_BROWNIAN, _one_interval(0.0, 3000.0, 1.0)),
+        lambda: (lambda res: (res["mean_s"], res["mean_t"]))(
+            _submartingale(_GAMMA_VGLM, _GAMMA_SCHEDULE)),
+        _ratio_means_reference),
+    "multifactor.submartingale_check predicted_ratio": (
+        # S/B underflows to 0 for every draw, and the integral of R is 3.3e7.
+        lambda: _submartingale(g.VectorGlm(components=(g.Component(_CPN.model, 0.3, 2.0),), r=0.0),
+                               _one_interval(0.0, 0.3, 2.0), 0.5, 1.0),
+        lambda: _submartingale(_GAMMA_VGLM, _GAMMA_SCHEDULE)["predicted_ratio"],
+        lambda: math.exp(g.integrated_premium(_GAMMA_VGLM, _GAMMA_SCHEDULE, 0.25, 0.5))),
+    "cli.cmd_simulate": (
+        # Gamma at m T = 3e40: sigma X - T psi(sigma) is 2**25 by rounding.
+        lambda: _simulate(make_spec(g.Gamma(m=1e40), 0.0, 1e-17), 3.0),
+        lambda: _simulate(_GAMMA, 1.0),
+        _simulate_reference),
+    "cli.cmd_verify": (
+        # The reference s0 e^{r + R} is internal: its bits show as the verdict.
+        lambda: _verify(_CPN),
+        lambda: _verify(_GAMMA),
+        lambda: 0),
+    "options.bs_call_price": (
+        lambda: g.bs_call_price(1.0, -800.0, 0.2, 1.0, 1.0),
+        lambda: g.bs_call_price(1.0, 0.05, 0.0, 0.9, 2.0),
+        lambda: max(1.0 - 0.9 * math.exp(-0.05 * 2.0), 0.0)),
+}
+
+
+def _bits(value):
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    return type(value), np.shape(value), np.asarray(value).tobytes()
+
+
+@pytest.mark.parametrize("site", list(_EXP_SITES))
+def test_exp_site_raises_on_overflow_and_keeps_finite_bits(site):
+    overflow, finite, reference = _EXP_SITES[site]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(g.ParamOutOfRange, match="overflows a float"):
+            overflow()
+        assert _bits(finite()) == _bits(reference())
+
+
+def test_exp_keeps_math_exp_for_floats_and_np_exp_otherwise():
+    assert _bits(pricing._exp(0.3, "x", 0.3, "e^x")) == _bits(math.exp(0.3))
+    assert _bits(pricing._exp(0.3, "x", 0.3, "e^x", 1e300)) == _bits(1e300 * math.exp(0.3))
+    for log in (np.float64(0.3), np.array(0.3), np.array([0.3, -700.0])):
+        assert _bits(pricing._exp(log, "x", log, "e^x")) == _bits(np.exp(log)[()])
+    for log, scale in ((710.0, 1.0), (math.inf, 1.0), (0.3, 1.5e308), (np.array([0.0, 710.0]), 1.0)):
+        with pytest.raises(g.ParamOutOfRange, match=r"^parameter x=.* violates: e\^x overflows"):
+            pricing._exp(log, "x", log, "e^x", scale)
+
+
+def test_expected_asset_price_overflowing_product_raises():
+    # e^{(r + R) t} is about 3.3, but s0 e^{(r + R) t} overflows a float.
+    spec = make_spec(g.Gamma(m=1.0), 0.25, 0.5, r=1.0, s0=1e308)
+    with pytest.raises(g.ParamOutOfRange, match=r"\(r \+ R\) t=.* E\[S_t\] overflows"):
+        g.expected_asset_price(spec, 1.0)
+    below = make_spec(g.Gamma(m=1.0), 0.25, 0.5, r=1.0, s0=1e307)
+    assert g.expected_asset_price(below, 1.0) == 1e307 * math.exp(1.0 + below.premium)
+
+
+class _Exponentials(_Constructions):
+    """(file, function) of each np.exp or math.exp call."""
+
+    def visit_Call(self, node):
+        if (getattr(node.func, "attr", None) == "exp"
+                and getattr(node.func.value, "id", None) in ("np", "math")):
+            self.sites.append((self.filename, *self.scope[-1:]))
+        self.generic_visit(node)
+
+
+def test_values_are_exponentiated_only_in_pricing_exp():
+    sites = []
+    for module in (pricing, multifactor, cli):
+        visitor = _Exponentials(Path(module.__file__).name)
+        visitor.visit(ast.parse(Path(module.__file__).read_text()))
+        sites += visitor.sites
+    # Once by math.exp for a float log and once by np.exp for anything else.
+    assert sites == [("pricing.py", "_exp")] * 2

@@ -397,6 +397,19 @@ def test_mc_expectation_bit_identical_to_loop(streams, steps):
     assert res.estimate == est and res.stderr == se
 
 
+def test_mc_expectation_one_sample_per_stream():
+    # streams = n: every chunk holds exactly one sample.
+    model = g.VarianceGamma(m=2.0)
+
+    def payoff(path):
+        return float(path.values[-1])
+
+    res = g.mc_expectation(payoff, model, 1.0, 3, 5, g.Rng(5, 2), streams=5)
+    est, se = _mc_reference(payoff, model, 1.0, 3, 5, g.Rng(5, 2), 5)
+    assert res.n == 5
+    assert res.estimate == est and res.stderr == se
+
+
 def _nb_log_reference(m, q, dt, rng, size):
     """Logarithmic compound Poisson NB draws, one logseries call per count."""
     g_ = rng.generator

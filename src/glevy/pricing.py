@@ -5,13 +5,14 @@ price, money market and ratio in glevy is e^{log} by `_exp`, whose one rule
 raises ParamOutOfRange where the value overflows a float. Evaluators take the
 realized driver value x, so exact oracles and Monte Carlo share one code path.
 Time is in years, rates are continuously compounded, and every function
-accepts scalar or numpy-array x.
+accepts scalar or numpy-array x, which must be finite (`_log_at`).
 """
 from __future__ import annotations
 
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 
@@ -96,9 +97,24 @@ def _exp(log, name: str, value, what: str, scale: float = 1.0):
     raise ParamOutOfRange(name, value, f"{what} overflows a float")
 
 
+@contextmanager
+def _log_at(x, value, what: str):
+    """Yields x as a float array to a block that forms a log at driver values x. A
+    non-finite x raises ParamOutOfRange naming x; an overflow in the block, _exp's error."""
+    xs = np.asarray(x, dtype=float)
+    if not np.isfinite(xs).all():
+        raise ParamOutOfRange("x", x, "must be finite")
+    try:
+        with np.errstate(over="raise"):
+            yield xs
+    except FloatingPointError:
+        raise ParamOutOfRange("(x, t)", value, f"{what} overflows a float") from None
+
+
 def _value(spec: GlmSpec, log0, rate, a: float, x, t: float):
     """e^{log_value} for the spec's model at X_t = x: a float for scalar x."""
-    log = log_value(log0, rate, spec.model, a, np.asarray(x, dtype=float), t)
+    with _log_at(x, (x, t), "the value") as xs:
+        log = log_value(log0, rate, spec.model, a, xs, t)
     return _exp(log, "(x, t)", (x, t), "the value")
 
 

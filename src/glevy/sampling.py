@@ -108,9 +108,16 @@ class McResult:
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "McResult":
-        """The sample mean and its standard error."""
+        """The sample mean and its standard error; where their sums or squares
+        overflow a float, both come from the samples scaled by max |sample|."""
         n = len(samples)
-        return cls(float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n)), n)
+        try:
+            with np.errstate(over="raise"):
+                return cls(float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n)), n)
+        except FloatingPointError:
+            scale = float(np.abs(samples).max())
+            scaled = cls.from_samples(samples / scale)
+            return cls(scaled.estimate * scale, scaled.stderr * scale, n)
 
 
 def _check_count(name: str, value, least: int = 0) -> None:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import glevy as g
+from glevy import multifactor
 
 
 def two_gamma_fx():
@@ -530,10 +531,8 @@ class _RecordingRng(g.Rng):
 def _matrix_submartingale_check(vglm, sch, s, t, n, rng):
     """Reference: the check with every increment, driver value and log value
     held as a (grid x n) matrix, drawn in the same order from the same
-    substreams."""
-    steps = max(int(round(t * 32)), 4)
-    grid = np.unique(np.concatenate([np.linspace(0.0, t, steps + 1),
-                                     sch.breakpoints[sch.breakpoints <= t + 1e-12], [s, t]]))
+    substreams, on the grid of the breakpoints below t, s and t."""
+    grid = np.unique(np.concatenate((sch.breakpoints[sch.breakpoints < t], [s, t])))
     j_s = int(np.argmin(np.abs(grid - s)))
     dt = np.diff(grid)
     idx = np.array([sch.interval_of(x) for x in grid[:-1]])
@@ -585,6 +584,62 @@ def test_submartingale_check_matches_matrix_reference(name):
     assert ([c.generator.random(4).tolist() for c in rng.children]
             == [c.generator.random(4).tolist() for c in ref_rng.children])
     assert rng.generator.random(4).tolist() == g.Rng(71).generator.random(4).tolist()
+
+
+def _counting_sample_increments(monkeypatch):
+    """(model, dt) of every increment draw submartingale_check makes."""
+    calls = []
+
+    def counting(model, dt, size, rng):
+        calls.append((model, dt))
+        return g.sample_increments(model, dt, size, rng)
+
+    monkeypatch.setattr(multifactor, "sample_increments", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["Brownian", "Poisson", "Gamma", "JumpDiffusion"])
+def test_submartingale_check_draws_once_per_constant_piece(name, monkeypatch):
+    # The pieces of [0, t] cut at the breakpoints and at s = 0.5: four on
+    # [0, 3] cut at 1 and 2, three on [0, 2] cut at 1.
+    vglm, sch, t = _benchmark_schedule(name)
+    calls = _counting_sample_increments(monkeypatch)
+    g.submartingale_check(vglm, sch, 0.5, t, n=10, rng=g.Rng(71))
+    dts = [0.5, 0.5, 1.0, 1.0][:int(t) + 1]
+    assert calls == [(c.model, dt) for c in vglm.components for dt in dts]
+
+
+def test_submartingale_check_grid_ends_at_t(monkeypatch):
+    # A breakpoint 5e-13 past t once became the last grid point.
+    vglm = g.VectorGlm(components=(g.Component(g.Gamma(m=1.0), 0.4, 0.3),), r=0.02)
+    sch = g.Schedule(breakpoints=[0.0, 1.0 + 5e-13, 2.0], r=[0.02, 0.04],
+                     lam=[[0.4], [0.6]], sig=[[0.3], [0.5]])
+    calls = _counting_sample_increments(monkeypatch)
+    out = g.submartingale_check(vglm, sch, 0.5, 1.0, n=10, rng=g.Rng(71))
+    assert [dt for _, dt in calls] == [0.5, 0.5]
+    assert sch._memo[1].tolist() == [0.0, 0.5, 1.0]
+    assert out["predicted_ratio"] == math.exp(g.integrated_premium(vglm, sch, 0.5, 1.0))
+
+
+def test_submartingale_check_from_time_zero():
+    vglm, sch, t = _benchmark_schedule("JumpDiffusion")
+    out = g.submartingale_check(vglm, sch, 0.0, t, n=100, rng=g.Rng(71))
+    assert out["stderr_s"] == 0.0
+    assert out["mean_s"] == pytest.approx(vglm.s0, rel=1e-15)
+    assert math.isfinite(out["mean_t"]) and math.isfinite(out["stderr_t"])
+
+
+def test_submartingale_check_with_huge_finite_ratios():
+    # S/B is about e^{500} at t = 0.5: its squared deviations once overflowed
+    # with a RuntimeWarning and an infinite stderr_t.
+    vglm = g.VectorGlm(components=(g.Component(g.Brownian(), 1000.0, 1.0),), r=0.0)
+    sch = g.Schedule(breakpoints=[0.0, 1.0], r=[0.0], lam=[[1000.0]], sig=[[1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = g.submartingale_check(vglm, sch, 0.25, 0.5, n=6, rng=g.Rng(3))
+    assert out["mean_t"] > 1e200
+    assert all(math.isfinite(out[k]) for k in ("mean_s", "stderr_s", "mean_t", "stderr_t"))
+    assert out["submartingale_ok"]
 
 
 def _two_column_schedule():

@@ -371,6 +371,16 @@ def test_poisson_exact_matches_brute_force_sum(strike, expiry):
     assert g.exact_call(spec, opt) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def test_poisson_threshold_on_an_atom_matches_brute_force_sum():
+    # S_1 at the atom N = 1 rounds to one ulp below K, so the integrand's
+    # side test leaves that atom out (it returns 0 for it).
+    spec = g.GlmSpec(model=g.Poisson(m=1.0), r=0.0, lam=0.2, sig=1.0)
+    opt = g.OptionSpec(strike=0.665770557927507, expiry=1.0)
+    assert g.asset_value(spec, 1.0, 1.0) < opt.strike < g.asset_value(spec, 1.0 + 1e-12, 1.0)
+    assert g.exact_call(spec, opt) == pytest.approx(_poisson_brute_force(spec, opt),
+                                                    rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("strike", [1.02, 1.7, 2.5])
 def test_mirrored_poisson_deep_out_of_the_money(strike):
     # S_1 = 1.73 e^{-N/2} falls with the count N, so only the counts up to a

@@ -369,6 +369,41 @@ def test_value_functions_at_time_zero():
     assert g.vector_asset_value(vglm, [0.0, 0.0], 0.0) == pytest.approx(vglm.s0, rel=1e-15)
 
 
+# Each value function and the sign of its coefficient a of x on a Brownian
+# spec with lam = sig = 2, so a x overflows a float at |x| = 1e308 and is
+# -1e308 at x = -sign 5e307, where the value underflows to 0.
+_BIG_A_SPEC = make_spec(g.Brownian(), 2.0, 2.0, r=0.03, s0=1.3, f=0.01,
+                        gamma_growth=0.005, d0=0.05)
+_BIG_A_VGLM = g.VectorGlm(components=(g.Component(g.Brownian(), 2.0, 2.0),
+                                      g.Component(g.Brownian(), 2.0, 2.0)), r=0.03, s0=1.3)
+_A_SIGN = {g.kernel_value: -1, g.asset_value: 1, g.fx_value: 1, g.inverse_fx_value: -1,
+           g.dividend_asset_value: 1, g.vector_kernel_value: -1, g.vector_asset_value: 1}
+
+
+@pytest.mark.parametrize("fn", list(_A_SIGN), ids=lambda fn: fn.__name__)
+def test_value_functions_check_the_driver_value(fn):
+    # Once a x overflowed with a RuntimeWarning, and x = inf or nan gave inf
+    # or nan silently.
+    def call(x):
+        if fn in _VECTOR_VALUE_FUNCTIONS:
+            x = np.stack([np.asarray(x, dtype=float), np.zeros(np.shape(x))], -1)
+            return fn(_BIG_A_VGLM, x, 1.0)
+        return fn(_BIG_A_SPEC, x, 1.0)
+
+    sign = _A_SIGN[fn]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (math.inf, -math.inf, math.nan, [0.1, math.nan]):
+            with pytest.raises(g.ParamOutOfRange, match="must be finite") as err:
+                call(x)
+            assert err.value.name == "x"
+        for x in (1e308, -1e308):
+            with pytest.raises(g.ParamOutOfRange, match="overflows a float"):
+                call(sign * x)
+        assert call(-sign * 5e307) == 0.0
+        assert call(np.array([0.1, -sign * 5e307])).tolist()[1] == 0.0
+
+
 def test_glm_spec_is_a_component():
     assert issubclass(g.GlmSpec, g.Component)
     assert multifactor.Component is pricing.Component is g.Component
@@ -477,13 +512,13 @@ def _submartingale(vglm, schedule, s=0.25, t=0.5):
 
 def _ratio_means_reference():
     """mean_s and mean_t of _submartingale on the Gamma schedule, by np.exp:
-    its grid is 16 steps of 1/32 and s is grid point 8."""
+    its grid is two pieces of 0.25 and s is grid point 1."""
     coef, drift_dt, log0, _ = multifactor._plan(_GAMMA_VGLM, _GAMMA_SCHEDULE,
-                                                np.linspace(0.0, 0.5, 17))["sigma"]
+                                                np.array([0.0, 0.25, 0.5]))["sigma"]
     sub, acc = g.Rng(3).spawn(0), np.zeros(6)
-    for j in range(16):
-        acc += coef[0, j] * g.sample_increments(g.Gamma(m=1.0), 1 / 32, 6, sub) + drift_dt[0, j]
-        if j == 7:
+    for j in range(2):
+        acc += coef[0, j] * g.sample_increments(g.Gamma(m=1.0), 0.25, 6, sub) + drift_dt[0, j]
+        if j == 0:
             log_s = acc.copy()
     return tuple(g.McResult.from_samples(np.exp(v + log0)).estimate for v in (log_s, acc))
 

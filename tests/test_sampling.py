@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,27 @@ def test_mc_asset_mean(family_case):
     res = g.mc_expectation(payoff, model, t, 1, 100_000, g.Rng(99))
     target = g.expected_asset_price(spec, t)
     assert abs(res.estimate - target) < 4.0 * res.stderr
+
+
+def test_mc_result_keeps_the_direct_formula_where_it_does_not_overflow():
+    x = np.random.default_rng(5).lognormal(0.0, 1.0, 1001) * 1e150
+    res = g.McResult.from_samples(x)
+    assert res == g.McResult(float(x.mean()), float(x.std(ddof=1) / math.sqrt(1001)), 1001)
+
+
+@pytest.mark.parametrize("x, mean, stderr", [
+    ([1e200, 2e200, 3e200], 2e200, 1e200 / math.sqrt(3)),  # the squares overflow
+    ([1e308, 1e308, 1e308], 1e308, 0.0),                    # the sum overflows
+    ([-1e308, 1e308], 0.0, 1e308),
+])
+def test_mc_result_of_huge_finite_samples_is_finite(x, mean, stderr):
+    # Once numpy squared the deviations, which overflowed with a RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = g.McResult.from_samples(np.array(x))
+    assert res.estimate == pytest.approx(mean, rel=1e-15, abs=0.0)
+    assert res.stderr == pytest.approx(stderr, rel=1e-15, abs=0.0)
+    assert res.n == len(x)
 
 
 def test_mc_multistream_deterministic():

@@ -682,17 +682,26 @@ class _Scaled(LevyModel):
         root, c = self._scaling
         return root.domain.scaled(c)
 
-    def _psi(self, a, xp=math):
+    def _at(self, a, xp):
+        """(root, c, c a). A float c a that rounds to +-inf raises OverflowError, as an
+        array's does under the gate's errstate, so floats and arrays agree."""
         root, c = self._scaling
-        return root._psi(c * a, xp)
+        ca = c * a
+        if xp is math and abs(ca) == math.inf:
+            raise OverflowError
+        return root, c, ca
+
+    def _psi(self, a, xp=math):
+        root, _, ca = self._at(a, xp)
+        return root._psi(ca, xp)
 
     def _psi_prime(self, a, xp=math):
-        root, c = self._scaling
-        return c * root._psi_prime(c * a, xp)
+        root, c, ca = self._at(a, xp)
+        return c * root._psi_prime(ca, xp)
 
     def _psi_second(self, a, xp=math):
-        root, c = self._scaling
-        return c * (c * root._psi_second(c * a, xp))
+        root, c, ca = self._at(a, xp)
+        return c * (c * root._psi_second(ca, xp))
 
     def increments(self, dt, size, g):
         root, c = self._scaling

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import GridMismatch, ParamOutOfRange
 from .exponents import (Brownian, CompoundPoissonNormal, _check_fields, _finite, _nonnegative,
                          _param, _positive)
-from .pricing import Component, _exp, _log_at, log_value
+from .pricing import Component, _driver, _exp, log_value
 from .sampling import McResult, _check_count, sample_increments
 
 __all__ = [
@@ -94,21 +94,19 @@ def _as_matrix(x, ncomp: int) -> np.ndarray:
 
 def vector_kernel_value(vglm: VectorGlm, x, t: float):
     """pi_t at component driver values x (last axis indexes components)."""
-    x = _as_matrix(x, len(vglm.components))
+    x = _driver(_as_matrix(x, len(vglm.components)))
     log_pi = -vglm.r * _nonnegative("t", t)
-    with _log_at(x, (x, t), "pi_t"):
-        for i, c in enumerate(vglm.components):
-            log_pi = log_value(log_pi, 0.0, c.model, -c.lam, x[..., i], t)
+    for i, c in enumerate(vglm.components):
+        log_pi = log_value(log_pi, 0.0, c.model, -c.lam, x[..., i], t)
     return _exp(log_pi, "(x, t)", (x, t), "pi_t")
 
 
 def vector_asset_value(vglm: VectorGlm, x, t: float):
     """S_t at component driver values x; product of scalar factors."""
-    x = _as_matrix(x, len(vglm.components))
+    x = _driver(_as_matrix(x, len(vglm.components)))
     log_s = math.log(vglm.s0) + vglm.r * _nonnegative("t", t)
-    with _log_at(x, (x, t), "S_t"):
-        for i, c in enumerate(vglm.components):
-            log_s = log_value(log_s, c.premium, c.model, c.sig, x[..., i], t)
+    for i, c in enumerate(vglm.components):
+        log_s = log_value(log_s, c.premium, c.model, c.sig, x[..., i], t)
     return _exp(log_s, "(x, t)", (x, t), "S_t")
 
 

@@ -123,9 +123,17 @@ def curvature_from_premium(model: LevyModel, sig: float) -> float:
     """Recover psi''(sig) as the mixed partial d2R/dlam dsig at lam -> 0+.
 
     Uses R(0, .) = 0 identically, so the lam-difference is one-sided at
-    lam = h (lam must stay nonnegative).
+    lam = h (lam must stay nonnegative); its error is about h/d, d being sig's
+    distance to the nearer inclusive domain limit. So h is at most d/1e4 and
+    the lower limit's distance from 0, which keeps sig +- h, sig - 2h and -h
+    inside; where none fits (sig at a limit), a point leaves the domain and
+    psi raises DomainViolation.
     """
+    dom = model.domain
+    d = min(dom._hi - sig, sig - dom._lo)
     h = _FD_SCALE * max(1.0, abs(sig))
+    if (fit := min(1e-4 * d, -dom._lo)) > 0.0:
+        h = min(h, fit)
     return (risk_premium(model, h, sig + h) - risk_premium(model, h, sig - h)) / (2.0 * h) / h
 
 

@@ -1,18 +1,18 @@
 """Pointwise pricing-kernel and asset-price evaluation.
 
 A `GlmSpec` is a `Component` (model, lam, sig) plus a market. Every kernel,
-price, money market and ratio in glevy is e^{log} by `_exp`, whose one rule
-raises ParamOutOfRange where the value overflows a float. Evaluators take the
-realized driver value x, so exact oracles and Monte Carlo share one code path.
-Time is in years, rates are continuously compounded, and every function
-accepts scalar or numpy-array x, which must be finite (`_log_at`).
+price, money market and ratio in glevy is e^{log} by `_exp`, whose one rule,
+on the log of a float or an array, raises ParamOutOfRange where the log is NaN
+or above log(max float); a log of -inf gives 0. Evaluators take the realized
+driver value x, so exact oracles and Monte Carlo share one code path. Time is
+in years, rates are continuously compounded, and every function accepts scalar
+or numpy-array x, which must be finite (`_driver`).
 """
 from __future__ import annotations
 
 import json
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 
@@ -78,43 +78,40 @@ class GlmSpec(Component):
 
 
 def log_value(log0, rate, model: LevyModel, a: float, x, t: float):
-    """log v0 + rate t + a x - t psi(a), the log of v0 e^{rate t} e^{a x - t psi(a)}."""
+    """log v0 + rate t + a x - t psi(a), the log of v0 e^{rate t} e^{a x - t psi(a)}. A term
+    that overflows is left as inf (or inf - inf as NaN) for `_exp` to judge."""
     t = _nonnegative("t", t)
-    return log0 + rate * t + a * x - t * model.psi(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return log0 + rate * t + a * x - t * model.psi(a)
+
+
+# The largest log whose e^log is a float, by math.exp and np.exp alike.
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _exp(log, name: str, value, what: str, scale: float = 1.0):
     """scale e^log by math.exp for a float log, e^log by np.exp (0-d as a scalar) otherwise,
-    so callers keep their bits; an overflow raises ParamOutOfRange "{what} overflows a float"."""
-    try:
-        if type(log) is not float:
-            with np.errstate(over="raise"):
-                return np.exp(log)[()]
-        if (result := scale * math.exp(log)) != math.inf:
+    so callers keep their bits. A log above _LOG_MAX or NaN, or a scaled value that is
+    inf, raises ParamOutOfRange "{what} overflows a float"; a log of -inf gives 0."""
+    if type(log) is float:
+        if log <= _LOG_MAX and (result := scale * math.exp(log)) != math.inf:
             return result
-    except (OverflowError, FloatingPointError):
-        pass
+    elif (np.asarray(log) <= _LOG_MAX).all():
+        return np.exp(log)[()]
     raise ParamOutOfRange(name, value, f"{what} overflows a float")
 
 
-@contextmanager
-def _log_at(x, value, what: str):
-    """Yields x as a float array to a block that forms a log at driver values x. A
-    non-finite x raises ParamOutOfRange naming x; an overflow in the block, _exp's error."""
+def _driver(x):
+    """x as a float array; a non-finite x, in any element, raises ParamOutOfRange naming x."""
     xs = np.asarray(x, dtype=float)
     if not np.isfinite(xs).all():
         raise ParamOutOfRange("x", x, "must be finite")
-    try:
-        with np.errstate(over="raise"):
-            yield xs
-    except FloatingPointError:
-        raise ParamOutOfRange("(x, t)", value, f"{what} overflows a float") from None
+    return xs
 
 
 def _value(spec: GlmSpec, log0, rate, a: float, x, t: float):
     """e^{log_value} for the spec's model at X_t = x: a float for scalar x."""
-    with _log_at(x, (x, t), "the value") as xs:
-        log = log_value(log0, rate, spec.model, a, xs, t)
+    log = log_value(log0, rate, spec.model, a, _driver(x), t)
     return _exp(log, "(x, t)", (x, t), "the value")
 
 

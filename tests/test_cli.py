@@ -288,6 +288,16 @@ def test_verify_passes(gamma_spec, capsys):
     assert all(out["checks"].values())
 
 
+def test_verify_passes_near_the_domain_limit(tmp_path, capsys):
+    # The curvature stencil once probed sigma + h = 1.000005, past Gamma's
+    # limit 1, and exited 2 on this valid spec.
+    p = tmp_path / "gamma.json"
+    p.write_text(json.dumps({**_GOOD_SPEC, "lambda": 0.25, "sigma": 0.999995}))
+    assert main(["verify", "--spec", str(p)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["checks"]["curvature_recovery"] and out["pass"]
+
+
 def test_verify_overflowing_expected_price_exits_2(tmp_path, capsys):
     # R is about 6.5e7 here, so E[S_1] = s0 e^{r + R} overflows a float.
     p = tmp_path / "cpn.json"

@@ -458,6 +458,22 @@ def test_psi_rounding_to_inf_raises_param_out_of_range(call, method):
     assert info.value.name == "alpha" and info.value.__cause__ is None
 
 
+@pytest.mark.parametrize("model, a", [
+    (g.ScaledGamma(m=2.0, kappa=1.7e308), -27.0),
+    (g.mirror(g.ScaledGamma(m=2.0, kappa=1.7e308)), 27.0),
+], ids=["ScaledGamma", "mirror-ScaledGamma"])
+def test_scaled_float_and_array_agree_where_c_alpha_overflows(model, a):
+    # c a rounds to -inf: the float psi' and psi'' once gave 0.0 (-0.0 on the
+    # mirror), where psi and every array call raised.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method in _METHODS:
+            for alpha in (a, np.array(a), np.array([0.5 / a, a])):
+                with pytest.raises(g.ParamOutOfRange, match=f"{method} overflows a float"):
+                    getattr(model, method)(alpha)
+            assert a not in model._memos[method]
+
+
 _LOG_UNIFORM = st.floats(-2.0, 2.0).map(lambda u: 10.0**u)
 
 

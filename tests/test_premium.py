@@ -197,6 +197,19 @@ def test_curvature_recovery(family_case):
     assert_close(est, exact, 1e-3, "curvature")
 
 
+@pytest.mark.parametrize("model, sig", [
+    (g.Gamma(m=1.0), 0.999995),
+    (g.mirror(g.Gamma(m=1.0)), -0.999995),
+    (g.ScaledGamma(m=2.0, kappa=0.5), 1.99999),
+    (g.mirror(g.ScaledGamma(m=1.0, kappa=1e6)), 5e-7),
+], ids=["Gamma", "mirror-Gamma", "ScaledGamma", "mirror-ScaledGamma"])
+def test_curvature_recovery_near_the_domain_limit(model, sig):
+    # h = 1e-5 put sig + h, sig - 2h or -h past a limit (the last, -1e-5, past
+    # the mirror's -1e-6); h shrinks to a 1e4th of sig's distance from it.
+    est = g.curvature_from_premium(model, sig)
+    assert_close(est, model.psi_second(sig), 1e-3, "curvature")
+
+
 def test_curvature_values():
     assert g.curvature_from_premium(g.Brownian(), 0.7) == pytest.approx(1.0, rel=1e-4)
     vg = g.VarianceGamma(m=2.0)

@@ -370,8 +370,9 @@ def test_value_functions_at_time_zero():
 
 
 # Each value function and the sign of its coefficient a of x on a Brownian
-# spec with lam = sig = 2, so a x overflows a float at |x| = 1e308 and is
-# -1e308 at x = -sign 5e307, where the value underflows to 0.
+# spec with lam = sig = 2, so a x overflows a float at x = sign 1e308. It is
+# -1e308 at x = -sign 5e307 and -inf at x = -sign 1e308, where the value
+# underflows to 0.
 _BIG_A_SPEC = make_spec(g.Brownian(), 2.0, 2.0, r=0.03, s0=1.3, f=0.01,
                         gamma_growth=0.005, d0=0.05)
 _BIG_A_VGLM = g.VectorGlm(components=(g.Component(g.Brownian(), 2.0, 2.0),
@@ -397,11 +398,11 @@ def test_value_functions_check_the_driver_value(fn):
             with pytest.raises(g.ParamOutOfRange, match="must be finite") as err:
                 call(x)
             assert err.value.name == "x"
-        for x in (1e308, -1e308):
-            with pytest.raises(g.ParamOutOfRange, match="overflows a float"):
-                call(sign * x)
-        assert call(-sign * 5e307) == 0.0
-        assert call(np.array([0.1, -sign * 5e307])).tolist()[1] == 0.0
+        with pytest.raises(g.ParamOutOfRange, match="overflows a float"):
+            call(sign * 1e308)
+        for x in (5e307, 1e308):
+            assert call(-sign * x) == 0.0
+            assert call(np.array([0.1, -sign * x])).tolist()[1] == 0.0
 
 
 def test_glm_spec_is_a_component():
@@ -629,6 +630,36 @@ def test_exp_keeps_math_exp_for_floats_and_np_exp_otherwise():
             pricing._exp(log, "x", log, "e^x", scale)
 
 
+def test_exp_judges_overflow_on_the_log_for_floats_and_arrays():
+    # e^_LOG_MAX is the largest float math.exp and np.exp give; one ulp more
+    # overflows both. A NaN or +inf log raises too, and a log of -inf gives 0.
+    top = pricing._LOG_MAX
+    past = float(np.nextafter(top, math.inf))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for wrap in (float, np.array, lambda log: np.array([0.3, log])):
+            assert np.max(pricing._exp(wrap(top), "x", top, "e^x")) == math.exp(top)
+            assert np.min(pricing._exp(wrap(-math.inf), "x", -math.inf, "e^x")) == 0.0
+            for log in (past, math.nan, math.inf):
+                with pytest.raises(g.ParamOutOfRange, match=r"e\^x overflows a float"):
+                    pricing._exp(wrap(log), "x", log, "e^x")
+
+
+def test_value_with_an_infinite_rate_term_raises():
+    # r t = 1e310 rounds to inf as a Python float, and np.exp(inf) sets no
+    # flag, so the value was once inf without a warning. In the kernel, -r t
+    # = -inf meets a x = +inf at x = -1e308: their sum is NaN.
+    spec = make_spec(g.Brownian(), 2.0, 0.5, r=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (0.0, np.array([0.0, 1.0])):
+            with pytest.raises(g.ParamOutOfRange, match="the value overflows a float"):
+                g.asset_value(spec, x, 1e10)
+        assert g.kernel_value(spec, 0.0, 1e10) == 0.0
+        with pytest.raises(g.ParamOutOfRange, match="the value overflows a float"):
+            g.kernel_value(spec, -1e308, 1e10)
+
+
 def test_expected_asset_price_overflowing_product_raises():
     # e^{(r + R) t} is about 3.3, but s0 e^{(r + R) t} overflows a float.
     spec = make_spec(g.Gamma(m=1.0), 0.25, 0.5, r=1.0, s0=1e308)
@@ -639,20 +670,43 @@ def test_expected_asset_price_overflowing_product_raises():
 
 
 class _Exponentials(_Constructions):
-    """(file, function) of each np.exp or math.exp call."""
+    """(file, function) of each np.exp or math.exp call, of each np.errstate
+    call and of each name or attribute `contextmanager`."""
+
+    def __init__(self, filename):
+        super().__init__(filename)
+        self.errstates, self.managers = [], []
 
     def visit_Call(self, node):
-        if (getattr(node.func, "attr", None) == "exp"
-                and getattr(node.func.value, "id", None) in ("np", "math")):
+        owner = getattr(getattr(node.func, "value", None), "id", None)
+        name = getattr(node.func, "attr", None), owner
+        if name in (("exp", "np"), ("exp", "math")):
             self.sites.append((self.filename, *self.scope[-1:]))
+        elif name == ("errstate", "np"):
+            self.errstates.append((self.filename, *self.scope[-1:]))
+        self.generic_visit(node)
+
+    def visit_Name(self, node):
+        if node.id == "contextmanager":
+            self.managers.append((self.filename, *self.scope[-1:]))
+
+    def visit_Attribute(self, node):
+        if node.attr == "contextmanager":
+            self.managers.append((self.filename, *self.scope[-1:]))
         self.generic_visit(node)
 
 
 def test_values_are_exponentiated_only_in_pricing_exp():
-    sites = []
+    sites, errstates, managers = [], [], []
     for module in (pricing, multifactor, cli):
         visitor = _Exponentials(Path(module.__file__).name)
         visitor.visit(ast.parse(Path(module.__file__).read_text()))
         sites += visitor.sites
+        errstates += visitor.errstates
+        managers += visitor.managers
     # Once by math.exp for a float log and once by np.exp for anything else.
     assert sites == [("pricing.py", "_exp")] * 2
+    # _exp judges overflow on the log: no error context decides it, and only
+    # log_value silences numpy while it forms the log.
+    assert errstates == [("pricing.py", "log_value")]
+    assert managers == []

@@ -115,20 +115,24 @@ def cmd_price_option(spec: GlmSpec, args) -> int:
 
 
 def cmd_fx_check(spec: GlmSpec, args) -> int:
-    r_tilde = prem.inverse_fx_premium(spec.model, spec.lam, spec.sig)
-    verdict = {
-        "R": spec.premium,
-        "R_tilde": r_tilde,
-        "sigma_exceeds_lambda": spec.sig > spec.lam,
-        "siegel_ok": (r_tilde > 0) == (spec.sig > spec.lam),
-    }
+    verdict = {"R": spec.premium, "R_tilde": None, "sigma_exceeds_lambda": spec.sig > spec.lam,
+               "siegel_ok": None}
     if spec.f is not None:
-        x, t = 0.7, 1.3
-        product = float(fx_value(spec, x, t) * inverse_fx_value(spec, x, t))
-        verdict["fx_product"] = product
-        verdict["siegel_ok"] = verdict["siegel_ok"] and abs(product - 1.0) < 1e-10
+        verdict["fx_product"] = None
+    # The inverse rate and its premium R~ exist only where -sig lies in the
+    # domain; elsewhere their checks do not apply and stay null.
+    if spec.model.domain.admissible(-spec.sig):
+        r_tilde = prem.inverse_fx_premium(spec.model, spec.lam, spec.sig)
+        ok = (r_tilde > 0) == (spec.sig > spec.lam)
+        verdict["R_tilde"] = r_tilde
+        if spec.f is not None:
+            x, t = 0.7, 1.3
+            product = float(fx_value(spec, x, t) * inverse_fx_value(spec, x, t))
+            verdict["fx_product"] = product
+            ok = ok and abs(product - 1.0) < 1e-10
+        verdict["siegel_ok"] = ok
     print(json.dumps(verdict))
-    return 0 if verdict["siegel_ok"] else 1
+    return 1 if verdict["siegel_ok"] is False else 0
 
 
 def cmd_dividend(spec: GlmSpec, args) -> int:
@@ -146,16 +150,23 @@ def cmd_verify(spec: GlmSpec, args) -> int:
     checks["premium_positive"] = spec.premium > 0.0
     g = prem.premium_gradient(model, lam, sig)
     checks["premium_increasing"] = g[0] > 0.0 and g[1] > 0.0
-    checks["identity_residual"] = abs(prem.premium_identity_check(model, lam, sig)) < 1e-12
-    r_tilde = prem.inverse_fx_premium(model, lam, sig)
-    checks["siegel_sign"] = (r_tilde > 0.0) == (sig > lam)
+    checks["identity_residual"] = checks["siegel_sign"] = None
+    # R~ and the identity R + R~ = psi(sig) + psi(-sig) need -sig in the
+    # domain; elsewhere those two checks do not apply and stay null.
+    if model.domain.admissible(-sig):
+        # The residual is rounding on the scale of the psi values it sums.
+        scale = sum(abs(model.psi(a)) for a in (sig, -lam, sig - lam, -sig))
+        residual = prem.premium_identity_check(model, lam, sig)
+        checks["identity_residual"] = abs(residual) < 1e-12 * max(1.0, scale)
+        r_tilde = prem.inverse_fx_premium(model, lam, sig)
+        checks["siegel_sign"] = (r_tilde > 0.0) == (sig > lam)
     psi2 = model.psi_second(sig)
     checks["curvature_recovery"] = (
         abs(prem.curvature_from_premium(model, sig) - psi2) <= 1e-3 * abs(psi2))
     growth = spec.r + spec.premium  # (r + R) t at t = 1
     reference = _exp(growth, "(r + R) t", growth, "E[S_t]", spec.s0)
     checks["expected_price"] = abs(expected_asset_price(spec, 1.0) - reference) < 1e-12 * spec.s0
-    ok = all(checks.values())
+    ok = all(v for v in checks.values() if v is not None)
     print(json.dumps({"spec": str(args.spec), "checks": checks, "pass": ok}))
     return 0 if ok else 1
 

@@ -114,6 +114,21 @@ def _number(name: str, value) -> float:
         raise ParamOutOfRange(name, value, "must be a number") from None
 
 
+def _reals(name: str, value, ndim: int | None = None) -> np.ndarray:
+    """np.asarray(value), of ndim dimensions if given, for an array of integers or
+    floats; ParamOutOfRange for text, complex, bool, ragged or other objects, as
+    `_number` for a scalar."""
+    try:
+        values = np.asarray(value)
+    except ValueError:  # ragged
+        values = None
+    if values is None or values.dtype.kind not in "iuf":
+        raise ParamOutOfRange(name, value, "must be real numbers")
+    if ndim is not None and values.ndim != ndim:
+        raise ParamOutOfRange(name, values.shape, f"must be {ndim}-d")
+    return values
+
+
 def _rule(ok: Callable[[float], bool], constraint: str) -> Callable[[str, object], float]:
     """A range check: check(name, value) converts value with `_number`, returns
     it where ok holds and raises ParamOutOfRange(name, value, constraint) where not."""

@@ -3,9 +3,11 @@ coefficient schedules.
 
 The driver is a vector of independent scalar components; the exponent, the
 premium and the kernel/asset exponentials all separate into per-component
-sums. Coefficient schedules are deterministic, bounded and piecewise constant
-(right-continuous), which keeps the compensated exponential an honest
-martingale and makes the stochastic integral an exact finite sum.
+sums; the kernel and asset values are `pricing._value` over them, so a model
+of one `GlmSpec` gives its scalar values bit for bit. Coefficient schedules
+are deterministic, bounded and piecewise constant (right-continuous), which
+keeps the compensated exponential an honest martingale and makes the
+stochastic integral an exact finite sum.
 
 Each component, and each (interval, component) cell of a schedule, is a
 `pricing.Component`. A `Schedule` holds read-only copies of its arrays, so it
@@ -27,8 +29,8 @@ import numpy as np
 
 from .errors import GridMismatch, ParamOutOfRange
 from .exponents import (Brownian, CompoundPoissonNormal, _check_fields, _finite, _nonnegative,
-                         _param, _positive)
-from .pricing import Component, _driver, _exp, log_value
+                         _param, _positive, _reals)
+from .pricing import Component, _exp, _value
 from .sampling import McResult, _check_count, sample_increments
 
 __all__ = [
@@ -61,9 +63,13 @@ class VectorGlm:
     s0: float = _param(_positive, 1.0)
 
     def __post_init__(self):
-        comps = tuple(self.components)
-        if not comps:
-            raise ParamOutOfRange("components", comps, "must be nonempty")
+        try:
+            comps = tuple(self.components)
+        except TypeError:  # not iterable
+            comps = ()
+        if not comps or not all(isinstance(c, Component) for c in comps):
+            raise ParamOutOfRange("components", self.components,
+                                  "must be a nonempty sequence of Components")
         object.__setattr__(self, "components", comps)
         _check_fields(self)
 
@@ -85,29 +91,15 @@ def vector_premium(vglm: VectorGlm) -> float:
     return sum(c.premium for c in vglm.components)
 
 
-def _as_matrix(x, ncomp: int) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape[-1] != ncomp:
-        raise ParamOutOfRange("x", x.shape, f"last axis must have {ncomp} components")
-    return x
-
-
 def vector_kernel_value(vglm: VectorGlm, x, t: float):
     """pi_t at component driver values x (last axis indexes components)."""
-    x = _driver(_as_matrix(x, len(vglm.components)))
-    log_pi = -vglm.r * _nonnegative("t", t)
-    for i, c in enumerate(vglm.components):
-        log_pi = log_value(log_pi, 0.0, c.model, -c.lam, x[..., i], t)
-    return _exp(log_pi, "(x, t)", (x, t), "pi_t")
+    return _value(0.0, -vglm.r, [(c.model, -c.lam) for c in vglm.components], x, t, stacked=True)
 
 
 def vector_asset_value(vglm: VectorGlm, x, t: float):
-    """S_t at component driver values x; product of scalar factors."""
-    x = _driver(_as_matrix(x, len(vglm.components)))
-    log_s = math.log(vglm.s0) + vglm.r * _nonnegative("t", t)
-    for i, c in enumerate(vglm.components):
-        log_s = log_value(log_s, c.premium, c.model, c.sig, x[..., i], t)
-    return _exp(log_s, "(x, t)", (x, t), "S_t")
+    """S_t at component driver values x, at the rate r + sum of R_i."""
+    return _value(math.log(vglm.s0), vglm.r + vector_premium(vglm),
+                  [(c.model, c.sig) for c in vglm.components], x, t, stacked=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,13 +120,13 @@ class Schedule:
     _memo: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        bp = np.array(self.breakpoints, dtype=float)
-        r = np.array(self.r, dtype=float)
-        lam = np.array(self.lam, dtype=float, ndmin=2)
-        sig = np.array(self.sig, dtype=float, ndmin=2)
+        bp, r = (np.array(_reals("schedule", a, 1), dtype=float)
+                 for a in (self.breakpoints, self.r))
+        lam, sig = (np.array(_reals("schedule", a), dtype=float, ndmin=2)
+                    for a in (self.lam, self.sig))
         if not all(np.isfinite(a).all() for a in (bp, r, lam, sig)):
             raise ParamOutOfRange("schedule", (bp, r, lam, sig), "must be finite")
-        if bp[0] != 0.0 or np.any(np.diff(bp) <= 0.0):
+        if len(bp) < 2 or bp[0] != 0.0 or np.any(np.diff(bp) <= 0.0):
             raise ParamOutOfRange("breakpoints", bp, "must increase from 0")
         k = len(bp) - 1
         if len(r) != k or lam.shape[0] != k or sig.shape[0] != k:

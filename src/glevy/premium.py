@@ -22,10 +22,8 @@ import math
 from contextlib import suppress
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DomainViolation, QuadratureFailure, Unsupported
-from .exponents import LevyModel
+from .exponents import LevyModel, _reals
 
 __all__ = [
     "risk_premium",
@@ -167,10 +165,10 @@ def is_bilinear(model: LevyModel) -> bool:
 
 def premium_surface(model: LevyModel, lams: Sequence[float],
                     sigs: Sequence[float]) -> list[tuple[float, float, float, float]]:
-    """Row-major (lam, sig, R, R_tilde) float rows over the grid, from psi on sig,
+    """Row-major (lam, sig, R, R_tilde) float rows over the 1-d real grids, from psi on sig,
     -sig, -lam and the lam x sig matrix of sig - lam, formed in the inputs' dtype as
     the per-point formulas form it; it raises where they do, maybe naming another point."""
-    lams, sigs, psi = np.asarray(lams), np.asarray(sigs), model.psi
+    lams, sigs, psi = _reals("lams", lams, 1), _reals("sigs", sigs, 1), model.psi
     if not lams.size or not sigs.size:
         return []
     a, d, b, c = psi(sigs), psi(-sigs), psi(-lams)[:, None], psi(sigs - lams[:, None])

@@ -3,10 +3,12 @@
 A `GlmSpec` is a `Component` (model, lam, sig) plus a market. Every kernel,
 price, money market and ratio in glevy is e^{log} by `_exp`, whose one rule,
 on the log of a float or an array, raises ParamOutOfRange where the log is NaN
-or above log(max float); a log of -inf gives 0. Evaluators take the realized
-driver value x, so exact oracles and Monte Carlo share one code path. Time is
-in years, rates are continuously compounded, and every function accepts scalar
-or numpy-array x, which must be finite (`_driver`).
+or above log(max float); a log of -inf gives 0. Every value at a realized
+driver value x, a GlmSpec's or a VectorGlm's, is one compensated exponential
+over (model, a) terms, `_value`, so exact oracles and Monte Carlo share one
+code path. Time is in years, rates are continuously compounded, and every
+function accepts scalar or numpy-array x, which must be finite real numbers
+(`_driver`).
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import MissingForeignRate, NonpositiveDividendYield, ParamOutOfRange
 from .exponents import (LevyModel, _check_fields, _finite, _nonnegative, _number, _param,
-                         _positive, make_model)
+                         _positive, _reals, make_model)
 from .premium import inverse_fx_premium, risk_premium
 
 __all__ = [
@@ -102,27 +104,35 @@ def _exp(log, name: str, value, what: str, scale: float = 1.0):
 
 
 def _driver(x):
-    """x as a float array; a non-finite x, in any element, raises ParamOutOfRange naming x."""
-    xs = np.asarray(x, dtype=float)
+    """x as a float array; x that is not real numbers, or is not finite in any
+    element, raises ParamOutOfRange naming x."""
+    xs = np.asarray(_reals("x", x), dtype=float)
     if not np.isfinite(xs).all():
         raise ParamOutOfRange("x", x, "must be finite")
     return xs
 
 
-def _value(spec: GlmSpec, log0, rate, a: float, x, t: float):
-    """e^{log_value} for the spec's model at X_t = x: a float for scalar x."""
-    log = log_value(log0, rate, spec.model, a, _driver(x), t)
+def _value(log0, rate, terms, x, t: float, stacked: bool = False):
+    """e^{log0 + rate t + sum_i (a_i x_i - t psi_i(a_i))} over the (model, a_i) terms, each
+    through log_value, so one term is the scalar order; x_i is x, or x[..., i] if
+    stacked (a VectorGlm's x). x is checked once, and the log exponentiated once."""
+    xs = np.atleast_1d(_driver(x)) if stacked else _driver(x)[..., None]
+    if xs.shape[-1] != len(terms):
+        raise ParamOutOfRange("x", xs.shape, f"last axis must have {len(terms)} components")
+    log = log0
+    for i, (model, a) in enumerate(terms):
+        log, rate = log_value(log, rate, model, a, xs[..., i], t), 0.0
     return _exp(log, "(x, t)", (x, t), "the value")
 
 
 def kernel_value(spec: GlmSpec, x, t: float):
     """Pricing kernel pi_t = e^{-rt} e^{-lam x - t psi(-lam)} at X_t = x."""
-    return _value(spec, 0.0, -spec.r, -spec.lam, x, t)
+    return _value(0.0, -spec.r, [(spec.model, -spec.lam)], x, t)
 
 
 def asset_value(spec: GlmSpec, x, t: float):
     """Asset price S_t = s0 e^{(r+R)t} e^{sig x - t psi(sig)} at X_t = x."""
-    return _value(spec, math.log(spec.s0), spec.r + spec.premium, spec.sig, x, t)
+    return _value(math.log(spec.s0), spec.r + spec.premium, [(spec.model, spec.sig)], x, t)
 
 
 def expected_asset_price(spec: GlmSpec, t: float) -> float:
@@ -140,14 +150,14 @@ def _require_f(spec: GlmSpec) -> float:
 def fx_value(spec: GlmSpec, x, t: float):
     """Exchange rate S_t = s0 e^{(r-f)t} e^{Rt} e^{sig x - t psi(sig)}."""
     f = _require_f(spec)
-    return _value(spec, math.log(spec.s0), spec.r - f + spec.premium, spec.sig, x, t)
+    return _value(math.log(spec.s0), spec.r - f + spec.premium, [(spec.model, spec.sig)], x, t)
 
 
 def inverse_fx_value(spec: GlmSpec, x, t: float):
     """Inverse rate with s0_tilde = 1/s0; the product fx * inverse_fx is 1."""
     f = _require_f(spec)
     r_tilde = inverse_fx_premium(spec.model, spec.lam, spec.sig)
-    return _value(spec, -math.log(spec.s0), f - spec.r + r_tilde, -spec.sig, x, t)
+    return _value(-math.log(spec.s0), f - spec.r + r_tilde, [(spec.model, -spec.sig)], x, t)
 
 
 def gordon_valuation(spec: GlmSpec) -> tuple[float, float]:
@@ -163,8 +173,8 @@ def gordon_valuation(spec: GlmSpec) -> tuple[float, float]:
 
 def dividend_asset_value(spec: GlmSpec, x, t: float):
     """Price path of the dividend-paying asset; D_t = delta * S_t throughout."""
-    s0_implied, delta = gordon_valuation(spec)
-    return _value(spec, math.log(s0_implied), spec.r - delta + spec.premium, spec.sig, x, t)
+    s0, delta = gordon_valuation(spec)
+    return _value(math.log(s0), spec.r - delta + spec.premium, [(spec.model, spec.sig)], x, t)
 
 
 # Each JSON key of a spec file and the GlmSpec field it sets, in file order: a key

@@ -298,6 +298,50 @@ def test_verify_passes_near_the_domain_limit(tmp_path, capsys):
     assert out["checks"]["curvature_recovery"] and out["pass"]
 
 
+# Mirrored[Gamma] has domain (-1, inf): the premium exists at lam = 0.25,
+# sig = 1.5, but psi(-1.5), and with it R~, does not.
+_MINUS_SIGMA_OUTSIDE = {"family": "Mirrored[Gamma]", "params": {"m": 1.0}, "r": 0.02,
+                        "lambda": 0.25, "sigma": 1.5}
+
+
+def test_verify_reports_inverse_rate_checks_as_not_applicable(tmp_path, capsys):
+    # verify once exited 2 here, naming alpha = -1.5.
+    assert not g.spec_from_dict(_MINUS_SIGMA_OUTSIDE).model.domain.admissible(-1.5)
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(_MINUS_SIGMA_OUTSIDE))
+    assert main(["verify", "--spec", str(p)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    checks = out["checks"]
+    assert checks.pop("identity_residual") is None and checks.pop("siegel_sign") is None
+    assert all(v is True for v in checks.values()) and out["pass"] is True
+
+
+@pytest.mark.parametrize("f", [None, 0.01])
+def test_fx_check_reports_inverse_rate_as_not_applicable(tmp_path, capsys, f):
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({**_MINUS_SIGMA_OUTSIDE, "f": f}))
+    assert main(["fx-check", "--spec", str(p)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["R"] == pytest.approx(0.18232155679395456, rel=1e-12)
+    assert out["R_tilde"] is None and out["siegel_ok"] is None
+    assert out["sigma_exceeds_lambda"] is True
+    assert ("fx_product" in out) == (f is not None)
+    assert out.get("fx_product") is None
+
+
+@pytest.mark.parametrize("lam,sig", [(0.001, 12.0), (1e-6, 20.0)])
+def test_verify_bounds_the_identity_residual_on_the_psi_scale(tmp_path, capsys, lam, sig):
+    # R is about 162.7 at sig = 12 and psi(20) about 4.9e8; the residual of
+    # R + R~ = psi(sig) + psi(-sig) once failed an absolute 1e-12 bound by
+    # rounding alone (-2.1e-9 at sig = 20).
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({"family": "Poisson", "params": {"m": 1.0}, "r": 0.02,
+                             "lambda": lam, "sigma": sig}))
+    assert main(["verify", "--spec", str(p)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["checks"]["identity_residual"] is True and out["pass"]
+
+
 def test_verify_overflowing_expected_price_exits_2(tmp_path, capsys):
     # R is about 6.5e7 here, so E[S_1] = s0 e^{r + R} overflows a float.
     p = tmp_path / "cpn.json"

@@ -285,6 +285,10 @@ def test_schedule_length_validation():
         g.Schedule(breakpoints=[1.0, 2.0], r=[0.02], lam=[[0.4]], sig=[[0.3]])
     with pytest.raises(g.ParamOutOfRange, match="lam and sig must have equal shapes"):
         g.Schedule(breakpoints=[0.0, 1.0], r=[0.02], lam=[[0.4]], sig=[[0.3, 0.2]])
+    # No interval: [] once raised an untyped IndexError and [0.0] built.
+    for bp in ([], [0.0]):
+        with pytest.raises(g.ParamOutOfRange, match="must increase from 0"):
+            g.Schedule(breakpoints=bp, r=[], lam=np.zeros((0, 1)), sig=np.zeros((0, 1)))
 
 
 @pytest.mark.parametrize("field,value", [
@@ -296,6 +300,33 @@ def test_schedule_non_finite_rejected(field, value):
     kw[field] = value
     with pytest.raises(g.ParamOutOfRange):
         g.Schedule(**kw)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("r", ["0.02"]), ("r", [0.02 + 1j]), ("breakpoints", np.array([0.0, 1.0 + 0j])),
+    ("breakpoints", [0.0, [1.0, 2.0]]), ("lam", [[0.4], [0.1, 0.2]]), ("sig", [["0.3"]]),
+    ("lam", [[None]]), ("r", 0.02), ("breakpoints", [[0.0, 1.0]]),
+])
+def test_schedule_accepts_only_real_arrays(field, value):
+    # Once a text r was accepted, and a complex or ragged one raised untyped.
+    kw = dict(breakpoints=[0.0, 1.0], r=[0.02], lam=[[0.4]], sig=[[0.3]])
+    kw[field] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(g.ParamOutOfRange) as exc:
+            g.Schedule(**kw)
+    assert exc.value.name == "schedule"
+
+
+@pytest.mark.parametrize("components", [
+    (g.Brownian(),), 5, None, "ab", [g.Component(g.Brownian(), 0.1, 0.2), 0.3], (),
+])
+def test_vector_glm_accepts_only_components(components):
+    # (Brownian(),) once built and failed later with an AttributeError, and 5
+    # raised an untyped TypeError.
+    with pytest.raises(g.ParamOutOfRange) as exc:
+        g.VectorGlm(components=components, r=0.02)
+    assert exc.value.name == "components"
 
 
 _NON_NUMBERS = [pytest.param("x", id="str"), pytest.param("0.5", id="numeric-str"),

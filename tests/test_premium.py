@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -481,6 +482,22 @@ def test_empty_surface_evaluates_nothing(model, monkeypatch):
     monkeypatch.setattr(type(model), "psi", no_psi)
     assert g.premium_surface(model, [], [0.1, 5.0]) == []
     assert g.premium_surface(model, np.array([0.1, 5.0]), np.array([])) == []
+
+
+@pytest.mark.parametrize("name", ["lams", "sigs"])
+@pytest.mark.parametrize("grid", [
+    np.array([[0.1, 0.2], [0.3, 0.4]]), 0.2, np.array(0.2), np.array([0.1, 0.2 + 1j]),
+    [0.1, "0.2"], [0.1, [0.2, 0.3]], [True, False],
+], ids=["2-d", "float", "0-d", "complex", "str", "ragged", "bool"])
+def test_surface_takes_only_one_dimensional_real_grids(name, grid):
+    # A 2-d grid once gave rows holding lists, a 0-d one a TypeError, and a
+    # complex one lost its imaginary part with a ComplexWarning.
+    grids = {"lams": [0.1, 0.3], "sigs": [0.2, 0.4], name: grid}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(g.ParamOutOfRange) as exc:
+            g.premium_surface(g.Gamma(m=1.0), grids["lams"], grids["sigs"])
+    assert exc.value.name == name
 
 
 @pytest.mark.parametrize("bad_sig", [0.5, 0.999, 1.0, 1.5, -1.5, math.inf, math.nan])

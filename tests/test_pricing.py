@@ -288,9 +288,10 @@ def _ref_vector_kernel(vglm, x, t):
 
 
 def _ref_vector_asset(vglm, x, t):
-    log_s = math.log(vglm.s0) + vglm.r * t
+    # The scalar order: one rate r + sum of R_i, then each component's terms.
+    log_s = math.log(vglm.s0) + (vglm.r + sum(c.premium for c in vglm.components)) * t
     for i, c in enumerate(vglm.components):
-        log_s = log_s + c.premium * t + c.sig * x[..., i] - t * c.model.psi(c.sig)
+        log_s = log_s + c.sig * x[..., i] - t * c.model.psi(c.sig)
     return np.exp(log_s)[()]
 
 
@@ -326,6 +327,10 @@ def test_value_functions_match_reference_formulas_bitwise(name, xname, t):
     for vglm, xv in ((one, x1), (two, x2)):
         _assert_identical(g.vector_kernel_value(vglm, xv, t), _ref_vector_kernel(vglm, xv, t))
         _assert_identical(g.vector_asset_value(vglm, xv, t), _ref_vector_asset(vglm, xv, t))
+    # A GlmSpec is the one-component case of the vector values, bit for bit.
+    as_vector = g.VectorGlm((spec,), spec.r, spec.s0)
+    _assert_identical(g.vector_kernel_value(as_vector, x1, t), g.kernel_value(spec, x, t))
+    _assert_identical(g.vector_asset_value(as_vector, x1, t), g.asset_value(spec, x, t))
 
 
 _VALUE_FUNCTIONS = [g.kernel_value, g.asset_value, g.fx_value, g.inverse_fx_value,
@@ -405,6 +410,29 @@ def test_value_functions_check_the_driver_value(fn):
             assert call(np.array([0.1, -sign * x])).tolist()[1] == 0.0
 
 
+_NON_REAL_X = [pytest.param("a", id="str"), pytest.param("0.5", id="numeric-str"),
+               pytest.param([0.1, "0.2"], id="str-element"), pytest.param(b"0.5", id="bytes"),
+               pytest.param([[0.1, 0.2], [0.3]], id="ragged"), pytest.param(1 + 2j, id="complex"),
+               pytest.param(np.array([0.1, 0.2 + 1j]), id="complex-array"),
+               pytest.param(np.complex128(0.5), id="numpy-complex"),
+               pytest.param(np.array([True, False]), id="bool-array"),
+               pytest.param([0.1, None], id="None-element")]
+
+
+@pytest.mark.parametrize("x", _NON_REAL_X)
+@pytest.mark.parametrize("fn", list(_A_SIGN), ids=lambda fn: fn.__name__)
+def test_value_functions_accept_only_real_driver_values(fn, x):
+    # Once "0.5" gave a value, "a" and a ragged list raised an untyped
+    # ValueError, 1+2j a TypeError, and a complex array lost its imaginary
+    # part with a ComplexWarning.
+    model = _BIG_A_VGLM if fn in _VECTOR_VALUE_FUNCTIONS else _BIG_A_SPEC
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(g.ParamOutOfRange, match="must be real numbers") as err:
+            fn(model, x, 1.0)
+    assert err.value.name == "x"
+
+
 def test_glm_spec_is_a_component():
     assert issubclass(g.GlmSpec, g.Component)
     assert multifactor.Component is pricing.Component is g.Component
@@ -416,10 +444,8 @@ def test_glm_spec_serves_as_a_vector_component():
     vglm = g.VectorGlm(components=(spec,), r=spec.r, s0=spec.s0)
     assert g.vector_premium(vglm) == spec.premium
     x, t = np.array([-0.4, 0.1, 0.9]), 1.7
-    assert np.allclose(g.vector_asset_value(vglm, x[:, None], t), g.asset_value(spec, x, t),
-                       rtol=1e-14, atol=0.0)
-    assert np.allclose(g.vector_kernel_value(vglm, x[:, None], t),
-                       g.kernel_value(spec, x, t), rtol=1e-14, atol=0.0)
+    _assert_identical(g.vector_asset_value(vglm, x[:, None], t), g.asset_value(spec, x, t))
+    _assert_identical(g.vector_kernel_value(vglm, x[:, None], t), g.kernel_value(spec, x, t))
 
 
 def test_glm_spec_rejects_positional_market_fields():
@@ -480,11 +506,15 @@ def _one_interval(r, lam, sig):
 
 
 def _vector_value_reference(which, x, t):
-    """vector_kernel_value ("lambda") or vector_asset_value ("sigma") by np.exp."""
-    log = -_JD.r * t if which == "lambda" else math.log(_JD.s0) + _JD.r * t
-    for i, c in enumerate(_JD.components):
-        a, rate = (-c.lam, 0.0) if which == "lambda" else (c.sig, c.premium)
-        log = pricing.log_value(log, rate, c.model, a, x[..., i], t)
+    """vector_kernel_value ("lambda") or vector_asset_value ("sigma") by np.exp, in
+    the scalar order: the one rate with the first component, then the others."""
+    if which == "lambda":
+        log, rate, terms = 0.0, -_JD.r, [(c.model, -c.lam) for c in _JD.components]
+    else:
+        log, rate = math.log(_JD.s0), _JD.r + g.vector_premium(_JD)
+        terms = [(c.model, c.sig) for c in _JD.components]
+    for i, (model, a) in enumerate(terms):
+        log, rate = pricing.log_value(log, rate, model, a, x[..., i], t), 0.0
     return np.exp(log)[()]
 
 
@@ -710,3 +740,24 @@ def test_values_are_exponentiated_only_in_pricing_exp():
     # log_value silences numpy while it forms the log.
     assert errstates == [("pricing.py", "log_value")]
     assert managers == []
+
+
+class _LogValueCalls(_Constructions):
+    """(file, function) of each call of log_value."""
+
+    def visit_Call(self, node):
+        if "log_value" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            self.sites.append((self.filename, *self.scope[-1:]))
+        self.generic_visit(node)
+
+
+def test_log_value_is_called_only_by_the_one_value_route():
+    # Every kernel and price value is pricing._value's; exact_call's constant
+    # log parts and the simulate summary's log draws are the other two.
+    sites = []
+    for path in sorted(Path(g.__file__).parent.glob("*.py")):
+        visitor = _LogValueCalls(path.name)
+        visitor.visit(ast.parse(path.read_text()))
+        sites += visitor.sites
+    assert sorted(sites) == [("cli.py", "cmd_simulate"), ("options.py", "exact_call"),
+                             ("options.py", "exact_call"), ("pricing.py", "_value")]

@@ -132,9 +132,9 @@ class Schedule:
         if len(r) != k or lam.shape[0] != k or sig.shape[0] != k:
             raise ParamOutOfRange("schedule", (len(r), lam.shape, sig.shape),
                                   f"{k} intervals require {k} coefficient rows")
-        if lam.shape != sig.shape:
+        if lam.shape != sig.shape or lam.ndim > 2:
             raise ParamOutOfRange("schedule", (lam.shape, sig.shape),
-                                  "lam and sig must have equal shapes")
+                                  "lam and sig must have equal shapes, 1-d or 2-d")
         for name, a in (("breakpoints", bp), ("r", r), ("lam", lam), ("sig", sig)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -172,15 +172,20 @@ def _integral(schedule: Schedule, values: np.ndarray, t):
     interval plus that interval's value times the time since."""
     if np.ndim(t) == 0:
         t = _nonnegative("time", t)
+    else:
+        t = _reals("time", t)
+        if not (ok := (0.0 <= t) & (t < math.inf)).all():  # False at NaN
+            raise ParamOutOfRange("time", t[~ok][0].item(), "must be finite and >= 0")
     bp = schedule.breakpoints
     k = schedule.interval_of(t)
     at_left = np.concatenate(([0.0], np.cumsum(values[:-1] * np.diff(bp)[:-1])))
     return (at_left[k] + values[k] * (t - bp[k]))[()]
 
 
-def money_market(schedule: Schedule, t: float) -> float:
-    """B_t = exp(integral of r over [0, t]); B_0 = 1."""
-    growth = float(_integral(schedule, schedule.r, t))
+def money_market(schedule: Schedule, t):
+    """B_t = exp(integral of r over [0, t]) at a time or an array of times; B_0 = 1."""
+    growth = _integral(schedule, schedule.r, t)
+    growth = growth if np.ndim(growth) else float(growth)  # a float keeps math.exp's bits
     return _exp(growth, "integral of r", growth, "B_t")
 
 

@@ -1,5 +1,6 @@
 """In-process tests for the command-line interface."""
 
+import argparse
 import csv
 import io
 import json
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import glevy as g
-from glevy.cli import DEFAULT_SEED, _write_csv, build_parser, main
+from glevy.cli import DEFAULT_SEED, _write_csv, build_parser, cmd_verify, main
 from conftest import ASYMMETRIC, DEFAULT_MODELS, FAMILY_NAMES
 
 
@@ -312,7 +313,7 @@ def test_verify_reports_inverse_rate_checks_as_not_applicable(tmp_path, capsys):
     assert main(["verify", "--spec", str(p)]) == 0
     out = json.loads(capsys.readouterr().out)
     checks = out["checks"]
-    assert checks.pop("identity_residual") is None and checks.pop("siegel_sign") is None
+    assert checks.pop("siegel_sign") is None
     assert all(v is True for v in checks.values()) and out["pass"] is True
 
 
@@ -329,42 +330,86 @@ def test_fx_check_reports_inverse_rate_as_not_applicable(tmp_path, capsys, f):
     assert out.get("fx_product") is None
 
 
-@pytest.mark.parametrize("lam,sig", [(0.001, 12.0), (1e-6, 20.0)])
-def test_verify_bounds_the_identity_residual_on_the_psi_scale(tmp_path, capsys, lam, sig):
-    # R is about 162.7 at sig = 12 and psi(20) about 4.9e8; the residual of
-    # R + R~ = psi(sig) + psi(-sig) once failed an absolute 1e-12 bound by
-    # rounding alone (-2.1e-9 at sig = 20).
+_VERIFY_CHECKS = ["premium_positive", "premium_increasing", "siegel_sign", "curvature_recovery"]
+
+
+@pytest.mark.parametrize("spec", [
+    # Poisson(1): psi(20) is about 4.9e8; a residual check of R + R~ = psi(sig)
+    # + psi(-sig) once failed these by rounding alone.
+    {"family": "Poisson", "params": {"m": 1.0}, "lambda": 0.001, "sigma": 12.0},
+    {"family": "Poisson", "params": {"m": 1.0}, "lambda": 1e-6, "sigma": 20.0},
+    # E[S_1] = s0 e^{r + R} overflows a float (R is about 6.5e7 for the CPN);
+    # no check reads it, so both once exited 2 and now pass.
+    {"family": "CompoundPoissonNormal", "params": {"m": 1.0, "s": 3.0},
+     "lambda": 0.3, "sigma": 2.0},
+    {"family": "Gamma", "params": {"m": 1.0}, "r": 1.0, "lambda": 0.25, "sigma": 0.5,
+     "s0": 1e308},
+], ids=["poisson-12", "poisson-20", "cpn-overflowing-price", "gamma-overflowing-s0"])
+def test_verify_passes_specs_with_large_psi_or_price(tmp_path, capsys, spec):
     p = tmp_path / "s.json"
-    p.write_text(json.dumps({"family": "Poisson", "params": {"m": 1.0}, "r": 0.02,
-                             "lambda": lam, "sigma": sig}))
+    p.write_text(json.dumps({"r": 0.02, **spec}))
     assert main(["verify", "--spec", str(p)]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["checks"]["identity_residual"] is True and out["pass"]
+    assert out["checks"] == dict.fromkeys(_VERIFY_CHECKS, True) and out["pass"] is True
 
 
-def test_verify_overflowing_expected_price_exits_2(tmp_path, capsys):
-    # R is about 6.5e7 here, so E[S_1] = s0 e^{r + R} overflows a float.
-    p = tmp_path / "cpn.json"
-    p.write_text(json.dumps({
-        "family": "CompoundPoissonNormal", "params": {"m": 1.0, "s": 3.0},
-        "r": 0.02, "lambda": 0.3, "sigma": 2.0,
-    }))
-    assert main(["verify", "--spec", str(p)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+def test_verify_at_zero_risk_aversion_reports_premium_checks_as_not_applicable(tmp_path,
+                                                                                capsys):
+    # At lam = 0, R and dR/dsig are exactly 0; both checks once read false
+    # and verify exited 1 on this valid spec.
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({**_GOOD_SPEC, "lambda": 0.0, "sigma": 0.5}))
+    assert main(["verify", "--spec", str(p)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["checks"] == {"premium_positive": None, "premium_increasing": None,
+                             "siegel_sign": True, "curvature_recovery": True}
+    assert out["pass"] is True
 
 
-def test_verify_overflowing_s0_times_growth_exits_2(tmp_path, capsys):
-    # e^{r + R} is about 3.3, but s0 e^{r + R} overflows a float: once inf,
-    # which failed the expected_price check with exit 1 on a valid spec.
-    p = tmp_path / "gamma.json"
-    p.write_text(json.dumps({**_GOOD_SPEC, "r": 1.0, "lambda": 0.25, "sigma": 0.5,
-                             "s0": 1e308}))
-    assert main(["verify", "--spec", str(p)]) == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err.startswith("error: parameter (r + R) t=") and out.err.count("\n") == 1
-    assert "E[S_t] overflows a float" in out.err
+@pytest.mark.parametrize("name", FAMILY_NAMES + [f"Mirrored[{n}]" for n in FAMILY_NAMES])
+def test_verify_reports_exactly_the_four_checks(tmp_path, capsys, name):
+    base = name.removeprefix("Mirrored[").removesuffix("]")
+    model, lam, sig = DEFAULT_MODELS[base]
+    if base != name:
+        model = g.mirror(model)
+    assert main(["verify", "--spec", str(_write_spec(tmp_path, model, lam, sig))]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert list(out["checks"]) == _VERIFY_CHECKS
+    assert all(out["checks"].values()) and out["pass"] is True
+
+
+class _CurvatureHigh(g.Gamma):
+    def _psi_second(self, a, xp=math):
+        return 1.05 * super()._psi_second(a, xp)
+
+
+class _SlopeConstant(g.Gamma):
+    def _psi_prime(self, a, xp=math):
+        return self.m
+
+
+class _Negated(g.Gamma):
+    def _psi(self, a, xp=math):
+        return -super()._psi(a, xp)
+
+    def _psi_prime(self, a, xp=math):
+        return -super()._psi_prime(a, xp)
+
+    def _psi_second(self, a, xp=math):
+        return -super()._psi_second(a, xp)
+
+
+@pytest.mark.parametrize("cls,failing", [
+    (g.Gamma, []),
+    (_CurvatureHigh, ["curvature_recovery"]),
+    (_SlopeConstant, ["premium_increasing"]),
+    (_Negated, ["premium_positive", "premium_increasing", "siegel_sign"]),
+])
+def test_verify_fails_exactly_the_checks_a_wrong_formula_breaks(capsys, cls, failing):
+    spec = g.GlmSpec(model=cls(m=1.0), lam=0.25, sig=0.5, r=0.02)
+    assert cmd_verify(spec, argparse.Namespace(spec="s.json")) == (1 if failing else 0)
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [k for k, v in checks.items() if v is not True] == failing
 
 
 def test_price_option_mc_overflowing_asset_value_exits_2_on_one_line(tmp_path, capsys):

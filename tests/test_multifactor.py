@@ -285,6 +285,13 @@ def test_schedule_length_validation():
         g.Schedule(breakpoints=[1.0, 2.0], r=[0.02], lam=[[0.4]], sig=[[0.3]])
     with pytest.raises(g.ParamOutOfRange, match="lam and sig must have equal shapes"):
         g.Schedule(breakpoints=[0.0, 1.0], r=[0.02], lam=[[0.4]], sig=[[0.3, 0.2]])
+    # More than 2 dimensions once built, and integrated_premium then named a cell.
+    with pytest.raises(g.ParamOutOfRange, match="1-d or 2-d") as exc:
+        g.Schedule(breakpoints=[0.0, 1.0], r=[0.02], lam=[[[0.4]]], sig=[[[0.3]]])
+    assert exc.value.name == "schedule"
+    # A 1-d lam and sig are one interval's row.
+    sch = g.Schedule(breakpoints=[0.0, 1.0], r=[0.02], lam=[0.4, 0.1], sig=[0.3, 0.2])
+    assert sch.lam.shape == sch.sig.shape == (1, 2)
     # No interval: [] once raised an untyped IndexError and [0.0] built.
     for bp in ([], [0.0]):
         with pytest.raises(g.ParamOutOfRange, match="must increase from 0"):
@@ -451,10 +458,32 @@ def test_submartingale_check_rejects_bad_counts(kw):
         g.submartingale_check(vglm, make_schedule(), 0.5, 2.0, rng=g.Rng(1), **kw)
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf, -0.5, "1"])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -0.5, "1", np.array([0.5, -1.0]),
+                               np.array([math.nan]), np.array([[1.0], [math.inf]]),
+                               np.array(["1"]), np.array([1.0 + 0j]), [True]])
 def test_money_market_rejects_bad_time(t):
-    with pytest.raises(g.ParamOutOfRange):
-        g.money_market(make_schedule(), t)
+    # An array once gave B_t for t = -1 and NaN for a NaN time without an error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(g.ParamOutOfRange) as exc:
+            g.money_market(make_schedule(), t)
+    assert exc.value.name == "time"
+
+
+def test_money_market_takes_an_array_of_times():
+    # An array once raised an untyped TypeError from float().
+    sch = make_schedule()
+    times = np.array([[0.0, 0.5, 1.0], [2.0, 3.0, 1e-9]])
+    values = g.money_market(sch, times)
+    assert isinstance(values, np.ndarray) and values.shape == times.shape
+    assert values.tobytes() == np.exp(multifactor._integral(sch, sch.r, times)).tobytes()
+    for t, b in zip(times.ravel(), values.ravel()):
+        assert type(g.money_market(sch, float(t))) is float
+        assert g.money_market(sch, float(t)) == pytest.approx(b, rel=1e-15)
+    assert g.money_market(sch, [0, 1]).tolist() == [1.0, g.money_market(sch, 1.0)]
+    with pytest.raises(g.ParamOutOfRange, match="B_t overflows a float"):
+        g.money_market(g.Schedule(breakpoints=[0.0, 1.0], r=[5.0], lam=[[0.4]], sig=[[0.3]]),
+                       np.array([140.0, 200.0]))
 
 
 @pytest.mark.parametrize("s,t", [(math.nan, 1.0), (0.0, math.nan), (-0.5, 1.0),

@@ -568,10 +568,6 @@ def _simulate_reference():
     return g.McResult.from_samples(samples).estimate
 
 
-def _verify(spec):
-    return cli.cmd_verify(spec, argparse.Namespace(spec="spec.json"))
-
-
 # Each site that turns a log into a value: (a call whose value overflows a
 # float, a call with a finite value, that value by the np.exp or math.exp the
 # site called before it went through pricing._exp).
@@ -622,11 +618,6 @@ _EXP_SITES = {
         lambda: _simulate(make_spec(g.Gamma(m=1e40), 0.0, 1e-17), 3.0),
         lambda: _simulate(_GAMMA, 1.0),
         _simulate_reference),
-    "cli.cmd_verify": (
-        # The reference s0 e^{r + R} is internal: its bits show as the verdict.
-        lambda: _verify(_CPN),
-        lambda: _verify(_GAMMA),
-        lambda: 0),
     "options.bs_call_price": (
         lambda: g.bs_call_price(1.0, -800.0, 0.2, 1.0, 1.0),
         lambda: g.bs_call_price(1.0, 0.05, 0.0, 0.9, 2.0),

@@ -206,7 +206,8 @@ brownian_exact_call = poisson_exact_call = gamma_exact_call = exact_call
 
 def dependence_experiment(specs, opt: OptionSpec, tol: float) -> dict:
     """Price the option under each spec of a set that the theory says is
-    observationally equivalent, and flag any spread beyond tolerance.
+    observationally equivalent, and flag a spread beyond tol times the largest
+    price (relative, so the verdict does not depend on the currency unit).
 
     For example Brownian specs that differ only in lambda (the price must not
     depend on risk aversion), Poisson specs with equal m e^{-lambda}, or gamma
@@ -221,4 +222,4 @@ def dependence_experiment(specs, opt: OptionSpec, tol: float) -> dict:
     spread = max(prices) - min(prices)
     return {"strike": opt.strike, "expiry": opt.expiry,
             "rows": rows, "spread": spread, "tolerance": tol,
-            "equal_within_tolerance": spread <= tol * max(1.0, max(prices))}
+            "equal_within_tolerance": spread <= tol * max(prices)}

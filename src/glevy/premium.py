@@ -6,15 +6,19 @@ foreign-exchange inverse, derivative/sign analysis, and an independent
 evaluation route through the jump-measure representation
 R = q*lam*sig + integral (e^{sig x} - 1)(1 - e^{-lam x}) nu(dx).
 
-`premium_surface`, `premium_identity_check`, `premium_gradient` and
-`premium_hessian_signs` evaluate each distinct psi (or psi', psi'') argument
-once and combine the values in the order of the per-point formulas
-(`risk_premium`, `inverse_fx_premium`). The last three equal them bit for bit;
-the surface evaluates psi on arrays, so it is within 8 ulps of their largest term.
-Across calls on one model this holds too, for float arguments: the model's
-checked psi, psi' and psi'' keep their values (see `exponents._checked`), so a
-grid of per-point calls runs each formula once per distinct nonzero argument
-while the memo of 1024 values holds them.
+`premium_surface`, `premium_identity_check` and `premium_gradient` evaluate
+each distinct psi (or psi') argument once and combine the values in the order
+of the per-point formulas (`risk_premium`, `inverse_fx_premium`). The last two
+equal them bit for bit; the surface evaluates psi on arrays, so it is within 8
+ulps of their largest term. Across calls on one model this holds too, for
+float arguments: the model's checked psi, psi' and psi'' keep their values
+(see `exponents._checked`), so a grid of per-point calls runs each formula
+once per distinct nonzero argument while the memo of 1024 values holds them.
+
+The premium's shape is read from psi'' exactly: d2R/dlam dsig = psi''(sig - lam)
+(`is_bilinear`), and d2R/dsig2 and d2R/dlam2 are psi''(sig) and psi''(-lam)
+less it (`premium_hessian_signs`). `curvature_from_premium` is the one
+finite-difference route, an independent check of psi''.
 """
 from __future__ import annotations
 
@@ -108,13 +112,11 @@ def premium_gradient(model: LevyModel, lam: float, sig: float) -> tuple[float, f
 
 
 def premium_hessian_signs(model: LevyModel, lam: float, sig: float) -> tuple[int, int]:
-    """Signs of d2R/dsig2 and d2R/dlam2 from the analytic second derivative."""
+    """Exact signs of d2R/dsig2 = psi''(sig) - psi''(sig - lam) and
+    d2R/dlam2 = psi''(-lam) - psi''(sig - lam), as ints."""
     at_sig, at_diff = model.psi_second(sig), model.psi_second(sig - lam)
-    d2_sig = at_sig - at_diff
-    d2_lam = model.psi_second(-lam) - at_diff
-    tol = 1e-12 * max(1.0, abs(at_sig))  # each sign is 0 where |d2| < tol
-    return (0 if -tol < d2_sig < tol else (1 if d2_sig > 0 else -1),
-            0 if -tol < d2_lam < tol else (1 if d2_lam > 0 else -1))
+    at_lam = model.psi_second(-lam)
+    return (at_sig > at_diff) - (at_sig < at_diff), (at_lam > at_diff) - (at_lam < at_diff)
 
 
 def curvature_from_premium(model: LevyModel, sig: float) -> float:
@@ -135,32 +137,25 @@ def curvature_from_premium(model: LevyModel, sig: float) -> float:
     return (risk_premium(model, h, sig + h) - risk_premium(model, h, sig - h)) / (2.0 * h) / h
 
 
-def _mixed_partial(model: LevyModel, lam: float, sig: float, h: float) -> float:
-    """4-point stencil for d2R/dlam dsig."""
-    return (risk_premium(model, lam + h, sig + h) - risk_premium(model, lam + h, sig - h)
-            - risk_premium(model, lam - h, sig + h)
-            + risk_premium(model, lam - h, sig - h)) / (4.0 * h * h)
-
-
 _DEFAULT_GRID = (0.1, 0.2, 0.3)  # is_bilinear's lam and sig points
-_BILINEAR_TOL = 1e-6  # is_bilinear's bound on the spread of the mixed partial
 
 
 def is_bilinear(model: LevyModel) -> bool:
-    """True iff the mixed partial of R is constant over the grid.
+    """True iff the mixed partial d2R/dlam dsig = psi''(sig - lam) takes one
+    value over the grid.
 
     Only geometric Brownian motion has a bilinear premium; every jump family
-    fails on the grid. Grid points whose stencil leaves the model's domain
-    are skipped.
+    fails on the grid. Grid points where R is undefined are skipped.
     """
     values = []
     for lam in _DEFAULT_GRID:
         for sig in _DEFAULT_GRID:
             with suppress(DomainViolation):
-                values.append(_mixed_partial(model, lam, sig, 1e-3))
+                risk_premium(model, lam, sig)
+                values.append(model.psi_second(sig - lam))
     if len(values) < 2:
         raise Unsupported(model.family, "bilinearity scan (grid infeasible)")
-    return max(values) - min(values) < _BILINEAR_TOL
+    return min(values) == max(values)
 
 
 def premium_surface(model: LevyModel, lams: Sequence[float],

@@ -488,6 +488,20 @@ def test_dependence_experiment_gamma():
     assert out["equal_within_tolerance"]
 
 
+@pytest.mark.parametrize("s0", [1.0, 1e-10])
+def test_dependence_experiment_is_relative_to_the_prices(s0):
+    # The verdict does not depend on the currency unit: two Poisson specs whose
+    # prices differ by 21% are unequal at any s0, and criterion 8's equivalent
+    # Poisson triple stays equal.
+    opt = g.OptionSpec(strike=1.05 * s0, expiry=1.0)
+    apart = [g.GlmSpec(model=g.Poisson(m=1.0), r=0.02, lam=lam, sig=0.5, s0=s0)
+             for lam in (0.1, 0.6)]
+    assert not g.dependence_experiment(apart, opt, 1e-6)["equal_within_tolerance"]
+    pairs = [(1.0, 0.0), (2.0, math.log(2.0)), (4.0, math.log(4.0))]
+    same = [g.GlmSpec(model=g.Poisson(m=m), r=0.02, lam=lam, sig=0.3, s0=s0) for m, lam in pairs]
+    assert g.dependence_experiment(same, opt, 1e-10)["equal_within_tolerance"]
+
+
 def test_dependence_experiment_rejects_empty_specs():
     with pytest.raises(g.ParamOutOfRange):
         g.dependence_experiment([], g.OptionSpec(strike=1.0, expiry=1.0), 1e-10)

@@ -154,10 +154,10 @@ class _Curvatures:
         return self.table[alpha]
 
 
-@pytest.mark.parametrize("k, sign", [(1.0, 1), (-1.0, -1), (0.5, 0), (-0.5, 0), (0.0, 0)])
-def test_hessian_signs_at_the_tolerance(k, sign):
-    # tol = 1e-12 max(1, |psi''(sig)|). psi''(sig - lam) = 0 makes d2R/dsig2 =
-    # psi''(sig) and d2R/dlam2 = psi''(-lam) exactly, so each lands on k * tol.
+@pytest.mark.parametrize("k, sign", [(1.0, 1), (-1.0, -1), (0.5, 1), (-0.5, -1), (0.0, 0)])
+def test_hessian_signs_have_no_tolerance(k, sign):
+    # psi''(sig - lam) = 0 makes d2R/dsig2 = psi''(sig) and d2R/dlam2 =
+    # psi''(-lam) exactly; each sign is that of k, however small the value.
     lam, sig = 1.0, 0.5
 
     def signs(at_sig, at_minus_lam):
@@ -166,29 +166,48 @@ def test_hessian_signs_at_the_tolerance(k, sign):
 
     assert signs(k * 1e-12, 0.0) == (sign, 0)
     assert signs(0.0, k * 1e-12) == (0, sign)
-    assert signs(4.0, k * 4e-12) == (1, sign)  # |psi''(sig)| = 4 scales tol to 4e-12
+    assert signs(4.0, k * 4e-12) == (1, sign)
+    assert signs(sign * 5e-324, sign * 5e-324) == (sign, sign)  # the smallest subnormal
 
 
-def _sign(x, tol):
-    """The sign rule premium_hessian_signs states: 0 when |x| < tol, else the sign of x."""
-    return 0 if abs(x) < tol else (1 if x > 0 else -1)
+def _sign(a, b):
+    """The sign rule premium_hessian_signs states: the exact sign of a - b."""
+    return 0 if a == b else (1 if a > b else -1)
 
 
-_CURVATURES = [0.0, -0.0, 5e-13, -5e-13, 1e-12, -1e-12, 4e-12, -4e-12, 1.0, -1.0,
-               math.inf, -math.inf, math.nan]
+# Finite only: the checked psi'' raises on a non-finite value.
+_CURVATURES = [0.0, -0.0, 5e-324, -5e-324, 1e-12, -1e-12, 1.0, -1.0, 1.0 + 2.0**-52,
+               1e300, -1e300]
 
 
 @pytest.mark.parametrize("at_sig", _CURVATURES)
 def test_hessian_signs_follow_the_sign_rule(at_sig):
-    # NaN gives -1, |d2| == tol gives +-1, and a NaN psi''(sig) leaves tol at 1e-12.
+    # One ulp apart still counts, and 1e300 - (-1e300), which overflows a
+    # float, still gives +1.
     lam, sig = 1.0, 0.5
-    tol = 1e-12 * max(1.0, abs(at_sig))
     for at_diff in _CURVATURES:
         for at_minus_lam in _CURVATURES:
             model = _Curvatures({sig: at_sig, sig - lam: at_diff, -lam: at_minus_lam})
-            want = _sign(at_sig - at_diff, tol), _sign(at_minus_lam - at_diff, tol)
+            want = _sign(at_sig, at_diff), _sign(at_minus_lam, at_diff)
             got = g.premium_hessian_signs(model, lam, sig)
             assert got == want and all(type(s) is int for s in got)
+
+
+@pytest.mark.parametrize("model", [
+    g.Poisson(m=1e-7), g.Gamma(m=1e-7), g.CompoundPoissonNormal(m=1e-5, s=1.0),
+    g.VarianceGamma(m=1e6), g.AsymmetricVG(m=1e6, mu=0.0, s=1.0),
+], ids=lambda model: repr(model))
+def test_small_intensity_jump_models_are_not_bilinear(model):
+    # Their mixed partial d2R/dlam dsig = psi''(sig - lam) moves by less than
+    # 1e-6 over the grid, but it moves: the verdict does not depend on scale.
+    assert not g.is_bilinear(model)
+
+
+@pytest.mark.parametrize("model", [g.Poisson(m=1e-13), g.Gamma(m=1e-13)],
+                         ids=lambda model: model.family)
+def test_hessian_signs_of_a_small_intensity(model):
+    # |d2R| is near 1e-13: the signs do not depend on the model's scale.
+    assert g.premium_hessian_signs(model, 0.3, 0.5) == (1, -1)
 
 
 def test_curvature_recovery(family_case):
@@ -384,12 +403,6 @@ def _ref_curvature(model, sig):
     return d_sig_at_h / h
 
 
-def _ref_mixed_partial(model, lam, sig, h):
-    rp = g.risk_premium
-    return (rp(model, lam + h, sig + h) - rp(model, lam + h, sig - h)
-            - rp(model, lam - h, sig + h) + rp(model, lam - h, sig - h)) / (4.0 * h * h)
-
-
 def _ref_surface(model, lams, sigs):
     rows = []
     for lam in lams:
@@ -437,6 +450,39 @@ def _grid_for(model, n, dtype=float):
     return np.linspace(0.02, hi, n).astype(dtype)
 
 
+_SYMMETRIC = [g.VarianceGamma(m=2.0), g.CompoundPoissonNormal(m=1.0, s=0.5),
+              g.AsymmetricVG(m=1.5, mu=0.0, s=0.8), g.mirror(g.AsymmetricVG(m=1.5, mu=0.0, s=0.8))]
+
+
+def test_structural_zeros_of_the_hessian_are_exact():
+    for lam, sig in itertools.product([0.05, 0.2, 0.35], repeat=2):
+        assert g.premium_hessian_signs(g.Brownian(), lam, sig) == (0, 0)
+    for model in ALL_MODELS:
+        for sig in (0.05, 0.2, 0.35):
+            # lam = 0: sig - lam is sig, so d2R/dsig2 is exactly 0.
+            assert g.premium_hessian_signs(model, 0.0, sig)[0] == 0
+    for model in _SYMMETRIC:  # psi'' even: |sig - lam| = sig or = lam
+        for x in (0.1, 0.2, 0.3):
+            assert g.premium_hessian_signs(model, 2 * x, x)[0] == 0
+            assert g.premium_hessian_signs(model, x, 2 * x)[1] == 0
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda model: model.family)
+def test_hessian_signs_match_second_differences_of_the_premium(model):
+    # An independent route: the sign of the central second difference of R,
+    # wherever it stands clear of its rounding error.
+    h, rp = 1e-3, g.risk_premium
+    grid = _grid_for(model, 6)
+    for lam, sig in itertools.product(grid[1:-1], repeat=2):
+        r = rp(model, lam, sig)
+        fd = (rp(model, lam, sig + h) - 2.0 * r + rp(model, lam, sig - h),
+              rp(model, lam + h, sig) - 2.0 * r + rp(model, lam - h, sig))
+        signs = g.premium_hessian_signs(model, lam, sig)
+        for d2, sign in zip(fd, signs):
+            if abs(d2) > 1e-9 * max(1.0, abs(r)):
+                assert sign == (1 if d2 > 0 else -1)
+
+
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda model: model.family)
 def test_pointwise_functions_match_the_per_point_formulas(model, np_rng):
     for lam, sig in random_risk_params(model, 30, np_rng, need_minus_sigma=True):
@@ -444,10 +490,6 @@ def test_pointwise_functions_match_the_per_point_formulas(model, np_rng):
                      _ref_identity_check(model, lam, sig))
         assert _same(g.premium_gradient(model, lam, sig), _ref_gradient(model, lam, sig))
         assert _same(g.curvature_from_premium(model, sig), _ref_curvature(model, sig))
-        for h in (1e-3, 1e-2):
-            if lam > 2 * h and sig > 2 * h:
-                assert _same(premium._mixed_partial(model, lam, sig, h),
-                             _ref_mixed_partial(model, lam, sig, h))
 
 
 @pytest.mark.parametrize("dtype", [float, np.float32], ids=["float64", "float32"])
@@ -511,15 +553,6 @@ def test_surface_raises_exactly_when_the_per_point_formulas_do(model, bad_sig):
         assert new is g.DomainViolation
     else:
         assert isinstance(old, list) and _surface_ulps(model, new, lams, sigs) <= SURFACE_ULPS
-
-
-@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda model: model.family)
-def test_bilinearity_stencil_matches_the_per_point_formulas(model):
-    # The points and step of is_bilinear's default scan.
-    for lam in premium._DEFAULT_GRID:
-        for sig in premium._DEFAULT_GRID:
-            assert _same(_outcome(premium._mixed_partial, model, lam, sig, 1e-3),
-                         _outcome(_ref_mixed_partial, model, lam, sig, 1e-3))
 
 
 def _count_calls(monkeypatch, method):

@@ -197,66 +197,62 @@ _WK, _WG = _WK + _WK[-2::-1], _WG + _WG[::-1]
 _EPS, _TINY = sys.float_info.epsilon, sys.float_info.min
 
 
-def _kronrod(f: Callable[[float, float], list], a: float, b: float) -> tuple[float, float]:
-    """(value, error estimate) of the qk21 rule on the finite [a, b], where
-    f(c, h) is the list of the integrand's values at c + h x for x in _NODES.
-    The error is QUADPACK's: |K21 - G10| raised towards resasc as resasc (200
-    |K21 - G10| / resasc)^1.5, and at least 50 eps resabs."""
+def _kronrod(f: Callable[[float, float], list], a: float, b: float) -> tuple[float, ...]:
+    """(value, error estimate, resabs) of the qk21 rule on the finite [a, b],
+    where f(c, h) is the list of the integrand's values at c + h x for x in
+    _NODES; resabs is the rule on |f|. The error is QUADPACK's: |K21 - G10|
+    raised towards resasc as resasc (200 |K21 - G10| / resasc)^1.5, and at
+    least 50 eps resabs."""
     c, h = 0.5 * a + 0.5 * b, 0.5 * b - 0.5 * a
     fv = f(c, h)
     resk = sum(map(mul, _WK, fv))
+    resabs = sum(map(mul, _WK, map(abs, fv)))
     mean = 0.5 * resk
     resasc = sum([w * abs(v - mean) for w, v in zip(_WK, fv)])
     err = abs(resk - sum(map(mul, _WG, fv[1::2])))
     if resasc and err:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    if err < 50.0 * _EPS * (resasc + abs(resk)):  # resabs <= resasc + |resk|
-        err = max(err, 50.0 * _EPS * sum(map(mul, _WK, map(abs, fv))))
-    return resk * h, err * h
-
-
-def _adaptive(f: Callable[[float, float], list], a: float, b: float) -> tuple[float, float]:
-    """(value, error estimate) of the integral over the finite [a, b] of the
-    integrand that f gives (see `_kronrod`), as scipy's quad asks it of
-    QUADPACK but without extrapolation: the piece of largest error is
-    bisected next until the summed error is within max(1e-15, 1e-10 |value|).
-    The estimate is inf where that takes more than 500 pieces, a piece is
-    too short to bisect or a value is not finite."""
-    value, err = _kronrod(f, a, b)
-    heap = [(-err, a, b, value)]
-    while not err <= max(1e-15, 1e-10 * abs(value)):  # a nan error never passes
-        e, a, b, v = heapq.heappop(heap)
-        mid = 0.5 * a + 0.5 * b  # qagse's test for a piece too short to bisect:
-        short = max(abs(a), abs(b)) <= (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _TINY)
-        if len(heap) == 499 or not math.isfinite(value) or short:
-            return value, math.inf
-        v1, e1 = _kronrod(f, a, mid)
-        v2, e2 = _kronrod(f, mid, b)
-        heapq.heappush(heap, (-e1, a, mid, v1))
-        heapq.heappush(heap, (-e2, mid, b, v2))
-        value, err = value + (v1 + v2 - v), err + (e1 + e2 + e)
-    return sum(piece[3] for piece in heap), err
+    return resk * h, max(err, 50.0 * _EPS * resabs) * h, resabs * h
 
 
 def _quad(g: Callable[[float, float], float], log_f: Callable[[float], float],
-          a: float, b: float) -> tuple[float, float]:
-    """`_adaptive` on the integral of g(x, log_f(x)) over [a, b]. A half-line
-    is mapped onto (0, 1] as QUADPACK's qagi maps it: x = a + (1 - t)/t above
-    a or x = b - (1 - t)/t below b, times dx/dt = 1/t^2; the whole line is the
-    sum of its two halves at 0. (`for x in (v,)` binds x = v.)"""
-    if -math.inf < a and b < math.inf:
-        def f(c, h):
-            return [g(x, log_f(x)) for n in _NODES for x in (c + h * n,)]
-        return _adaptive(f, a, b)
-    if a == -math.inf and b == math.inf:
-        (v1, e1), (v2, e2) = _quad(g, log_f, a, 0.0), _quad(g, log_f, 0.0, b)
-        return v1 + v2, e1 + e2
-    start, sign = (a, 1.0) if b == math.inf else (b, -1.0)
-
-    def f(c, h):
-        return [g(x, log_f(x)) / (t * t) for n in _NODES for t in (c + h * n,)
-                for x in (start + sign * ((1.0 - t) / t),)]
-    return _adaptive(f, 0.0, 1.0)
+          *edges: float) -> tuple[float, float]:
+    """(value, error estimate) of the integral of g(x, log_f(x)) over the pieces
+    between the sorted edges, with one error budget across them as QUADPACK's
+    qagp runs it, but without extrapolation. Each piece starts as one qk21 rule;
+    a half-line is mapped onto (0, 1] as qagi maps it, x = a + (1 - t)/t above
+    a or b - (1 - t)/t below b, times dx/dt = 1/t^2, and the whole line is cut
+    at 0. The part of largest error, on any piece, is bisected next until the
+    summed error is within 1e-10 of the summed resabs, the integral of |g|; no
+    absolute floor, so g's unit does not matter. The estimate is inf where that
+    takes more than 500 parts, a part is too short to bisect or a value is not
+    finite. (`for x in (v,)` binds x = v.)"""
+    edges = (-math.inf, 0.0, math.inf) if edges == (-math.inf, math.inf) else edges
+    heap, value, err, size = [], 0.0, 0.0, 0.0
+    for k, (a, b) in enumerate(zip(edges, edges[1:])):
+        if -math.inf < a and b < math.inf:
+            def f(c, h):
+                return [g(x, log_f(x)) for n in _NODES for x in (c + h * n,)]
+        else:
+            def f(c, h, start=a if b == math.inf else b, sign=1.0 if b == math.inf else -1.0):
+                return [g(x, log_f(x)) / (t * t) for n in _NODES for t in (c + h * n,)
+                        for x in (start + sign * ((1.0 - t) / t),)]
+            a, b = 0.0, 1.0
+        v, e, s = _kronrod(f, a, b)
+        heap.append((-e, k, a, b, v, s, f))  # (k, a, b) is unique: f is never compared
+        value, err, size = value + v, err + e, size + s
+    heapq.heapify(heap)
+    while not err <= 1e-10 * size:  # a nan error never passes
+        e, k, a, b, v, s, f = heapq.heappop(heap)
+        mid = 0.5 * a + 0.5 * b  # qagse's test for a part too short to bisect:
+        short = max(abs(a), abs(b)) <= (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _TINY)
+        if len(heap) == 499 or not math.isfinite(value) or short:
+            return value, math.inf
+        (v1, e1, s1), (v2, e2, s2) = _kronrod(f, a, mid), _kronrod(f, mid, b)
+        heapq.heappush(heap, (-e1, k, a, mid, v1, s1, f))
+        heapq.heappush(heap, (-e2, k, mid, b, v2, s2, f))
+        value, err, size = value + (v1 + v2 - v), err + (e1 + e2 + e), size + (s1 + s2 - s)
+    return sum(part[4] for part in heap), err
 
 
 @dataclass(frozen=True)
@@ -304,9 +300,9 @@ class Measure:
         Past the peak of that tilted weight the sum stops once the tail,
         estimated as the geometric series of the last ratio of terms (a bound
         when the terms are log-concave), is within 1e-14 of the sum; the
-        estimate is the error. The density is integrated by adaptive
-        Gauss-Kronrod quadrature (`_quad`) over the pieces into which breaks
-        cut [lo, hi]; a piece that fails makes the error estimate inf.
+        estimate is the error. The density is integrated over the pieces into
+        which breaks cut [lo, hi] in one error budget relative to the integral
+        of |g| (`_quad`); a failure makes the error estimate inf.
         """
         value = err = 0.0
         if self.log_weight is not None:
@@ -322,13 +318,14 @@ class Measure:
                 log_w = log_weight(n)
                 term = g(x, log_w)
                 value += term
-                # size^2 / (prev - size) is the geometric tail of the last
-                # ratio of terms; it is negative while the terms rise. Before
-                # the peak of the tilted weight a run of underflowed terms
-                # must not stop the sum: the terms may still rise.
+                # The geometric tail of the last ratio of falling terms,
+                # size^2 / (prev - size) unsquared so no scale under- or
+                # overflows it; 0 at a zero term. Before the peak of the tilted
+                # weight underflowed terms must not stop the sum: they may rise.
                 size, tilted = abs(term), log_w + tilt * x
-                if tilted < prev_w and size * size <= _SERIES_RTOL * abs(value) * (prev - size):
-                    err = size * size / (prev - size) if size else 0.0
+                tail = size * (size / (prev - size)) if size < prev else math.inf if size else 0.0
+                if tilted < prev_w and tail <= _SERIES_RTOL * abs(value):
+                    err = tail
                     break
                 prev_w, prev = tilted, size
             else:
@@ -336,11 +333,8 @@ class Measure:
         log_f = self.log_density
         lo, hi = max(lo, self.support[0]), min(hi, self.support[1])
         if log_f is not None and lo < hi:
-            edges = sorted({lo, hi, *(p for p in breaks if lo < p < hi)})
-            for a, b in zip(edges, edges[1:]):
-                v, e = _quad(g, log_f, a, b)
-                value += v
-                err += e
+            v, e = _quad(g, log_f, *sorted({lo, hi, *(p for p in breaks if lo < p < hi)}))
+            value, err = value + v, err + e
         return value, err
 
 

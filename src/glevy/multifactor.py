@@ -190,14 +190,15 @@ def money_market(schedule: Schedule, t):
 
 
 def _require_refining_grid(times: np.ndarray, schedule: Schedule) -> np.ndarray:
-    """Interval index for each grid step [times[j], times[j+1])."""
+    """Interval index of each grid step [times[j], times[j+1]), read at its midpoint
+    (a grid point matched to a breakpoint from below still starts its interval)."""
     bp = schedule.breakpoints
     inside = bp[bp < times[-1] + 1e-12]
     b = inside[:, None]  # np.isclose(times, b, atol=1e-12) per breakpoint, inline
     matched = (np.abs(times - b) <= 1e-12 + 1e-5 * np.abs(b)).any(axis=1)
     if not matched.all():
         raise GridMismatch(f"breakpoints {inside[~matched]} not on the grid")
-    return schedule.interval_of(times[:-1])
+    return schedule.interval_of(0.5 * times[:-1] + 0.5 * times[1:])
 
 
 def _plan(vglm: VectorGlm, schedule: Schedule, times: np.ndarray) -> dict:

@@ -132,7 +132,10 @@ def exact_call(glm: GlmSpec, opt: OptionSpec) -> float:
     The law's atoms are summed from the first in-the-money one and its density
     integrated by adaptive quadrature from the log-moneyness threshold, or
     first up to it, on the put side, where the density's support has a finite
-    top. The risk-aversion parameter stays in the integrand, so which
+    top. A side's value stands when its error estimate is within 1e-9 of it,
+    a relative rule, so the price is homogeneous in (s0, K); on the put side
+    the value is the forward less the put, so a cancelling put goes on to the
+    call side. The risk-aversion parameter stays in the integrand, so which
     parameters the price depends on is an outcome rather than an assumption.
     Families with no terminal law raise Unsupported.
     """
@@ -195,7 +198,7 @@ def exact_call(glm: GlmSpec, opt: OptionSpec) -> float:
             raise QuadratureFailure("call integrand overflows a float") from None
         if below:
             value = glm.s0 - math.exp(log_k_disc) - value
-        if not err > min(1e-9 * max(abs(value), 1e-3), 1e-8 * max(abs(value), 1e-6)):
+        if not err > 1e-9 * abs(value):
             return value
     raise QuadratureFailure(f"call quadrature error {err:.2e}")
 

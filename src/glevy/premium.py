@@ -77,7 +77,8 @@ def premium_via_levy_measure(model: LevyModel, lam: float, sig: float) -> float:
 
     Independent of the closed-form route: atoms are summed (until the
     estimated tail falls below 1e-14 of the sum), densities integrated by
-    adaptive quadrature. Where sig, -lam or sig - lam leaves the domain the
+    adaptive quadrature; an error estimate beyond 1e-8 |R| raises
+    QuadratureFailure. Where sig, -lam or sig - lam leaves the domain the
     integral diverges, and the checked psi raises DomainViolation.
     """
     nu = model.levy_measure()
@@ -99,7 +100,7 @@ def premium_via_levy_measure(model: LevyModel, lam: float, sig: float) -> float:
     # Tilt 0: a jump measure's atom weights fall from its first atom on, and
     # a term here underflows only when the whole sum is near underflow.
     value, err = nu.integrate(integrand, -math.inf, math.inf, 0.0, (0.0,))
-    if err > 1e-8 * max(abs(value), 1.0):
+    if err > 1e-8 * abs(value):
         raise QuadratureFailure(
             f"premium quadrature error {err:.2e} exceeds tolerance for {model.family}")
     return nu.gaussian_q * lam * sig + value

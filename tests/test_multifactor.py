@@ -264,6 +264,18 @@ def test_refining_grid_indices_match_interval_of(times):
     assert idx.tolist() == [sch.interval_of(t) for t in times[:-1]]
 
 
+def test_schedule_step_takes_the_interval_of_its_midpoint():
+    # 0.99999 matches the breakpoint 1 within the tolerance, so the step
+    # [0.99999, 2) lies in interval 1 and takes its sigma, not interval 0's.
+    vglm = g.VectorGlm(components=(g.Component(g.Brownian(), 0.1, 0.2),), r=0.0)
+    sch = g.Schedule(breakpoints=[0.0, 1.0, 2.0], r=[0.0, 0.0], lam=[[0.1], [0.1]],
+                     sig=[[0.2], [0.9]])
+    want = math.exp(0.9 * 0.5 + 0.1 * 0.9 - 0.5 * 0.9**2)  # on the grid [0, 1, 2]
+    for grid in ([0.0, 1.0, 2.0], [0.0, 0.99999, 2.0]):
+        end = g.schedule_asset_path(vglm, sch, [g.Path(grid, [0.0, 0.0, 0.5])]).values[-1]
+        assert end == pytest.approx(want, rel=1e-5), grid
+
+
 @pytest.mark.parametrize("offset", [9.9e-6, 1.01e-5, -1.01e-5, 1e-12, 3e-12])
 def test_refining_grid_tolerance_matches_isclose(offset):
     from glevy.multifactor import _require_refining_grid

@@ -1,5 +1,6 @@
 """Tests for option valuation: closed forms, quadrature/series oracles, MC."""
 
+import dataclasses
 import itertools
 import math
 
@@ -346,6 +347,34 @@ def test_deep_out_of_the_money_is_tiny():
     assert g.exact_call(spec_g, opt) < 1e-6
 
 
+_UNIT_MODELS = [g.Brownian(), g.Gamma(0.5), g.Poisson(1.0), g.ScaledGamma(2.0, 0.3),
+                g.mirror(g.Gamma(0.5)), g.mirror(g.Gamma(3.0)), g.mirror(g.ScaledGamma(2.0, 0.3))]
+
+
+@pytest.mark.parametrize("model", _UNIT_MODELS, ids=repr)
+def test_exact_call_is_independent_of_the_price_unit(model):
+    # The price is homogeneous of degree one in (s0, K), so the currency unit
+    # must not change it: every quadrature and series rule is relative.
+    def price(s0, moneyness, expiry):
+        spec = g.GlmSpec(model=model, r=0.02, lam=0.2, sig=0.3, s0=s0)
+        return g.exact_call(spec, g.OptionSpec(moneyness * s0, expiry)) / s0
+
+    for expiry, moneyness in itertools.product((0.01, 0.1, 1.0, 5.0), (0.8, 1.05, 1.5)):
+        want = price(1.0, moneyness, expiry)
+        for s0 in (1e-200, 1e-10, 1e10, 1e200):
+            assert price(s0, moneyness, expiry) == pytest.approx(want, rel=1e-10, abs=0.0), (
+                expiry, moneyness, s0)
+
+
+@pytest.mark.parametrize("strike", [1.5, 2.0])
+def test_brownian_exact_matches_bs_deep_out_of_the_money(strike):
+    # At T = 0.01 the price is 1.9e-44 at K = 1.5 and 4.4e-121 at K = 2; the
+    # quadrature's tolerance is relative to the price, however small.
+    spec = g.GlmSpec(model=g.Brownian(), r=0.02, lam=0.2, sig=0.3)
+    want = g.bs_call_price(1.0, 0.02, 0.3, strike, 0.01)
+    assert g.exact_call(spec, g.OptionSpec(strike, 0.01)) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
 def _poisson_brute_force(spec, opt, sign=1):
     """sum over n <= 200 of P(N_T = n) pi_T(x) (S_T(x) - K)^+ at x = sign n,
     term by term."""
@@ -369,6 +398,17 @@ def test_poisson_exact_matches_brute_force_sum(strike, expiry):
     want = _poisson_brute_force(spec, opt)
     assert want > 0.0
     assert g.exact_call(spec, opt) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("s0", [1e-200, 1e200])
+@pytest.mark.parametrize("moneyness", [0.8, 1.05, 1.8])
+def test_poisson_exact_at_an_extreme_price_unit_matches_brute_force_sum(s0, moneyness):
+    # The series' tail estimate must neither under- nor overflow with the
+    # size of its terms, which scale with s0.
+    spec = g.GlmSpec(model=g.Poisson(m=1.0), r=0.02, lam=0.2, sig=0.3, s0=s0)
+    want = _poisson_brute_force(dataclasses.replace(spec, s0=1.0), g.OptionSpec(moneyness, 1.0))
+    price = g.exact_call(spec, g.OptionSpec(moneyness * s0, 1.0))
+    assert price / s0 == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_poisson_threshold_on_an_atom_matches_brute_force_sum():

@@ -270,6 +270,16 @@ def test_jump_decomposition_oracle(model, np_rng):
         assert_close(oracle, direct, 1e-8, f"{model.family} LK oracle")
 
 
+@pytest.mark.parametrize("model", [g.Gamma(m=1.0), g.VarianceGamma(m=1.0),
+                                   g.CompoundPoissonNormal(m=1.0, s=1.0)], ids=repr)
+def test_levy_measure_premium_is_accurate_at_a_tiny_premium(model):
+    # R is about 1e-14 at lam = sig = 1e-7: the quadrature's tolerance is
+    # relative to R, with no absolute floor for a small R to hide under.
+    lam = sig = 1e-7
+    assert g.premium_via_levy_measure(model, lam, sig) == pytest.approx(
+        g.risk_premium(model, lam, sig), rel=1e-8, abs=0.0)
+
+
 @pytest.mark.parametrize("model,lam,sig", [
     (g.Gamma(m=1.0), 0.25, 1.5),
     (g.VarianceGamma(m=2.0), 0.3, 2.5),

@@ -4,12 +4,13 @@ ScaledGamma and the mirrors of the last three have one, and the old pricer
 names `brownian_exact_call`, `poisson_exact_call` and `gamma_exact_call`
 remain as aliases of it), and the parameter-dependence experiment (which
 parameter combinations option prices actually identify). `exact_call` prices
-a strike at or below S_T's mass as the forward s0 - K e^{-rT}, so K = 0 no
-longer integrates the whole law, and a law whose density's support has a
-finite top (the mirrored gamma laws) from the put side, as that forward minus
-the integral of pi_T (S_T - K) below the strike's threshold, unless the two
-cancel beyond the error tolerance. The Black-Scholes oracle forms the normal
-CDF and its log from `math.erfc`. `glevy` exports this module's `__all__`.
+one unit of s0 at the discounted moneyness k = K e^{-rT}/s0 and scales it by
+s0, so the price is homogeneous in (s0, K e^{-rT}) by construction. A strike
+at or below S_T's mass is worth the forward s0 (1 - k), and a law whose
+density's support has a finite top (the mirrored gamma laws) is priced from
+the put side, as the forward less the put, unless the two cancel beyond the
+tolerance. The Black-Scholes oracle forms the normal CDF and its log from
+`math.erfc`. `glevy` exports this module's `__all__`.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ParamOutOfRange, QuadratureFailure
 from .exponents import _check_fields, _finite, _nonnegative, _param, _positive
-from .pricing import GlmSpec, _exp, asset_value, kernel_value, log_value
+from .pricing import _LOG_MAX, GlmSpec, _exp, asset_value, kernel_value, log_value
 from .sampling import McResult, Rng, _check_count, sample_increments
 
 __all__ = [
@@ -127,58 +128,59 @@ def bs_call_price(s0: float, r: float, sig: float, strike: float, expiry: float)
 
 
 def exact_call(glm: GlmSpec, opt: OptionSpec) -> float:
-    """E[pi_T (S_T - K)^+] against the family's terminal law of X_T.
-
-    The law's atoms are summed from the first in-the-money one and its density
-    integrated by adaptive quadrature from the log-moneyness threshold, or
-    first up to it, on the put side, where the density's support has a finite
-    top. A side's value stands when its error estimate is within 1e-9 of it,
-    a relative rule, so the price is homogeneous in (s0, K); on the put side
-    the value is the forward less the put, so a cancelling put goes on to the
-    call side. The risk-aversion parameter stays in the integrand, so which
-    parameters the price depends on is an outcome rather than an assumption.
-    Families with no terminal law raise Unsupported.
+    """E[pi_T (S_T - K)^+] against the family's terminal law of X_T. pi_T is
+    e^{-rT} times the risk-aversion weight w, so the price is s0 E[w (u - k)^+]
+    at u = S_T e^{-rT}/s0 and k = K e^{-rT}/s0: homogeneous in (s0, K e^{-rT})
+    by construction. The law's atoms are summed from the first in-the-money
+    one and its density integrated by adaptive quadrature from the
+    log-moneyness threshold, or first up to it, on the put side, where the
+    density's support has a finite top. A side's value stands when its error
+    estimate is within 1e-9 of it; on the put side it is the forward less the
+    put, so a cancelling put goes on to the call side. The risk-aversion
+    parameter stays in the integrand, so which parameters the price depends
+    on is an outcome rather than an assumption. Families with no terminal law
+    raise Unsupported.
     """
-    t, strike, model, lam, sig = opt.expiry, opt.strike, glm.model, glm.lam, glm.sig
+    t, model, lam, sig = opt.expiry, glm.model, glm.lam, glm.sig
     law = model.terminal_law(t)
-    log_k = math.log(strike) if strike > 0.0 else -math.inf
-    log_pi_c = log_value(0.0, -glm.r, model, -lam, 0.0, t)
-    log_s_c = log_value(math.log(glm.s0), glm.r + glm.premium, model, sig, 0.0, t)
+    moneyness, log_k = opt.strike / glm.s0, -math.inf  # log k of K = 0
+    if sys.float_info.min <= moneyness < math.inf:
+        log_k = math.log(moneyness) - glm.r * t
+    elif opt.strike > 0.0:  # K/s0 underflows or overflows
+        log_k = math.log(opt.strike) - math.log(glm.s0) - glm.r * t
+    log_w_c = log_value(0.0, 0.0, model, -lam, 0.0, t)
+    log_u_c = log_value(0.0, glm.premium, model, sig, 0.0, t)
 
     def integrand(x: float, log_w: float) -> float:
-        # pi_T (S_T - K) on the integrated side of x_k, assembled in log space:
-        # the quadrature probes x deep in the tail where S alone would overflow.
-        log_s = log_s_c + sig * x
-        if (log_s <= log_k) != below:
+        # w (u - k) on the integrated side of x_k, assembled in log space: the
+        # quadrature probes x deep in the tail where u alone would overflow.
+        log_u = log_u_c + sig * x
+        if (log_u <= log_k) != below:
             return 0.0
-        log_w += log_pi_c - lam * x
-        if log_s < 600.0:
-            return math.exp(log_w) * (math.exp(log_s) - strike)
-        return math.exp(log_w + log_s) - strike * math.exp(log_w)
+        log_w += log_w_c - lam * x
+        if log_u < 600.0:
+            return math.exp(log_w) * (math.exp(log_u) - k)
+        return math.exp(log_w + log_u) - math.exp(log_w + log_k)
 
-    # S_T(x) exceeds K only beyond the log-moneyness threshold x_k, and since
-    # E[pi_T S_T] = s0 and E[pi_T] = e^{-rT} the call is also the forward
-    # s0 - K e^{-rT} minus the integral of pi_T (S_T - K) below x_k, the put
-    # side. That integral is empty where x_k is at or below the law's mass
-    # (the forward is formed in logs, so K = 0 gives s0). Past 2^53 no atom
-    # series can start (integers stop being distinct doubles), and the laws
-    # here put no mass there: S_T is deterministic and the call is worth its
-    # limit.
-    x_k = (log_k - log_s_c) / sig
-    log_k_disc, log_max = log_k - glm.r * t, math.log(sys.float_info.max)
-    if x_k <= law.lowest:
-        return glm.s0 - math.exp(log_k_disc)
-    if strike > 0.0 and not abs(x_k) < 2.0**53:  # 0 where K e^{-rT} passes the float range
-        return max(glm.s0 - math.exp(min(log_k_disc, log_max)), 0.0)
+    # u exceeds k only beyond the log-moneyness threshold x_k, and since
+    # E[w u] = E[w] = 1 the unit call is also the forward 1 - k minus the
+    # integral of w (u - k) below x_k, the put side. That integral is empty
+    # where x_k is at or below the law's mass (K = 0 gives s0). Past 2^53 no
+    # atom series can start (integers stop being distinct doubles), and the
+    # laws here put no mass there: u is deterministic, the call its limit.
+    x_k = (log_k - log_u_c) / sig
+    k = math.exp(min(log_k, _LOG_MAX))
+    forward = 1.0 - k
+    if x_k <= law.lowest or not abs(x_k) < 2.0**53:
+        return glm.s0 * max(forward, 0.0)
     # Below a finite top of the density's support the put side comes first:
     # it keeps the quadrature off the top's singular edge (the mirrored gamma
-    # laws of small shape), which every piece above x_k would reach. Where
-    # K e^{-rT} overflows, or the forward and the put cancel beyond the
-    # tolerance, the call side follows.
-    put_first = x_k < law.support[1] < math.inf and log_k_disc < log_max
+    # laws of small shape), which every piece above x_k would reach; the call
+    # side follows where k overflows or the forward and the put cancel.
+    put_first = x_k < law.support[1] < math.inf and log_k < _LOG_MAX
     for below in (True, False) if put_first else (False,):
         # The law tilted by the larger term of the integrand, whose weights
-        # grow and fall with the terms: pi_T S_T above x_k, pi_T K below it.
+        # grow and fall with the terms: w u above x_k, w k below it.
         tilt = -lam if below else sig - lam
         breaks = ()
         if law.log_density is not None:
@@ -194,12 +196,12 @@ def exact_call(glm: GlmSpec, opt: OptionSpec) -> float:
         lo, hi = (-math.inf, x_k) if below else (x_k, math.inf)
         try:
             value, err = law.integrate(integrand, lo, hi, tilt, breaks)
-        except OverflowError:  # log_s rounds past exp's range where sig x and t psi(sig) cancel
+        except OverflowError:  # log_u rounds past exp's range where sig x and t psi(sig) cancel
             raise QuadratureFailure("call integrand overflows a float") from None
         if below:
-            value = glm.s0 - math.exp(log_k_disc) - value
+            value = forward - value
         if not err > 1e-9 * abs(value):
-            return value
+            return glm.s0 * value
     raise QuadratureFailure(f"call quadrature error {err:.2e}")
 
 

@@ -79,11 +79,10 @@ def premium_via_levy_measure(model: LevyModel, lam: float, sig: float) -> float:
     estimated tail falls below 1e-14 of the sum), densities integrated by
     adaptive quadrature; an error estimate beyond 1e-8 |R| raises
     QuadratureFailure. Where sig, -lam or sig - lam leaves the domain the
-    integral diverges, and the checked psi raises DomainViolation.
+    integral diverges, and the checked risk_premium raises DomainViolation.
     """
     nu = model.levy_measure()
-    for a in (sig, -lam, sig - lam):
-        model.psi(a)
+    risk_premium(model, lam, sig)
 
     def integrand(x: float, log_w: float) -> float:
         a, b = sig * x, -lam * x

@@ -176,10 +176,10 @@ def nb_dual_sample(m: float, q: float, dt: float, rng: Rng,
     """Negative binomial increments by either of the two constructions.
 
     LogarithmicCompoundPoisson: Poisson(-m ln(1-q) dt) many logarithmic(q)
-    jumps. GammaSubordinatedPoisson: Poisson with intensity m q/(1-q) run on a
-    gamma clock with mean dt.
+    jumps. GammaSubordinatedPoisson: the family's sampler, numpy's negative
+    binomial, a Poisson of intensity m q/(1-q) on a gamma clock of mean dt.
     """
-    NegativeBinomial(m, q)  # rejects m and q outside the family's parameter space
+    model = NegativeBinomial(m, q)  # rejects m and q outside the family's parameter space
     _positive("dt", dt)
     _check_count("size", size)
     g = rng.generator
@@ -195,10 +195,8 @@ def nb_dual_sample(m: float, q: float, dt: float, rng: Rng,
             jumps = np.concatenate(([0], np.cumsum(g.logseries(q, counts.sum()))))
             return np.diff(jumps[np.cumsum(counts)], prepend=0).astype(float)
         if method == "GammaSubordinatedPoisson":
-            intensity = m * q / (1.0 - q)
-            clock = g.gamma(m * dt, 1.0, size) / m
-            return g.poisson(intensity * clock).astype(float)
-    except ValueError as e:  # numpy's Poisson sampler rejects rates beyond about 9.2e18
+            return model.increments(dt, size, g)
+    except ValueError as e:  # numpy's samplers reject rates beyond about 9.2e18
         raise ParamOutOfRange("(m, dt)", (m, dt), f"{method} sampler: {e}") from None
     raise Unsupported(method, "NB sampling method")
 

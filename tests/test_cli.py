@@ -209,20 +209,34 @@ def test_price_option_exact_failed_quadrature_prints_only_the_error(tmp_path, ca
     _assert_one_error_line(capsys)
 
 
-@pytest.mark.parametrize("spec, opt", [
-    (g.GlmSpec(model=g.Brownian(), r=0.02, lam=0.0, sig=1e10), ["1e-300", "1"]),
-    (g.GlmSpec(model=g.mirror(g.Gamma(m=1.0)), s0=1e300, r=0.02, lam=0.0, sig=1e10),
-     ["1e300", "1e-6"]),
-], ids=["Brownian", "Mirrored[Gamma]"])
-def test_price_option_exact_overflowing_integrand_exits_2(tmp_path, capsys, spec, opt):
+def test_price_option_exact_overflowing_integrand_exits_2(tmp_path, capsys):
     # sigma x and T psi(sigma) cancel in log S_T, and the rounding left passes
     # exp's range: a typed QuadratureFailure, not a traceback.
+    spec = g.GlmSpec(model=g.Brownian(), r=0.02, lam=0.0, sig=1e10)
     p = tmp_path / "huge_sigma.json"
     p.write_text(json.dumps(g.spec_to_dict(spec)))
     rc = main(["price-option", "--spec", str(p), "--out", str(tmp_path / "opt.csv"),
-               "--strike", opt[0], "--expiry", opt[1], "--method", "exact"])
+               "--strike", "1e-300", "--expiry", "1", "--method", "exact"])
     assert rc == 2
     _assert_one_error_line(capsys)
+
+
+def test_price_option_exact_huge_sigma_at_a_huge_price_unit_exits_0(tmp_path, capsys):
+    # s0 enters exact_call only as the scale of the unit price, so at
+    # s0 = K = 1e300 the price is 1e300 times that at s0 = K = 1.
+    spec = g.GlmSpec(model=g.mirror(g.Gamma(m=1.0)), s0=1e300, r=0.02, lam=0.0, sig=1e10)
+    p = tmp_path / "huge_sigma.json"
+    p.write_text(json.dumps(g.spec_to_dict(spec)))
+    out = tmp_path / "opt.csv"
+    rc = main(["price-option", "--spec", str(p), "--out", str(out),
+               "--strike", "1e300", "--expiry", "1e-6", "--method", "exact"])
+    assert rc == 0
+    with open(out) as fh:
+        price = float(next(csv.DictReader(fh))["price"])
+    unit_spec = g.GlmSpec(model=g.mirror(g.Gamma(m=1.0)), r=0.02, lam=0.0, sig=1e10)
+    unit = g.exact_call(unit_spec, g.OptionSpec(1.0, 1e-6))
+    assert price == 1e300 * unit
+    assert unit == pytest.approx(2.3045329553060212e-05, rel=1e-14)
 
 
 def test_fx_check_reports_negative_inverse_premium(tmp_path, capsys):

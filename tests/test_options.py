@@ -269,17 +269,21 @@ def test_mirrored_gamma_exact_where_the_discounted_strike_overflows():
 
 # At sigma = 1e10, sigma x and T psi(sigma) cancel in log S_T, and the rounding
 # error left (about 1e4) passes exp's range in the integrand.
-CANCELLING_SIGMA = [
-    (g.GlmSpec(model=g.Brownian(), r=0.02, lam=0.0, sig=1e10), g.OptionSpec(1e-300, 1.0)),
-    (g.GlmSpec(model=g.mirror(g.Gamma(m=1.0)), s0=1e300, r=0.02, lam=0.0, sig=1e10),
-     g.OptionSpec(1e300, 1e-6)),
-]
-
-
-@pytest.mark.parametrize("spec, opt", CANCELLING_SIGMA, ids=["Brownian", "Mirrored[Gamma]"])
-def test_exact_call_overflowing_integrand_raises_quadrature_failure(spec, opt):
+def test_exact_call_overflowing_integrand_raises_quadrature_failure():
+    spec = g.GlmSpec(model=g.Brownian(), r=0.02, lam=0.0, sig=1e10)
     with pytest.raises(g.QuadratureFailure, match="call integrand overflows a float"):
-        g.exact_call(spec, opt)
+        g.exact_call(spec, g.OptionSpec(1e-300, 1.0))
+
+
+def test_exact_call_huge_sigma_at_a_huge_price_unit_is_the_scaled_unit_price():
+    # sigma x and T psi(sigma) cancel in log u, but s0 is not in it: s0 only
+    # scales the unit price, so s0 = K = 1e300 prices 1e300 times s0 = K = 1.
+    def price(s0):
+        spec = g.GlmSpec(model=g.mirror(g.Gamma(m=1.0)), s0=s0, r=0.02, lam=0.0, sig=1e10)
+        return g.exact_call(spec, g.OptionSpec(s0, 1e-6))
+
+    assert price(1e300) == 1e300 * price(1.0)
+    assert price(1.0) == pytest.approx(2.3045329553060212e-05, rel=1e-14)
 
 
 @pytest.mark.parametrize("model", [g.Gamma(m=1.0), g.Poisson(m=1.0), g.Brownian()],
@@ -347,23 +351,56 @@ def test_deep_out_of_the_money_is_tiny():
     assert g.exact_call(spec_g, opt) < 1e-6
 
 
+# Every family with a terminal law: Brownian, Poisson, Gamma, ScaledGamma and
+# the mirrors of the last three.
 _UNIT_MODELS = [g.Brownian(), g.Gamma(0.5), g.Poisson(1.0), g.ScaledGamma(2.0, 0.3),
-                g.mirror(g.Gamma(0.5)), g.mirror(g.Gamma(3.0)), g.mirror(g.ScaledGamma(2.0, 0.3))]
+                g.mirror(g.Gamma(0.5)), g.mirror(g.Gamma(3.0)), g.mirror(g.ScaledGamma(2.0, 0.3)),
+                g.mirror(g.Poisson(1.0))]
 
 
 @pytest.mark.parametrize("model", _UNIT_MODELS, ids=repr)
 def test_exact_call_is_independent_of_the_price_unit(model):
-    # The price is homogeneous of degree one in (s0, K), so the currency unit
-    # must not change it: every quadrature and series rule is relative.
+    # The price is s0 times the unit price at k = K e^{-rT}/s0, so the
+    # currency unit must not change it. A price below the normal float range
+    # keeps a subnormal's absolute precision only: one ulp of 0 is allowed.
     def price(s0, moneyness, expiry):
         spec = g.GlmSpec(model=model, r=0.02, lam=0.2, sig=0.3, s0=s0)
-        return g.exact_call(spec, g.OptionSpec(moneyness * s0, expiry)) / s0
+        return g.exact_call(spec, g.OptionSpec(moneyness * s0, expiry))
 
-    for expiry, moneyness in itertools.product((0.01, 0.1, 1.0, 5.0), (0.8, 1.05, 1.5)):
-        want = price(1.0, moneyness, expiry)
-        for s0 in (1e-200, 1e-10, 1e10, 1e200):
-            assert price(s0, moneyness, expiry) == pytest.approx(want, rel=1e-10, abs=0.0), (
-                expiry, moneyness, s0)
+    grid = [*itertools.product((0.01, 0.1, 1.0, 5.0), (0.8, 1.05, 1.5),
+                               (1e-200, 1e-10, 1e10, 1e200)),
+            *itertools.product((1e-6,), (0.5, 1.0, 3.0), (1e-300, 1e300))]
+    for expiry, moneyness, s0 in grid:
+        want = s0 * price(1.0, moneyness, expiry)
+        assert price(s0, moneyness, expiry) == pytest.approx(
+            want, rel=1e-14, abs=math.ulp(0.0)), (expiry, moneyness, s0)
+
+
+@pytest.mark.parametrize("expiry", [1e-6, 0.01, 1.0, 20.0])
+@pytest.mark.parametrize("model", _UNIT_MODELS, ids=repr)
+def test_exact_call_scales_with_a_power_of_two_price_unit_bit_for_bit(model, expiry):
+    # 2^j s0 and 2^j K leave k = K e^{-rT}/s0 with its bits, so the price is
+    # 2^j times the same unit price, exactly.
+    def price(s0, strike):
+        spec = g.GlmSpec(model=model, r=0.02, lam=0.2, sig=0.3, s0=s0)
+        return g.exact_call(spec, g.OptionSpec(strike, expiry))
+
+    for moneyness in (0.5, 1.0, 1.05, 3.0):
+        want = price(1.0, moneyness)
+        for j in (1, -1, 100, -100, 900, -900):
+            scale = 2.0**j
+            assert price(scale, scale * moneyness) == scale * want, (moneyness, j)
+
+
+@pytest.mark.parametrize("s0, strike, r, expiry", [
+    (1e300, 1e-20, -740.0, 1.0), (1e300, 1e-20, -745.0, 1.0),
+    (1e-300, 1e20, 740.0, 1.0), (1e300, 1e-15, -37.0, 20.0)])
+def test_brownian_exact_matches_bs_where_k_over_s0_leaves_the_float_range(s0, strike, r, expiry):
+    # K/s0 overflows or underflows, and K e^{-rT} may too: log k is formed as
+    # log K - log s0 - r T, and k = K e^{-rT}/s0 is an ordinary number.
+    spec = g.GlmSpec(model=g.Brownian(), r=r, lam=0.2, sig=0.5, s0=s0)
+    got = g.exact_call(spec, g.OptionSpec(strike, expiry))
+    assert got == pytest.approx(_bs_mpmath(s0, r, 0.5, strike, expiry), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("strike", [1.5, 2.0])
